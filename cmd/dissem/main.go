@@ -62,10 +62,6 @@ type flags struct {
 	memprofile   string
 	indexMetrics bool
 
-	// fieldMode selects the interference-field driver (incremental |
-	// recompute); runs are byte-identical across modes.
-	fieldMode string
-
 	// Fault injection (internal/faults); any non-zero rate arms the engine.
 	faultCrash float64
 	faultDown  int
@@ -109,8 +105,7 @@ func parseFlags() flags {
 	flag.StringVar(&f.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl (reference, greppable) | binary (compact framed, for big runs)")
 	flag.StringVar(&f.svg, "svg", "", "render the outcome (completion-time heatmap) to this SVG file")
 	flag.StringVar(&f.manifest, "manifest", "", "write a JSON run manifest (config, metrics, counters) to this file")
-	flag.BoolVar(&f.indexMetrics, "index-metrics", false, "register the sim/index/*, sim/field/* and sim/wheel/* work counters in the metric snapshot")
-	flag.StringVar(&f.fieldMode, "field-mode", "incremental", "interference-field driver: incremental (delta-maintained) | recompute (brute per-slot reference); output is byte-identical either way")
+	flag.BoolVar(&f.indexMetrics, "index-metrics", false, "register the sim/index/* and sim/field/* work counters in the metric snapshot")
 	flag.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU pprof profile to this file")
 	flag.StringVar(&f.memprofile, "memprofile", "", "write a heap pprof profile to this file")
 	flag.Float64Var(&f.faultCrash, "fault-crash", 0, "per-tick crash probability (nodes restart after -fault-down ticks)")
@@ -145,10 +140,6 @@ func run() error {
 		return err
 	}
 
-	fieldMode, err := sim.ParseFieldMode(f.fieldMode)
-	if err != nil {
-		return err
-	}
 	reg := metrics.NewRegistry()
 	opts := udwn.SimOptions{
 		Seed:         f.seed,
@@ -157,7 +148,6 @@ func run() error {
 		Dynamic:      f.walk > 0,
 		Metrics:      reg,
 		IndexMetrics: f.indexMetrics,
-		FieldMode:    fieldMode,
 	}
 	var eng *faults.Engine
 	if spec := f.faultSpec(); spec.Enabled() {

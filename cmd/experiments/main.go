@@ -44,7 +44,6 @@ import (
 	"udwn/internal/checkpoint"
 	"udwn/internal/experiment"
 	"udwn/internal/metrics"
-	"udwn/internal/sim"
 	"udwn/internal/trace"
 )
 
@@ -55,8 +54,7 @@ func main() {
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell deadline; overrunning cells are marked FAILED (0 = none)")
 	retries := flag.Int("retries", 0, "retry budget for panicking or overrunning cells")
 	progress := flag.Bool("progress", false, "render live done/total cells and ETA on stderr")
-	indexMetrics := flag.Bool("index-metrics", false, "register the sim/index/*, sim/field/* and sim/wheel/* work counters in the metric snapshot")
-	fieldMode := flag.String("field-mode", "incremental", "interference-field driver: incremental | recompute (brute per-slot reference); output is byte-identical either way")
+	indexMetrics := flag.Bool("index-metrics", false, "register the sim/index/* and sim/field/* work counters in the metric snapshot")
 	manifest := flag.String("manifest", "", "write a JSON run manifest (config, metrics, per-cell timings) to this file")
 	traceFile := flag.String("trace", "", "record every grid cell's slot events into one trace file (interleaved in completion order)")
 	traceFmt := flag.String("trace-format", "jsonl", "trace encoding: jsonl | binary (compact framed, for full-scale regeneration)")
@@ -104,12 +102,6 @@ func main() {
 	opts.CellTimeout = *cellTimeout
 	opts.Retries = *retries
 	opts.IndexMetrics = *indexMetrics
-	fm, err := sim.ParseFieldMode(*fieldMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	opts.FieldMode = fm
 	// One shared report: each experiment renders its own FAILED lines and
 	// the suite summarises degraded cells at the end instead of aborting.
 	report := experiment.NewRunReport()

@@ -39,7 +39,6 @@ type Decay struct {
 var (
 	_ sim.Protocol     = (*Decay)(nil)
 	_ sim.ProbReporter = (*Decay)(nil)
-	_ sim.Quiescent    = (*Decay)(nil)
 )
 
 // NewDecay returns a decay protocol for a network-size estimate n.
@@ -81,19 +80,6 @@ func (d *Decay) TransmitProb() float64 {
 	return math.Pow(2, -float64(d.step%d.cycleLen+1))
 }
 
-// QuiescentFor promises permanent inertness once stopped: Act early-returns
-// without RNG draws, and Observe of a silent slot (no transmission, no ack)
-// changes nothing.
-func (d *Decay) QuiescentFor() int {
-	if d.done {
-		return 1 << 30
-	}
-	return 0
-}
-
-// SkipQuiet is a no-op: a stopped node's state no longer evolves.
-func (d *Decay) SkipQuiet(int) {}
-
 // FixedProb transmits forever with probability c/Δ, the classical strategy
 // when the maximum degree Δ is known. It stops on FreeAck if granted.
 type FixedProb struct {
@@ -105,7 +91,6 @@ type FixedProb struct {
 var (
 	_ sim.Protocol     = (*FixedProb)(nil)
 	_ sim.ProbReporter = (*FixedProb)(nil)
-	_ sim.Quiescent    = (*FixedProb)(nil)
 )
 
 // NewFixedProb returns a fixed-probability protocol with p = min(c/delta, 1/2).
@@ -145,32 +130,16 @@ func (f *FixedProb) TransmitProb() float64 {
 	return f.p
 }
 
-// QuiescentFor promises permanent inertness once stopped (see Decay).
-func (f *FixedProb) QuiescentFor() int {
-	if f.done {
-		return 1 << 30
-	}
-	return 0
-}
-
-// SkipQuiet is a no-op: a stopped node's state no longer evolves.
-func (f *FixedProb) SkipQuiet(int) {}
-
 // RoundRobin transmits deterministically in the slots congruent to the
 // node's id modulo n — collision-free by construction, Θ(n) latency.
 type RoundRobin struct {
-	n     int
-	t     int
-	id    int // node id mod n, captured on first Act
-	idSet bool
-	done  bool
-	data  int64
+	n    int
+	t    int
+	done bool
+	data int64
 }
 
-var (
-	_ sim.Protocol  = (*RoundRobin)(nil)
-	_ sim.Quiescent = (*RoundRobin)(nil)
-)
+var _ sim.Protocol = (*RoundRobin)(nil)
 
 // NewRoundRobin returns a round-robin protocol over n schedule slots.
 func NewRoundRobin(n int, data int64) *RoundRobin {
@@ -182,8 +151,7 @@ func NewRoundRobin(n int, data int64) *RoundRobin {
 
 // Act transmits in the node's own schedule slots.
 func (r *RoundRobin) Act(n *sim.Node, slot int) sim.Action {
-	r.id, r.idSet = n.ID%r.n, true
-	mine := r.t%r.n == r.id
+	mine := r.t%r.n == n.ID%r.n
 	r.t++
 	if r.done || !mine {
 		return sim.Action{}
@@ -197,27 +165,6 @@ func (r *RoundRobin) Observe(n *sim.Node, slot int, obs *sim.Observation) {
 		r.done = true
 	}
 }
-
-// QuiescentFor promises inertness until the node's next owned schedule
-// slot — forever once stopped. Every Act advances t (even when silent), so
-// SkipQuiet must advance it by the same amount.
-func (r *RoundRobin) QuiescentFor() int {
-	if r.done {
-		return 1 << 30
-	}
-	if !r.idSet {
-		return 0 // schedule identity unknown before the first Act
-	}
-	// Ticks until t reaches the next value congruent to id (mod n).
-	d := (r.id - r.t) % r.n
-	if d < 0 {
-		d += r.n
-	}
-	return d
-}
-
-// SkipQuiet replays the t advance of the skipped silent slots.
-func (r *RoundRobin) SkipQuiet(ticks int) { r.t += ticks }
 
 // DecayBcast is global broadcast by decay flooding without carrier sensing:
 // a node that has received the payload repeats decay cycles indefinitely.
@@ -233,7 +180,6 @@ type DecayBcast struct {
 var (
 	_ sim.Protocol     = (*DecayBcast)(nil)
 	_ sim.ProbReporter = (*DecayBcast)(nil)
-	_ sim.Quiescent    = (*DecayBcast)(nil)
 )
 
 // NewDecayBcast returns the decay-flooding broadcast protocol. isSource
@@ -279,16 +225,3 @@ func (d *DecayBcast) TransmitProb() float64 {
 	}
 	return math.Pow(2, -float64(d.step%d.cycleLen+1))
 }
-
-// QuiescentFor promises inertness while uninformed: Act early-returns
-// without RNG draws and Observe of a silent slot (nothing received) cannot
-// inform the node. Informed nodes keep flooding, so no promise.
-func (d *DecayBcast) QuiescentFor() int {
-	if !d.informed {
-		return 1 << 30
-	}
-	return 0
-}
-
-// SkipQuiet is a no-op: an uninformed node's state does not evolve.
-func (d *DecayBcast) SkipQuiet(int) {}

@@ -21,7 +21,6 @@ type LocalBcast struct {
 var (
 	_ sim.Protocol     = (*LocalBcast)(nil)
 	_ sim.ProbReporter = (*LocalBcast)(nil)
-	_ sim.Quiescent    = (*LocalBcast)(nil)
 )
 
 // NewLocalBcast returns the standard (non-spontaneous-capable) protocol with
@@ -71,16 +70,3 @@ func (l *LocalBcast) TransmitProb() float64 {
 	}
 	return l.ta.P()
 }
-
-// QuiescentFor promises permanent inertness once the node has stopped: Act
-// and Observe both early-return without touching the RNG or the Try&Adjust
-// state, and the reported probability is pinned at 0.
-func (l *LocalBcast) QuiescentFor() int {
-	if l.done {
-		return 1 << 30
-	}
-	return 0
-}
-
-// SkipQuiet is a no-op: a stopped node's state no longer evolves.
-func (l *LocalBcast) SkipQuiet(int) {}

@@ -40,7 +40,6 @@ type NoCSLocalBcast struct {
 var (
 	_ sim.Protocol     = (*NoCSLocalBcast)(nil)
 	_ sim.ProbReporter = (*NoCSLocalBcast)(nil)
-	_ sim.Quiescent    = (*NoCSLocalBcast)(nil)
 )
 
 // NewNoCSLocalBcast returns the probing protocol for a network-size
@@ -132,15 +131,3 @@ func (p *NoCSLocalBcast) TransmitProb() float64 {
 	}
 	return p.ta.P()
 }
-
-// QuiescentFor promises permanent inertness once stopped: Act and Observe
-// both early-return without touching the RNG or the epoch state.
-func (p *NoCSLocalBcast) QuiescentFor() int {
-	if p.done {
-		return 1 << 30
-	}
-	return 0
-}
-
-// SkipQuiet is a no-op: a stopped node's state no longer evolves.
-func (p *NoCSLocalBcast) SkipQuiet(int) {}

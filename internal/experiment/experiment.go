@@ -51,16 +51,11 @@ type Options struct {
 	// byte-identical across Workers counts — pinned by
 	// TestMetricsWorkersDeterminism.
 	Metrics *metrics.Registry
-	// IndexMetrics opts the simulator's "sim/index/*" spatial-index,
-	// "sim/field/*" incremental-field and "sim/wheel/*" quiescence work
-	// counters into Metrics. Off by default: the counters are absent from
-	// the pinned snapshot goldens, and registering them only on request
-	// keeps those goldens stable.
+	// IndexMetrics opts the simulator's "sim/index/*" spatial-index and
+	// "sim/field/*" incremental-field work counters into Metrics. Off by
+	// default: the counters are absent from the pinned snapshot goldens,
+	// and registering them only on request keeps those goldens stable.
 	IndexMetrics bool
-	// FieldMode selects the simulator's interference-field driver for every
-	// cell (incremental by default; recompute is the brute reference). All
-	// outputs are byte-identical across modes.
-	FieldMode sim.FieldMode
 	// Observer, when non-nil, receives every simulator slot event of every
 	// grid cell (runners thread it through o.sim alongside Metrics). Cells
 	// run on concurrent worker goroutines, so callbacks may arrive
@@ -118,7 +113,6 @@ type Progress struct {
 func (o Options) sim(so udwn.SimOptions) udwn.SimOptions {
 	so.Metrics = o.Metrics
 	so.IndexMetrics = o.IndexMetrics
-	so.FieldMode = o.FieldMode
 	so.Observer = o.Observer
 	if o.Context != nil {
 		ctx := o.Context

@@ -9,6 +9,7 @@ import (
 	"udwn/internal/metric"
 	"udwn/internal/model"
 	"udwn/internal/sim"
+	"udwn/internal/workload"
 )
 
 // scriptProto transmits according to a fixed per-tick script and records
@@ -40,7 +41,13 @@ func (p *scriptProto) Observe(n *sim.Node, slot int, obs *sim.Observation) {
 // sim package tests use — wired to the given fault engine.
 func lineSim(t *testing.T, eng *Engine, scripts map[int]map[int]bool) *sim.Sim {
 	t.Helper()
-	e := metric.NewEuclidean([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}})
+	return pointSim(t, eng, []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}}, scripts)
+}
+
+// pointSim is lineSim over arbitrary node positions.
+func pointSim(t *testing.T, eng *Engine, pts []geom.Point, scripts map[int]map[int]bool) *sim.Sim {
+	t.Helper()
+	e := metric.NewEuclidean(pts)
 	s, err := sim.New(sim.Config{
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
@@ -133,6 +140,90 @@ func TestDeafReceiverBlocksDecodeAndMassDelivery(t *testing.T) {
 		t.Fatal("Faulty must flag the deaf nodes and spare the protected one")
 	}
 }
+
+// Deaf-drops count frames lost that would have arrived: a deaf receiver
+// beyond every transmitter's decode range loses nothing, so it adds nothing
+// to the counter, while an in-range deaf receiver adds exactly one drop per
+// frame it would have decoded.
+func TestDeafDropsCountOnlyDecodableFrames(t *testing.T) {
+	eng := New(Spec{Seed: 5, DeafFraction: 1, Protect: []int{0}})
+	// Node 1 is deaf at distance 1 (inside R = 2); node 2 is deaf at
+	// distance 50, which no transmission of this network can reach.
+	s := pointSim(t, eng, []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 50, Y: 0}},
+		map[int]map[int]bool{0: {0: true, 2: true}})
+	for i := 0; i < 3; i++ {
+		s.Step()
+	}
+	if got := eng.Counters().Get("deaf-drops"); got != 2 {
+		t.Fatalf("deaf-drops = %d, want 2 (node 0's two frames to in-range node 1 only)", got)
+	}
+	if s.FirstDecode(1) != -1 || s.FirstDecode(2) != -1 {
+		t.Fatal("deaf nodes must not be informed")
+	}
+}
+
+// A faulted run on a Euclidean SINR network answers reception from the
+// spatial index: the injector does not force the listener scan, and the
+// index run drops, counts and decodes exactly what the scan would.
+func TestFaultedRunUsesIndexedReception(t *testing.T) {
+	pts := workload.UniformDisc(150, workload.SideForDegree(150, 12, 1.8), 3)
+	spec := Spec{Seed: 21, DeafFraction: 0.1, DropRate: 0.2, JamFraction: 0.05,
+		SenseRate: 0.05, CrashRate: 0.002, CrashDowntime: 20, Protect: []int{0}}
+	run := func(space metric.Space) (*sim.Sim, string) {
+		eng := New(spec)
+		s, err := sim.New(sim.Config{
+			Space: space,
+			Model: model.NewSINR(8, 1, 1, 3, 0.1),
+			P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+			Seed:       4,
+			Primitives: sim.CD | sim.ACK,
+			Injector:   eng,
+		}, func(int) sim.Protocol { return coinProto(0.05) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			s.Step()
+		}
+		var b strings.Builder
+		for v := 0; v < s.N(); v++ {
+			fmt.Fprintf(&b, "%d:%d/%d ", v, s.FirstDecode(v), s.FirstMassDelivery(v))
+		}
+		fmt.Fprintf(&b, "\ntx=%d mass=%d counters: %s", s.TotalTransmissions(),
+			s.TotalMassDeliveries(), eng.Counters())
+		return s, b.String()
+	}
+	grid, got := run(metric.NewEuclidean(pts))
+	if mode := grid.IndexMode(); mode != "grid" {
+		t.Fatalf("IndexMode = %q, want grid", mode)
+	}
+	if grid.IndexStats().TxQueries == 0 {
+		t.Fatal("faulted run never answered a reception from the index")
+	}
+	// Hiding the Euclidean type leaves the simulator no index to use.
+	scan, want := run(opaqueSpace{metric.NewEuclidean(pts)})
+	if mode := scan.IndexMode(); mode != "scan" {
+		t.Fatalf("opaque space: IndexMode = %q, want scan", mode)
+	}
+	if got != want {
+		t.Fatalf("index and scan runs diverge:\nindex: %s\nscan:  %s", got, want)
+	}
+	if !strings.Contains(got, "deaf-drops") || !strings.Contains(got, "dropped-recv") {
+		t.Fatalf("drop counters never fired, the comparison is vacuous: %s", got)
+	}
+}
+
+// opaqueSpace hides a space's concrete type from the simulator.
+type opaqueSpace struct{ metric.Space }
+
+// coinProto transmits with a fixed probability every slot.
+type coinProto float64
+
+func (p coinProto) Act(n *sim.Node, slot int) sim.Action {
+	return sim.Action{Transmit: n.RNG.Bernoulli(float64(p)), Msg: sim.Message{Kind: 1, Data: int64(n.ID)}}
+}
+
+func (coinProto) Observe(*sim.Node, int, *sim.Observation) {}
 
 // DropRate 1 loses every reception.
 func TestDropRateOneBlocksEverything(t *testing.T) {

@@ -150,7 +150,7 @@ func BenchmarkNewSim(b *testing.B) {
 }
 
 // cohortProto is the deterministic traffic of the dense incremental-field
-// benchmark pair: a persistent cohort of k transmitters that rotates to the
+// benchmark: a persistent cohort of k transmitters that rotates to the
 // next k node ids every `period` slots. Between rotations the transmitter
 // composition is unchanged, so the incremental field reuses it; rotations
 // are bulk membership changes that force selective rebuilds. No RNG.
@@ -170,11 +170,11 @@ func (c *cohortProto) Act(nd *Node, slot int) Action {
 
 func (c *cohortProto) Observe(*Node, int, *Observation) {}
 
-// denseSim8192 builds the dense-deployment workload of the incremental-vs-
-// recompute benchmark pair: 8192 nodes (beyond the pathloss cache budget, so
-// recompute pays per-pair model evaluations) under full sensing, with a
-// 128-transmitter cohort rotating every 64 slots.
-func denseSim8192(b *testing.B, mode FieldMode) *Sim {
+// denseSim8192 builds the dense-deployment workload of the incremental
+// field: 8192 nodes (beyond the pathloss cache budget, so every re-summed
+// term pays a model evaluation) under full sensing, with a 128-transmitter
+// cohort rotating every 64 slots.
+func denseSim8192(b *testing.B) *Sim {
 	b.Helper()
 	pts := workload.UniformDisc(8192, workload.SideForDegree(8192, 16, 9), 3)
 	s, err := New(Config{
@@ -183,7 +183,6 @@ func denseSim8192(b *testing.B, mode FieldMode) *Sim {
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
 		Seed:       3,
 		Primitives: CD | ACK,
-		FieldMode:  mode,
 	}, func(id int) Protocol {
 		return &cohortProto{id: id, n: 8192, k: 128, period: 64}
 	})
@@ -194,64 +193,7 @@ func denseSim8192(b *testing.B, mode FieldMode) *Sim {
 }
 
 func BenchmarkStepDense8192Incremental(b *testing.B) {
-	s := denseSim8192(b, FieldIncremental)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// BenchmarkStepDense8192Recompute runs the identical workload through the
-// brute per-slot field recompute (the pre-incremental driver). The ratio of
-// this pair is the incremental-field speedup on dense deployments.
-func BenchmarkStepDense8192Recompute(b *testing.B) {
-	s := denseSim8192(b, FieldRecompute)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// idleBenchProto is permanently quiescent traffic: nothing ever transmits,
-// and the Quiescent promise lets the wheel skip every slot.
-type idleBenchProto struct{}
-
-func (idleBenchProto) Act(*Node, int) Action            { return Action{} }
-func (idleBenchProto) Observe(*Node, int, *Observation) {}
-func (idleBenchProto) QuiescentFor() int                { return maxQuietWindow }
-func (idleBenchProto) SkipQuiet(int)                    {}
-
-// quiescentSim8192 builds the quiescent-phase workload of the wheel
-// benchmark pair: 8192 idle nodes on a field-oblivious UDG model.
-func quiescentSim8192(b *testing.B, disable bool) *Sim {
-	b.Helper()
-	pts := workload.UniformDisc(8192, workload.SideForDegree(8192, 16, 10), 4)
-	s, err := New(Config{
-		Space: metric.NewEuclidean(pts),
-		Model: model.NewUDG(10),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:              4,
-		DisableQuiescence: disable,
-	}, func(int) Protocol { return idleBenchProto{} })
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-func BenchmarkStepQuiescent8192Wheel(b *testing.B) {
-	s := quiescentSim8192(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// BenchmarkStepQuiescent8192SlotBySlot executes every quiescent slot in
-// full (the pre-wheel driver). The ratio of this pair is the quiescence-
-// skipping speedup on idle phases.
-func BenchmarkStepQuiescent8192SlotBySlot(b *testing.B) {
-	s := quiescentSim8192(b, true)
+	s := denseSim8192(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()

@@ -125,12 +125,14 @@ type diffScenario struct {
 // construction (construction itself is shared, so both variants start from
 // bit-identical caches).
 func runDiff(t *testing.T, sc diffScenario, disableGrid bool) string {
-	return runDiffCfg(t, sc, disableGrid, nil)
+	return runDiffWatch(t, sc, disableGrid, nil)
 }
 
-// runDiffCfg is runDiff with a Config hook, letting the field-mode and
-// quiescence differential suites reuse the same scenario machinery.
-func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Config)) string {
+// runDiffWatch is runDiff with a hook, letting the field differential suite
+// reuse the same scenario machinery: watch (when non-nil) receives the
+// constructed sim before its first step and returns a check to run after
+// every step.
+func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*Sim) func()) string {
 	t.Helper()
 	var log strings.Builder
 	side := workload.SideForDegree(sc.n, 12, 10)
@@ -154,9 +156,6 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 	if sc.inject {
 		cfg.Injector = &diffInjector{seed: sc.seed ^ 0xfa017}
 	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	s, err := New(cfg, func(int) Protocol {
 		return &diffProto{p: 0.05, nchan: sc.channels, scales: sc.scales, log: &log}
 	})
@@ -166,6 +165,10 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 	sp = s
 	if disableGrid {
 		s.grid = nil
+	}
+	check := func() {}
+	if watch != nil {
+		check = watch(s)
 	}
 	drv := rng.New(sc.seed ^ 0xd21f)
 	for i := 0; i < sc.ticks; i++ {
@@ -187,6 +190,7 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 			}
 		}
 		s.Step()
+		check()
 	}
 	// Final per-node outcomes close the history.
 	for v := 0; v < s.N(); v++ {
@@ -196,15 +200,14 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 	}
 	fmt.Fprintf(&log, "t %d %d %d\n", s.TotalTransmissions(), s.TotalMassDeliveries(), s.InvalidOps())
 	// Guard against a vacuous comparison: the grid variant must actually have
-	// used the index (injected runs keep the scan reception driver for fault
-	// counter discipline, but dynamic ones still route neighbourhood queries
-	// through the grid).
+	// used the index, for reception (injected runs included) and, in dynamic
+	// runs, for neighbourhood queries.
 	if !disableGrid {
 		if got := s.IndexMode(); got != "grid" {
 			t.Fatalf("IndexMode = %q, want grid", got)
 		}
 		st := s.IndexStats()
-		if !sc.inject && st.TxQueries == 0 {
+		if st.TxQueries == 0 {
 			t.Fatal("indexed reception path was never exercised")
 		}
 		if sc.dynamic && st.NeighborQueries == 0 {
@@ -258,6 +261,9 @@ func TestGridScanEquivalence(t *testing.T) {
 		{name: "faults", n: 220, ticks: 150, seed: 11, inject: true, dynamic: true,
 			model: func(func() int) model.Model { return model.NewUDG(10) },
 			prims: CD | ACK},
+		{name: "faults-sinr-scales", n: 180, ticks: 120, seed: 12, inject: true, scales: true,
+			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			prims: CD | ACK | NTD},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

@@ -1,23 +1,21 @@
 package sim
 
-import "fmt"
-
 // This file maintains the Phase 2 interference field incrementally.
 //
-// The brute driver recomputes every receiver's accumulated interference from
-// scratch each slot: zero totalPower, then for each transmitter w in
-// ascending id order add Power(w,v)·scale(w) into every same-channel
-// receiver v. That accumulation order — ascending transmitters, per
-// receiver, restricted to the receiver's channel — is the *canonical sum*.
-// The incremental engine never produces anything else: instead of adding and
-// subtracting deltas (whose result bits would depend on history), it tracks
-// which receivers' accumulators are still the canonical sum of the current
-// slot's transmission composition and re-runs the canonical sum for exactly
-// the receivers that are not. Equal compositions summed in the canonical
-// order give equal bits, so a reused accumulator is byte-identical to what
-// the brute driver would have computed — there is no approximation to bound,
-// and the periodic epoch rebuild (FieldEpoch) is a defense-in-depth rail,
-// not a correctness requirement.
+// Every receiver v carries the interference on its tuned channel: for each
+// same-channel transmitter w in ascending id order, add Power(w,v)·scale(w).
+// That accumulation order — ascending transmitters, per receiver, restricted
+// to the receiver's channel — is the *canonical sum*. The engine never
+// produces anything else: instead of adding and subtracting deltas (whose
+// result bits would depend on history), it tracks which receivers'
+// accumulators are still the canonical sum of the current slot's
+// transmission composition and re-runs the canonical sum for exactly the
+// receivers that are not. Equal compositions summed in the canonical order
+// give equal bits, so a reused accumulator is byte-identical to a sum from
+// scratch — there is no approximation to bound, and the periodic epoch
+// rebuild (defaultFieldEpoch) is a defense-in-depth rail, not a correctness
+// requirement. The sum from scratch exists only as the test oracle of the
+// differential suites.
 //
 // Validity is tracked with slot stamps rather than per-receiver dirty bits
 // so that clearing costs nothing: accSlot[v] is the slot whose composition
@@ -27,63 +25,19 @@ import "fmt"
 // channel). totalPower[v] is valid iff accSlot[v] is at least as new as both
 // stamps that govern it.
 //
-// Two operating modes cover the field's two consumer shapes:
-//
-//   - Broad (CD granted): every acting node reads the field each slot, so
-//     fieldAdvance materializes all invalid receivers eagerly — either by
-//     the canonical sum over the invalid set, or, when the composition only
-//     *appended* transmitters (each with an id above its channel's previous
-//     maximum, no removals, scale or channel changes, moves or retunes), by
-//     extending every accumulator with the new transmitters' terms, which
-//     is exactly the canonical sum continued.
-//   - Lazy (ACK-only, or SINR without CD): only transmitters (or SINR
-//     decode checks) read the field, so fieldAdvance just maintains the
-//     stamps and fieldAt memoizes the canonical sum per queried receiver.
-//
-// One invariant makes the append path sound: in broad mode every receiver is
-// valid at the end of fieldAdvance, so the next slot's append starts from
-// accumulators that all equal the canonical sum of the previous composition.
-
-// FieldMode selects the Phase 2 interference-field driver.
-type FieldMode int
-
-const (
-	// FieldIncremental (the default) maintains the field incrementally with
-	// canonical-order re-summation of invalidated receivers; runs are
-	// byte-identical to FieldRecompute.
-	FieldIncremental FieldMode = iota
-	// FieldRecompute is the brute per-slot recompute driver — the reference
-	// implementation the differential suites compare against, and the
-	// fallback if an incremental-field bug is ever suspected in the wild.
-	FieldRecompute
-)
-
-// String returns the CLI spelling of the mode.
-func (m FieldMode) String() string {
-	switch m {
-	case FieldIncremental:
-		return "incremental"
-	case FieldRecompute:
-		return "recompute"
-	}
-	return fmt.Sprintf("FieldMode(%d)", int(m))
-}
-
-// ParseFieldMode parses a -field-mode flag value ("" defaults to
-// incremental).
-func ParseFieldMode(s string) (FieldMode, error) {
-	switch s {
-	case "", "incremental":
-		return FieldIncremental, nil
-	case "recompute":
-		return FieldRecompute, nil
-	}
-	return 0, fmt.Errorf("sim: unknown field mode %q (want incremental or recompute)", s)
-}
+// fieldAdvance rematerializes every invalid receiver eagerly — either by the
+// canonical sum over the invalid set, or, when the composition only
+// *appended* transmitters (each with an id above its channel's previous
+// maximum, no removals, scale or channel changes, moves or retunes), by
+// extending every accumulator with the new transmitters' terms, which is
+// exactly the canonical sum continued. Every receiver is therefore valid at
+// the end of fieldAdvance: the rest of the slot reads totalPower directly,
+// and the next slot's append starts from accumulators that all equal the
+// canonical sum of the previous composition.
 
 // FieldStats counts the incremental field engine's per-slot outcomes, for
-// run diagnostics and the opt-in "sim/field/*" metrics. All zeros under
-// FieldRecompute or when the run never builds a field.
+// run diagnostics and the opt-in "sim/field/*" metrics. All zeros when the
+// run never builds a field.
 type FieldStats struct {
 	// ReusedSlots counts slots whose entire field carried over unchanged.
 	ReusedSlots int64
@@ -93,20 +47,16 @@ type FieldStats struct {
 	// RebuildSlots counts slots that re-summed some invalidated subset of
 	// receivers (possibly all of them).
 	RebuildSlots int64
-	// EpochRebuilds counts forced full rebuilds on the FieldEpoch rail.
+	// EpochRebuilds counts forced full rebuilds on the epoch rail.
 	EpochRebuilds int64
-	// LazyEvals counts per-receiver canonical re-summations performed on
-	// demand by field reads in lazy mode.
-	LazyEvals int64
 }
 
 // FieldStats returns the cumulative incremental-field work counters.
 func (s *Sim) FieldStats() FieldStats { return s.fstat }
 
 // fieldInit allocates the incremental engine's state; called from New only
-// when the field is both needed and incremental. A nil accSlot elsewhere
-// means "no engine": fieldAdvance is never called and fieldAt reads
-// totalPower directly (the brute driver keeps it current).
+// when the run reads the field. A nil accSlot elsewhere means "no engine":
+// fieldAdvance is never called and totalPower stays zero.
 func (s *Sim) fieldInit() {
 	n := s.n
 	s.accSlot = make([]int64, n)
@@ -116,15 +66,12 @@ func (s *Sim) fieldInit() {
 	if s.cfg.Channels > 1 {
 		s.chanPrev = make([]int8, n)
 	}
-	// CD hands every acting node a field reading each slot, so the broad
-	// eager mode pays off; everything else reads sparsely and goes lazy.
-	s.broadField = s.cfg.Primitives.Has(CD)
-	if s.fieldEpoch == 0 {
-		s.fieldEpoch = defaultFieldEpoch
-	}
+	s.fieldEpoch = defaultFieldEpoch
 }
 
-// defaultFieldEpoch is the forced-rebuild period (Config.FieldEpoch = 0).
+// defaultFieldEpoch is the forced-rebuild period in slots: every
+// defaultFieldEpoch-th slot recomputes the whole field from scratch
+// regardless of what changed.
 const defaultFieldEpoch = 256
 
 // fieldValidAt reports whether totalPower[v] is the canonical sum of the
@@ -134,53 +81,26 @@ func (s *Sim) fieldValidAt(v int) bool {
 	return a >= s.chanDirty[s.chanBuf[v]] && a >= s.vDirty[v]
 }
 
-// fieldAt returns this slot's accumulated interference at receiver v. O(1)
-// when v's accumulator is valid — always in recompute mode, in runs without
-// an engine, and at the end of every broad-mode fieldAdvance. A stale
-// accumulator (lazy mode) is resolved by the canonical sum and memoized for
-// the rest of the slot.
-func (s *Sim) fieldAt(v int) float64 {
-	if s.accSlot == nil || s.fieldValidAt(v) {
-		return s.totalPower[v]
-	}
-	cv := s.chanBuf[v]
-	total := 0.0
-	for _, w := range s.txBuf {
-		if s.chanBuf[w] == cv {
-			total += s.field.Power(w, v) * s.scaleBuf[w]
-		}
-	}
-	s.totalPower[v] = total
-	s.accSlot[v] = s.fSlot
-	s.fstat.LazyEvals++
-	return total
-}
-
-// fieldAdvance replaces the brute Phase 2 recompute: it diffs this slot's
-// transmission composition against the previous slot's, stamps the channels
-// and receivers the changes invalidate, and (in broad mode) rematerializes
-// exactly the invalid receivers by the canonical sum. Called once per slot,
-// after Phase 1 filled txBuf/scaleBuf/chanBuf, with tick not yet advanced.
+// fieldAdvance diffs this slot's transmission composition against the
+// previous slot's, stamps the channels and receivers the changes invalidate,
+// and rematerializes exactly the invalid receivers by the canonical sum.
+// Called once per slot, after Phase 1 filled txBuf/scaleBuf/chanBuf, with
+// tick not yet advanced.
 func (s *Sim) fieldAdvance() {
 	S := int64(s.tick) + 1 // stamps must be positive: zero marks "clean"
-	s.fSlot = S
 
 	// Whether the composition change is a pure per-channel append — the only
 	// shape whose delta application is itself a canonical-sum continuation.
 	appendOK := true
 
-	// Receiver-side invalidations first (they consult the *previous* tx
-	// composition, which the merge walk below overwrites). A moved node
-	// invalidates itself as a receiver, and — if it transmits in either the
-	// previous or the current slot — every receiver on the channels it
-	// transmitted on, since its distance terms changed.
+	// A moved node invalidates itself as a receiver, and — if it transmits
+	// this slot — every receiver on its channel, since its distance terms
+	// changed. A mover that transmitted last slot but not this one, or on
+	// another channel, dirties its old channel in the merge walk below.
 	if len(s.movedBuf) > 0 {
 		appendOK = false
 		for _, v := range s.movedBuf {
 			s.vDirty[v] = S
-			if i, ok := searchInts(s.prevTx, v); ok {
-				s.chanDirty[s.prevChan[i]] = S
-			}
 			if s.isTxBuf[v] {
 				s.chanDirty[s.chanBuf[v]] = S
 			}
@@ -257,13 +177,12 @@ func (s *Sim) fieldAdvance() {
 	// Structurally the result bits cannot drift, but a cheap periodic
 	// re-anchoring makes that a local argument instead of a global one.
 	if S%int64(s.fieldEpoch) == 0 {
-		s.fieldRebuildAll(S)
+		for v := 0; v < s.n; v++ {
+			s.totalPower[v] = 0
+		}
+		s.fieldAddAll(s.txBuf, S)
 		s.fstat.EpochRebuilds++
 		return
-	}
-
-	if !s.broadField {
-		return // sparse readers resolve through fieldAt on demand
 	}
 
 	if appendOK {
@@ -275,29 +194,10 @@ func (s *Sim) fieldAdvance() {
 		}
 		// Pure append: extend every accumulator with the new transmitters'
 		// terms in ascending order — the canonical sum, continued. Valid
-		// because broad mode left every receiver valid for the previous
-		// composition and each added id exceeds its channel's previous
-		// maximum.
-		for _, w := range s.addedBuf {
-			sc := s.scaleBuf[w]
-			wc := s.chanBuf[w]
-			if row := s.field.Row(w); row != nil {
-				for v := 0; v < s.n; v++ {
-					if s.chanBuf[v] == wc {
-						s.totalPower[v] += row[v] * sc
-					}
-				}
-			} else {
-				for v := 0; v < s.n; v++ {
-					if s.chanBuf[v] == wc {
-						s.totalPower[v] += s.field.Power(w, v) * sc
-					}
-				}
-			}
-		}
-		for v := range s.accSlot {
-			s.accSlot[v] = S
-		}
+		// because the previous fieldAdvance left every receiver valid for the
+		// previous composition and each added id exceeds its channel's
+		// previous maximum.
+		s.fieldAddAll(s.addedBuf, S)
 		s.fstat.DeltaSlots++
 		return
 	}
@@ -336,13 +236,12 @@ func (s *Sim) fieldAdvance() {
 	s.fstat.RebuildSlots++
 }
 
-// fieldRebuildAll is the brute recompute with validity stamping — the
-// canonical sum over every receiver.
-func (s *Sim) fieldRebuildAll(S int64) {
-	for v := 0; v < s.n; v++ {
-		s.totalPower[v] = 0
-	}
-	for _, w := range s.txBuf {
+// fieldAddAll extends every receiver's accumulator with the terms of the
+// same-channel transmitters ws, in order, and stamps every receiver valid
+// for slot S. Over zeroed accumulators and ws = txBuf it is the canonical
+// sum from scratch.
+func (s *Sim) fieldAddAll(ws []int, S int64) {
+	for _, w := range ws {
 		sc := s.scaleBuf[w]
 		wc := s.chanBuf[w]
 		if row := s.field.Row(w); row != nil {
@@ -370,19 +269,4 @@ func (s *Sim) fieldNoteMove(v int) {
 	if s.accSlot != nil {
 		s.movedBuf = append(s.movedBuf, v)
 	}
-}
-
-// searchInts is a binary search over an ascending []int returning the index
-// and whether the target is present.
-func searchInts(a []int, x int) (int, bool) {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(a) && a[lo] == x
 }

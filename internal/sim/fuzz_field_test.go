@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"udwn/internal/geom"
@@ -15,11 +14,10 @@ import (
 // interference compositions across two channels.
 const fuzzNodes = 40
 
-// fuzzState is the externally-driven transmit state shared by BOTH lockstep
-// sims: each node transmits iff its tx bit is set, on channel
-// (id+flip)%2, at double power iff its hi bit is set. The fuzzer mutates the
-// bits between ticks, so both sims see identical per-tick compositions
-// without consuming any RNG.
+// fuzzState is the externally-driven transmit state of the fuzzed sim: each
+// node transmits iff its tx bit is set, on channel (id+flip)%2, at double
+// power iff its hi bit is set. The fuzzer mutates the bits between ticks, so
+// the composition is a pure function of the program, consuming no RNG.
 type fuzzState struct {
 	tx, hi, flip [fuzzNodes]bool
 }
@@ -47,46 +45,41 @@ func (p *fuzzProto) Act(n *Node, slot int) Action {
 
 func (p *fuzzProto) Observe(n *Node, slot int, obs *Observation) {}
 
-// FuzzFieldDelta drives an incremental-field sim and a brute recompute sim
-// through the same fuzzer-chosen mutation program — transmit toggles, kills,
-// revives, moves, channel retunes, power flips — and demands the two
-// interference fields agree to the bit at every receiver after every slot
-// (not just at epoch boundaries), along with the end-of-run outcomes.
+// FuzzFieldDelta drives an incremental-field sim through a fuzzer-chosen
+// mutation program — transmit toggles, kills, revives, moves, channel
+// retunes, power flips — and demands the engine's field equal the canonical
+// sum from scratch to the bit at every receiver after every slot (not just
+// at epoch boundaries), under the CD|ACK, ACK-only, CD and FreeAck mixes.
 func FuzzFieldDelta(f *testing.F) {
 	f.Add(uint64(1), []byte("a5K9rMv2QpX0dTzL8wBn4cYh"))
 	f.Add(uint64(2), []byte("kill&revive\x00\x01\x02\xffmove~~portal"))
 	f.Add(uint64(3), []byte("\x03\x07\x30\x01\x05\x60\x04\x0b\x90\x02\x07\x00\x00\x01\x41\x03\x1f\x77"))
 	f.Fuzz(func(t *testing.T, seed uint64, prog []byte) {
 		prims := CD | ACK
-		switch seed % 3 {
+		switch seed % 4 {
 		case 1:
-			prims = ACK // lazy field mode
+			prims = ACK
 		case 2:
 			prims = CD
+		case 3:
+			prims = FreeAck
 		}
-		epoch := 1 + int(seed%300)
 		side := workload.SideForDegree(fuzzNodes, 12, 9)
 		var st fuzzState
-		mk := func(mode FieldMode) *Sim {
-			pts := workload.UniformDisc(fuzzNodes, side, seed|1)
-			s, err := New(Config{
-				Space: metric.NewEuclidean(pts),
-				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-				Seed:       seed,
-				Primitives: prims,
-				Channels:   2,
-				Dynamic:    true,
-				FieldMode:  mode,
-				FieldEpoch: epoch,
-			}, func(id int) Protocol { return &fuzzProto{st: &st, id: id} })
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+		pts := workload.UniformDisc(fuzzNodes, side, seed|1)
+		s, err := New(Config{
+			Space: metric.NewEuclidean(pts),
+			Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
+			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+			Seed:       seed,
+			Primitives: prims,
+			Channels:   2,
+			Dynamic:    true,
+		}, func(id int) Protocol { return &fuzzProto{st: &st, id: id} })
+		if err != nil {
+			t.Fatal(err)
 		}
-		si := mk(FieldIncremental)
-		sr := mk(FieldRecompute)
+		s.fieldEpoch = 1 + int(seed%300)
 
 		// Three bytes per tick: opcode, node selector, operand. Cap the run
 		// so pathological inputs stay fast.
@@ -102,20 +95,15 @@ func FuzzFieldDelta(f *testing.F) {
 				case 0:
 					st.tx[v] = !st.tx[v]
 				case 1:
-					si.Kill(v)
-					sr.Kill(v)
+					s.Kill(v)
 				case 2:
-					si.Revive(v)
-					sr.Revive(v)
+					s.Revive(v)
 				case 3:
 					p := geom.Point{
 						X: side * float64(x) / 255,
 						Y: side * float64(x^0x5a) / 255,
 					}
-					if err := si.Move(v, p); err != nil {
-						t.Fatal(err)
-					}
-					if err := sr.Move(v, p); err != nil {
+					if err := s.Move(v, p); err != nil {
 						t.Fatal(err)
 					}
 				case 4:
@@ -124,29 +112,8 @@ func FuzzFieldDelta(f *testing.F) {
 					st.flip[v] = !st.flip[v]
 				}
 			}
-			si.Step()
-			sr.Step()
-			for v := 0; v < fuzzNodes; v++ {
-				a, b := math.Float64bits(si.fieldAt(v)), math.Float64bits(sr.fieldAt(v))
-				if a != b {
-					t.Fatalf("tick %d receiver %d: incremental field %x != recompute %x",
-						i, v, a, b)
-				}
-			}
-		}
-		if si.TotalTransmissions() != sr.TotalTransmissions() ||
-			si.TotalMassDeliveries() != sr.TotalMassDeliveries() ||
-			si.InvalidOps() != sr.InvalidOps() {
-			t.Fatalf("outcome divergence: tx %d/%d md %d/%d inv %d/%d",
-				si.TotalTransmissions(), sr.TotalTransmissions(),
-				si.TotalMassDeliveries(), sr.TotalMassDeliveries(),
-				si.InvalidOps(), sr.InvalidOps())
-		}
-		for v := 0; v < fuzzNodes; v++ {
-			if si.FirstDecode(v) != sr.FirstDecode(v) || si.Transmissions(v) != sr.Transmissions(v) {
-				t.Fatalf("node %d outcome divergence: decode %d/%d tx %d/%d", v,
-					si.FirstDecode(v), sr.FirstDecode(v), si.Transmissions(v), sr.Transmissions(v))
-			}
+			s.Step()
+			checkField(t, s)
 		}
 	})
 }

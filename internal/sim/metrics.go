@@ -22,10 +22,9 @@ type stepMetrics struct {
 	radiusFallback *metrics.Counter
 	// Spatial-index work counters; nil unless Config.IndexMetrics opted in.
 	idxTx, idxCand, idxCount, idxNbr *metrics.Counter
-	// Incremental-field and quiescence-wheel work counters; nil unless
-	// Config.IndexMetrics opted in.
-	fldReused, fldDelta, fldRebuild, fldEpoch, fldLazy *metrics.Counter
-	whlWindows, whlSkipped                             *metrics.Counter
+	// Incremental-field work counters; nil unless Config.IndexMetrics
+	// opted in.
+	fldReused, fldDelta, fldRebuild, fldEpoch *metrics.Counter
 }
 
 // Contention histogram bucket bounds. Declaration-fixed (see the metrics
@@ -62,9 +61,6 @@ func newStepMetrics(r *metrics.Registry, indexMetrics bool) *stepMetrics {
 		m.fldDelta = r.Counter("sim/field/delta_slots")
 		m.fldRebuild = r.Counter("sim/field/rebuild_slots")
 		m.fldEpoch = r.Counter("sim/field/epoch_rebuilds")
-		m.fldLazy = r.Counter("sim/field/lazy_evals")
-		m.whlWindows = r.Counter("sim/wheel/windows")
-		m.whlSkipped = r.Counter("sim/wheel/skipped_slots")
 	}
 	return m
 }
@@ -84,9 +80,9 @@ func (s *Sim) flushIndexStats() {
 	s.idxFlushed = cur
 }
 
-// flushFieldStats exports the incremental-field and quiescence-wheel counter
-// deltas accumulated since the last flush; no-op unless Config.IndexMetrics
-// registered the handles.
+// flushFieldStats exports the incremental-field counter deltas accumulated
+// since the last flush; no-op unless Config.IndexMetrics registered the
+// handles.
 func (s *Sim) flushFieldStats() {
 	m := s.met
 	if m == nil || m.fldReused == nil {
@@ -97,12 +93,7 @@ func (s *Sim) flushFieldStats() {
 	m.fldDelta.Add(f.DeltaSlots - fp.DeltaSlots)
 	m.fldRebuild.Add(f.RebuildSlots - fp.RebuildSlots)
 	m.fldEpoch.Add(f.EpochRebuilds - fp.EpochRebuilds)
-	m.fldLazy.Add(f.LazyEvals - fp.LazyEvals)
 	s.fstatFlushed = f
-	w, wp := s.wstat, s.wstatFlushed
-	m.whlWindows.Add(w.Windows - wp.Windows)
-	m.whlSkipped.Add(w.SkippedSlots - wp.SkippedSlots)
-	s.wstatFlushed = w
 }
 
 // probMass sums the current transmission probabilities of alive protocols

@@ -92,30 +92,12 @@ type Config struct {
 	// tick loop (crash schedules, jammers, message drops, sensing
 	// corruption; see the Injector interface and internal/faults).
 	Injector Injector
-	// FieldMode selects the Phase 2 interference-field driver: the
-	// incremental engine (default; see field.go) or the brute per-slot
-	// recompute. Both produce byte-identical runs — the recompute driver is
-	// the reference the differential suites compare against and the
-	// fallback if an incremental-field bug is ever suspected.
-	FieldMode FieldMode
-	// FieldEpoch is the incremental field's forced-rebuild period in slots
-	// (0 → 256): every FieldEpoch-th slot recomputes the whole field from
-	// scratch regardless of what changed. The engine's canonical-order
-	// re-summation cannot drift, so this is a defense-in-depth rail, not a
-	// correctness knob; 1 degenerates to per-slot recompute.
-	FieldEpoch int
-	// DisableQuiescence turns off the quiescent-slot wheel (see quiesce.go),
-	// forcing every slot to execute even when all protocols and the
-	// injector promise inertness. Runs are byte-identical either way; the
-	// switch exists for the differential suites and debugging.
-	DisableQuiescence bool
 	// IndexMetrics additionally registers the "sim/index/*" spatial-index
 	// work counters (transmitter queries, candidate enumerations, count and
-	// neighbour queries), the "sim/field/*" incremental-field outcome
-	// counters and the "sim/wheel/*" quiescence-skipping counters with
-	// Metrics. Off by default so existing registry snapshots keep their
-	// instrument set; the same numbers are always available
-	// programmatically via (*Sim).IndexStats, FieldStats and WheelStats.
+	// neighbour queries) and the "sim/field/*" incremental-field outcome
+	// counters with Metrics. Off by default so existing registry snapshots
+	// keep their instrument set; the same numbers are always available
+	// programmatically via (*Sim).IndexStats and FieldStats.
 	IndexMetrics bool
 	// Metrics, when non-nil, receives per-slot instrumentation under the
 	// "sim/" prefix: slot/transmission/decode/mass-delivery counters, the
@@ -202,9 +184,8 @@ type Sim struct {
 	viewFallbacks int64
 
 	// Incremental interference field (see field.go). accSlot == nil means no
-	// engine: either the field is unneeded, or FieldRecompute keeps
-	// totalPower current by brute force. fSlot is the stamp of the slot the
-	// engine last advanced to (tick+1, so stamps are positive).
+	// engine: the run never reads the field. fieldEpoch is the forced-rebuild
+	// period (defaultFieldEpoch; the differential suites vary it).
 	accSlot      []int64 // slot whose composition totalPower[v] reflects
 	vDirty       []int64 // last slot receiver v itself was invalidated
 	chanDirty    []int64 // last slot channel c's tx composition changed
@@ -216,24 +197,9 @@ type Sim struct {
 	addedBuf     []int // transmitters new this slot, ascending
 	invalBuf     []int // receivers to rematerialize this slot
 	movedBuf     []int // nodes moved since the last fieldAdvance
-	fSlot        int64
 	fieldEpoch   int
-	broadField   bool
 	fstat        FieldStats
 	fstatFlushed FieldStats
-
-	// Quiescence wheel (see quiesce.go). While quietLeft > 0 Step resolves
-	// slots in O(1); quietElapsed counts the skipped slots not yet delivered
-	// to the protocols via SkipQuiet. busyAtZero disables the wheel for
-	// (degenerate) threshold settings where even a silent carrier reads
-	// busy.
-	quietLeft    int
-	quietElapsed int
-	quietCDIdle  int
-	quietPM      float64
-	busyAtZero   bool
-	wstat        WheelStats
-	wstatFlushed WheelStats
 
 	// invalidOps counts mutator calls (Kill/Revive/Move) that named an
 	// out-of-range node id and were rejected as no-ops.
@@ -258,23 +224,23 @@ type Sim struct {
 	firstCover []int32
 
 	// Scratch buffers reused across slots.
-	txBuf      []int
-	actedBuf   []int
-	totalPower []float64
-	recvBuf    [][]Recv
-	massBuf    []bool
-	massAckBuf []bool
-	scaleBuf   []float64
-	chanBuf    []int8
-	chanTx     [][]int
-	seizedBuf  []bool
-	msgBuf     []Message // message per transmitter id; valid where isTxBuf
-	isTxBuf    []bool    // transmitter membership this slot
-	nbrBuf     []int     // grid-backed forEachNeighbor scratch
-	massDelBuf []int     // SlotEvent.MassDeliverers scratch (observer runs only)
-	decodersBuf []int    // SlotEvent.Decoders scratch (observer runs only)
-	views      []slotView
-	obsBuf     Observation
+	txBuf       []int
+	actedBuf    []int
+	totalPower  []float64
+	recvBuf     [][]Recv
+	massBuf     []bool
+	massAckBuf  []bool
+	scaleBuf    []float64
+	chanBuf     []int8
+	chanTx      [][]int
+	seizedBuf   []bool
+	msgBuf      []Message // message per transmitter id; valid where isTxBuf
+	isTxBuf     []bool    // transmitter membership this slot
+	nbrBuf      []int     // grid-backed forEachNeighbor scratch
+	massDelBuf  []int     // SlotEvent.MassDeliverers scratch (observer runs only)
+	decodersBuf []int     // SlotEvent.Decoders scratch (observer runs only)
+	views       []slotView
+	obsBuf      Observation
 }
 
 // IndexStats counts the spatial-index work a simulation has performed, for
@@ -338,12 +304,6 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 	}
 	if cfg.Adversary == nil {
 		cfg.Adversary = PessimisticAdversary{}
-	}
-	if cfg.FieldMode != FieldIncremental && cfg.FieldMode != FieldRecompute {
-		return nil, fmt.Errorf("sim: unknown FieldMode %d", int(cfg.FieldMode))
-	}
-	if cfg.FieldEpoch < 0 {
-		return nil, fmt.Errorf("sim: FieldEpoch must be non-negative, got %d", cfg.FieldEpoch)
 	}
 
 	n := cfg.Space.Len()
@@ -421,11 +381,9 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		!cfg.Primitives.Has(CD) && !cfg.Primitives.Has(ACK) {
 		s.needPower = false
 	}
-	s.fieldEpoch = cfg.FieldEpoch
-	if s.needPower && cfg.FieldMode == FieldIncremental {
+	if s.needPower {
 		s.fieldInit()
 	}
-	s.busyAtZero = cfg.Primitives.Has(CD) && s.th.Busy(0)
 	if !cfg.Dynamic {
 		s.buildNeighbours()
 	}
@@ -523,7 +481,6 @@ func (s *Sim) Kill(v int) {
 		s.invalidOps++
 		return
 	}
-	s.wakeQuiet()
 	s.alive[v] = false
 	if s.grid != nil {
 		s.grid.Remove(v)
@@ -542,7 +499,6 @@ func (s *Sim) Revive(v int) {
 	if s.alive[v] {
 		return
 	}
-	s.wakeQuiet()
 	s.alive[v] = true
 	s.generation[v]++
 	s.nodes[v] = Node{ID: v, RNG: s.root.Fork(uint64(v) ^ s.generation[v]<<40)}
@@ -571,7 +527,6 @@ func (s *Sim) Move(v int, p geom.Point) error {
 	if !ok {
 		return errors.New("sim: Move requires a Euclidean space")
 	}
-	s.wakeQuiet()
 	s.fieldNoteMove(v)
 	e.SetPoint(v, p)
 	if s.grid != nil {
@@ -743,15 +698,19 @@ type ProbReporter interface {
 	TransmitProb() float64
 }
 
-// IndexMode reports how the simulation resolves spatial queries: "grid"
-// when the live spatial index is active (Euclidean space with a positive
-// model radius), "scan" otherwise.
+// IndexMode names the live Phase-3 reception driver: "grid" when receptions
+// are answered transmitter-outward from the spatial index (Euclidean space
+// with a positive model radius, and a model declaring a decode cutoff),
+// "scan" otherwise.
 func (s *Sim) IndexMode() string {
-	if s.grid != nil {
+	if s.indexedRecv() {
 		return "grid"
 	}
 	return "scan"
 }
+
+// indexedRecv reports whether Phase 3 takes the indexed reception driver.
+func (s *Sim) indexedRecv() bool { return s.grid != nil && s.maxDecode > 0 }
 
 // IndexStats returns the cumulative spatial-index work counters.
 func (s *Sim) IndexStats() IndexStats { return s.idx }

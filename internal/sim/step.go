@@ -62,16 +62,8 @@ func (vw *slotView) Power(w, v int) float64 {
 	}
 	return p
 }
-func (vw *slotView) Dist(u, v int) float64 { return vw.s.cfg.Space.Dist(u, v) }
-func (vw *slotView) TotalPower(v int) float64 {
-	if vw.epoch != 0 {
-		// Live views route through the incremental engine, which resolves
-		// lazily-invalidated receivers on demand; hand-built test views keep
-		// the direct read.
-		return vw.s.fieldAt(v)
-	}
-	return vw.total[v]
-}
+func (vw *slotView) Dist(u, v int) float64    { return vw.s.cfg.Space.Dist(u, v) }
+func (vw *slotView) TotalPower(v int) float64 { return vw.total[v] }
 
 func (vw *slotView) TransmittersWithin(v int, r float64, excluding int) int {
 	for i := 0; i < vw.cntN; i++ {
@@ -194,17 +186,6 @@ func (s *Sim) Step() {
 	if s.cfg.Cancel != nil && s.cfg.Cancel() {
 		panic(Cancelled{Tick: s.tick})
 	}
-	if s.quietLeft > 0 {
-		// An armed quiescence window resolves this slot in O(1); see
-		// quiesce.go for the transparency contract.
-		s.quietStep()
-		return
-	}
-	if s.quietElapsed > 0 {
-		// A window just ran out naturally: deliver the batched protocol
-		// catch-up before executing a real slot.
-		s.flushQuiet()
-	}
 	slot := s.tick % s.slots
 	inj := s.cfg.Injector
 	if inj != nil {
@@ -273,27 +254,10 @@ func (s *Sim) Step() {
 	// the interference on v's tuned channel: only same-channel
 	// transmissions reach a tuned radio. Skipped entirely for
 	// field-oblivious models running without power-sensing primitives —
-	// nothing in the slot reads the field then. The incremental engine
-	// (accSlot non-nil) carries valid accumulators across slots and
-	// re-sums only invalidated receivers; the brute driver below is the
-	// FieldRecompute reference it is byte-identical to.
+	// nothing in the slot reads the field then. Otherwise the incremental
+	// engine (field.go) leaves every receiver's accumulator valid.
 	if s.needPower {
-		if s.accSlot != nil {
-			s.fieldAdvance()
-		} else {
-			for v := 0; v < s.n; v++ {
-				s.totalPower[v] = 0
-			}
-			for _, w := range s.txBuf {
-				sc := s.scaleBuf[w]
-				wc := s.chanBuf[w]
-				for v := 0; v < s.n; v++ {
-					if s.chanBuf[v] == wc {
-						s.totalPower[v] += s.field.Power(w, v) * sc
-					}
-				}
-			}
-		}
+		s.fieldAdvance()
 	}
 	// One persistent view per channel; with a single channel this is the
 	// old single view.
@@ -309,28 +273,27 @@ func (s *Sim) Step() {
 		s.views[c].reset(s, tx, int8(c), epoch)
 	}
 
-	// Phase 3: receptions. Two equivalent drivers:
+	// Phase 3: receptions. Two equivalent drivers enumerate the same
+	// candidate pairs and apply the same reception rule (recv):
 	//
 	// Indexed (transmitter-outward): each transmitter pushes to the
 	// listeners the spatial index finds inside its decode cutoff — the
 	// model's MaxDecodeRange, widened by scale^{1/ζ} for boosted
 	// transmissions and narrowed to scale^{1/ζ}·R for attenuated ones.
 	// Beyond the cutoff Decodes is guaranteed false, so skipping those
-	// pairs changes nothing. Iterating transmitters in ascending id keeps
+	// pairs changes nothing — not even injector calls, which only happen
+	// for pairs that decode. Iterating transmitters in ascending id keeps
 	// every recvBuf[v] in the same ascending-transmitter order the listener
 	// scan produces.
 	//
 	// Scan (listener-oriented): every alive non-transmitting listener
-	// checks every same-channel transmitter. Used when there is no index,
-	// no declared cutoff, or — crucially — when an injector is attached:
-	// Injector.DropRecv is specified to run once per candidate pair in the
-	// scan order, and its observable side effects (fault counters) must
-	// not depend on the indexing strategy.
+	// checks every same-channel transmitter. Used only when there is no
+	// index or no declared cutoff (see indexedRecv).
 	for v := 0; v < s.n; v++ {
 		s.recvBuf[v] = s.recvBuf[v][:0]
 	}
-	mdl := s.cfg.Model
-	if s.grid != nil && inj == nil && s.maxDecode > 0 {
+	if s.indexedRecv() {
+		mdl := s.cfg.Model
 		zinv := 1 / s.cfg.Zeta
 		for _, u := range s.txBuf {
 			sc := s.scaleBuf[u]
@@ -355,52 +318,17 @@ func (s *Sim) Step() {
 				if v == u || s.isTxBuf[v] || s.chanBuf[v] != uc || !s.alive[v] {
 					continue
 				}
-				if sc < 1 {
-					maxRange := math.Pow(sc, zinv) * mdl.R()
-					if s.cfg.Space.Dist(u, v) > maxRange {
-						continue
-					}
-				}
-				if mdl.Decodes(vw, u, v) {
-					s.recvBuf[v] = append(s.recvBuf[v], Recv{
-						From: u,
-						Msg:  s.msgBuf[u],
-						RSS:  s.field.Power(u, v) * sc,
-					})
-				}
+				s.recv(vw, u, v)
 			}
 		}
 	} else {
 		for v := 0; v < s.n; v++ {
-			if !s.alive[v] {
-				continue
-			}
-			if s.isTxBuf[v] {
+			if !s.alive[v] || s.isTxBuf[v] {
 				continue // half-duplex
 			}
 			vw := &s.views[s.chanBuf[v]]
 			for _, u := range vw.tx {
-				if inj != nil && inj.DropRecv(u, v, s.tick) {
-					// Ground-truth loss: the frame never reaches v's protocol,
-					// so u's mass delivery and coverage miss v this slot too.
-					continue
-				}
-				// A power-scaled transmission is decodable only within the
-				// reduced range scale^{1/ζ}·R (exact for SINR, and the defining
-				// cutoff for models without a power notion).
-				if s.scaleBuf[u] < 1 {
-					maxRange := math.Pow(s.scaleBuf[u], 1/s.cfg.Zeta) * mdl.R()
-					if s.cfg.Space.Dist(u, v) > maxRange {
-						continue
-					}
-				}
-				if mdl.Decodes(vw, u, v) {
-					s.recvBuf[v] = append(s.recvBuf[v], Recv{
-						From: u,
-						Msg:  s.msgBuf[u],
-						RSS:  s.field.Power(u, v) * s.scaleBuf[u],
-					})
-				}
+				s.recv(vw, u, v)
 			}
 		}
 	}
@@ -496,7 +424,7 @@ func (s *Sim) Step() {
 			obs.Received = s.recvBuf[v]
 		}
 		if prim.Has(CD) {
-			obs.Busy = s.th.Busy(s.fieldAt(v))
+			obs.Busy = s.th.Busy(s.totalPower[v])
 		}
 		if isTx {
 			switch {
@@ -602,7 +530,31 @@ func (s *Sim) Step() {
 	}
 
 	s.tick++
-	s.maybeArmQuiet()
+}
+
+// recv applies the reception rule to listener v of same-channel transmitter
+// u: a power-scaled transmission is decodable only within the reduced range
+// scale^{1/ζ}·R (exact for SINR, and the defining cutoff for models without
+// a power notion); otherwise the model decides, and a frame that would
+// decode may still be lost to the injector. The loss is ground truth: the
+// frame never reaches v's protocol, so u's mass delivery and coverage miss v
+// this slot too.
+func (s *Sim) recv(vw *slotView, u, v int) {
+	sc := s.scaleBuf[u]
+	if sc < 1 && s.cfg.Space.Dist(u, v) > math.Pow(sc, 1/s.cfg.Zeta)*s.cfg.Model.R() {
+		return
+	}
+	if !s.cfg.Model.Decodes(vw, u, v) {
+		return
+	}
+	if inj := s.cfg.Injector; inj != nil && inj.DropRecv(u, v, s.tick) {
+		return
+	}
+	s.recvBuf[v] = append(s.recvBuf[v], Recv{
+		From: u,
+		Msg:  s.msgBuf[u],
+		RSS:  s.field.Power(u, v) * sc,
+	})
 }
 
 // ackOutcome applies Def. ACK for transmitter u: sensed interference within
@@ -612,7 +564,7 @@ func (s *Sim) ackOutcome(u int) bool {
 	if !s.massAckBuf[u] {
 		return false
 	}
-	if s.th.AckClear(s.fieldAt(u)) {
+	if s.th.AckClear(s.totalPower[u]) {
 		return true
 	}
 	return s.adv.AckAmbiguous(u, s.tick)

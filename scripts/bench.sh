@@ -10,13 +10,9 @@
 # (BenchmarkStepSparse4096Indexed / BenchmarkStepSparse4096Brute in
 # internal/sim): their ratio is the speedup of the grid-indexed slot loop
 # over the O(n·|tx|) scan on a sparse n=4096 deployment, and should stay
-# well above 3x. Two further internal/sim pairs pin the incremental-field
-# work: BenchmarkStepDense8192Incremental / Recompute is the dense-
-# deployment speedup of the incremental interference field over the brute
-# per-slot recompute (rotating 128-transmitter cohort at n=8192; must stay
-# >= 5x), and BenchmarkStepQuiescent8192Wheel / SlotBySlot is the
-# quiescence wheel's O(1) slot skipping against full slot execution on an
-# all-idle deployment (must stay >= 10x). It also includes the trace-format pair
+# well above 3x. BenchmarkStepDense8192Incremental times the incremental
+# interference field on a dense deployment (rotating 128-transmitter cohort
+# at n=8192). It also includes the trace-format pair
 # (BenchmarkTraceWriteJSONL / BenchmarkTraceWriteBinary in
 # internal/trace, plus the Read pair): bytes/event is the on-disk cost of
 # each encoding on a dense trace and the binary format should stay ~3x

@@ -42,16 +42,17 @@ go test -race -timeout 5m ./internal/metrics
 # manifest rendering, cross-worker metric merges) even in short mode.
 go test -short -timeout 5m -run 'Progress|Manifest|Metrics' ./internal/experiment ./internal/metrics
 # The spatial-index hot path must be byte-identical to the brute-force scan
-# under every topology/model/fault mix, including across goroutines; run the
-# differential property tests under the race detector explicitly so a shard
-# of the suites above can never silently skip them.
+# under every topology/model/fault mix (fault-injected runs use the index
+# too), including across goroutines; run the differential property tests
+# under the race detector explicitly so a shard of the suites above can
+# never silently skip them.
 go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgree' ./internal/sim
-# The incremental interference field and the quiescence wheel carry the same
-# exactness bar: raced short-mode runs of the differential suite (the full
-# scenario×epoch matrix runs un-raced in the whole-suite pass above), the
-# skip-transparency metamorphic suite, the cross-goroutine wheel purity
-# property, and the shared-registry lazy-registration regression.
-go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldAppendPath|TestQuiescenceSkipTransparent|TestQuiescenceDeterministicAcrossWorkers|TestRadiusFallbackSharedRegistry' ./internal/sim
+# The incremental interference field carries the same exactness bar: raced
+# short-mode runs of the differential suite against its canonical-sum oracle
+# (the full scenario×epoch matrix runs un-raced in the whole-suite pass
+# above), the append-path pin, and the shared-registry lazy-registration
+# regression.
+go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldAppendPath|TestRadiusFallbackSharedRegistry' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
 # race the crash/resume differential harness explicitly (short mode: one
 # abort point per experiment, still all 16 experiments × both worker counts).
@@ -100,9 +101,9 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 10s ./internal
 # panic, bounded allocation, a forged index can suppress frames but never
 # fabricate or corrupt query results).
 go test -timeout 5m -run '^$' -fuzz '^FuzzIndexDecode$' -fuzztime 10s ./internal/trace
-# The incremental field engine against its brute recompute oracle: random
-# move/kill/revive/tx-toggle/retune/power programs must keep the two fields
-# bit-identical at every receiver every slot.
+# The incremental field engine against its canonical-sum oracle: random
+# move/kill/revive/tx-toggle/retune/power programs must keep the engine's
+# field bit-identical to a sum from scratch at every receiver every slot.
 go test -timeout 5m -run '^$' -fuzz '^FuzzFieldDelta$' -fuzztime 10s ./internal/sim
 
 # Coverage gate: statement coverage of the gated packages must not drop

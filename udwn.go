@@ -209,20 +209,9 @@ type SimOptions struct {
 	// under the "sim/" name prefix. One registry may be shared across runs;
 	// its commutative counters merge deterministically.
 	Metrics *metrics.Registry
-	// FieldMode selects the interference-field driver: the incremental
-	// engine (default) or the brute per-slot recompute. Runs are
-	// byte-identical either way (see sim.FieldMode).
-	FieldMode sim.FieldMode
-	// FieldEpoch is the incremental field's forced-rebuild period in slots
-	// (0 → the sim default of 256).
-	FieldEpoch int
-	// DisableQuiescence forces every slot to execute even when all
-	// protocols promise inertness (see sim.Config.DisableQuiescence).
-	DisableQuiescence bool
-	// IndexMetrics additionally registers the "sim/index/*" spatial-index,
-	// "sim/field/*" incremental-field and "sim/wheel/*" quiescence work
-	// counters with Metrics (off by default to keep existing snapshot
-	// instrument sets stable).
+	// IndexMetrics additionally registers the "sim/index/*" spatial-index
+	// and "sim/field/*" incremental-field work counters with Metrics (off
+	// by default to keep existing snapshot instrument sets stable).
 	IndexMetrics bool
 	// Cancel, when non-nil, is polled at the top of every simulation step;
 	// once it reports true the step panics with a sim.Cancelled sentinel,
@@ -256,10 +245,6 @@ func (nw *Network) NewSim(factory sim.ProtocolFactory, o SimOptions) (*sim.Sim, 
 		Metrics:       o.Metrics,
 		IndexMetrics:  o.IndexMetrics,
 		Cancel:        o.Cancel,
-
-		FieldMode:         o.FieldMode,
-		FieldEpoch:        o.FieldEpoch,
-		DisableQuiescence: o.DisableQuiescence,
 	}
 	s, err := sim.New(cfg, factory)
 	if err != nil {
