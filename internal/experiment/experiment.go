@@ -52,7 +52,7 @@ type Options struct {
 	// TestMetricsWorkersDeterminism.
 	Metrics *metrics.Registry
 	// IndexMetrics opts the simulator's "sim/index/*" spatial-index and
-	// "sim/field/*" incremental-field work counters into Metrics. Off by
+	// "sim/field/*" field-engine work counters into Metrics. Off by
 	// default: the counters are absent from the pinned snapshot goldens,
 	// and registering them only on request keeps those goldens stable.
 	IndexMetrics bool

@@ -189,16 +189,31 @@ type Iter struct {
 // included if indexed; callers filter self. Within and CountWithin are thin
 // wrappers over the same iterator, so all three agree on membership.
 func (g *Grid) IterWithin(q Point, r float64) Iter {
-	cx0 := clamp(int((q.X-r-g.minX)/g.cell), 0, g.cols-1)
-	cy0 := clamp(int((q.Y-r-g.minY)/g.cell), 0, g.rows-1)
-	cx1 := clamp(int((q.X+r-g.minX)/g.cell), 0, g.cols-1)
-	cy1 := clamp(int((q.Y+r-g.minY)/g.cell), 0, g.rows-1)
+	cx0, cy0, cx1, cy1 := g.box(q, r)
 	return Iter{
 		g: g, q: q, r2: r * r,
 		cx0: cx0, cx1: cx1, cy1: cy1,
 		cx: cx0, cy: cy0,
 		cell: g.cells[cy0*g.cols+cx0],
 	}
+}
+
+// box returns the inclusive cell-column and cell-row ranges a query of
+// radius r around q visits.
+func (g *Grid) box(q Point, r float64) (cx0, cy0, cx1, cy1 int) {
+	cx0 = clamp(int((q.X-r-g.minX)/g.cell), 0, g.cols-1)
+	cy0 = clamp(int((q.Y-r-g.minY)/g.cell), 0, g.rows-1)
+	cx1 = clamp(int((q.X+r-g.minX)/g.cell), 0, g.cols-1)
+	cy1 = clamp(int((q.Y+r-g.minY)/g.cell), 0, g.rows-1)
+	return cx0, cy0, cx1, cy1
+}
+
+// BoxCells returns how many cells IterWithin(q, r) visits, and the number of
+// cells in the whole grid: a query's cost is proportional to the first, a
+// sweep over every point's to the second.
+func (g *Grid) BoxCells(q Point, r float64) (box, total int) {
+	cx0, cy0, cx1, cy1 := g.box(q, r)
+	return (cx1 - cx0 + 1) * (cy1 - cy0 + 1), len(g.cells)
 }
 
 // Next returns the next in-range point id, or ok = false when exhausted.

@@ -203,6 +203,27 @@ func TestGridSinglePoint(t *testing.T) {
 	}
 }
 
+func TestGridBoxCells(t *testing.T) {
+	// Corners (0,0) and (100,100) with cell 10: an 11×11 grid.
+	g := NewGrid([]Point{{0, 0}, {100, 100}}, 10)
+	for _, c := range []struct {
+		q    Point
+		r    float64
+		want int
+	}{
+		{Point{55, 55}, 10, 9},     // columns and rows 4..6
+		{Point{55, 55}, 4, 1},      // inside one cell
+		{Point{0, 0}, 25, 9},       // clamped at the low corner: 0..2
+		{Point{-50, 55}, 10, 3},    // off the grid: clamped to column 0
+		{Point{50, 50}, 1000, 121}, // covers the whole grid
+	} {
+		box, total := g.BoxCells(c.q, c.r)
+		if box != c.want || total != 121 {
+			t.Errorf("BoxCells(%v, %v) = %d, %d; want %d, 121", c.q, c.r, box, total, c.want)
+		}
+	}
+}
+
 func TestGridPanicsOnBadCell(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -17,7 +17,7 @@ import (
 
 // View is the read-only window a model gets onto the current slot when
 // deciding whether a listener decodes a transmitter. The simulator
-// implements it with cached per-slot interference sums.
+// implements it with the per-slot interference sums of its field engine.
 type View interface {
 	// Transmitters returns the ids of nodes transmitting in this slot.
 	Transmitters() []int
@@ -25,7 +25,12 @@ type View interface {
 	Power(w, v int) float64
 	// Dist returns the quasi-distance d(u, v).
 	Dist(u, v int) float64
-	// TotalPower returns Σ_w Power(w, v) over all transmitters w.
+	// TotalPower returns Σ_w Power(w, v) over all transmitters w, summed
+	// in ascending w. The simulator sums it up front only for the
+	// receivers a slot is known to read (transmitters and listeners inside
+	// a decode cutoff or near enough to sense Busy); for any other v it
+	// computes the same sum when called, so every caller reads the exact
+	// value.
 	TotalPower(v int) float64
 	// TransmittersWithin returns the number of transmitters w != excluding
 	// with d(w, v) <= r. Pass excluding = -1 to count all.

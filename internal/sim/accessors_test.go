@@ -93,7 +93,7 @@ func TestSlotViewRadiusCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := []int{0, 2, 5}
-	vw := &slotView{s: s, tx: tx, total: make([]float64, 8), scale: nil}
+	vw := &slotView{s: s, tx: tx}
 	brute := func(v int, r float64, excl int) int {
 		c := 0
 		for _, w := range tx {

@@ -149,11 +149,9 @@ func BenchmarkNewSim(b *testing.B) {
 	}
 }
 
-// cohortProto is the deterministic traffic of the dense incremental-field
-// benchmark: a persistent cohort of k transmitters that rotates to the
-// next k node ids every `period` slots. Between rotations the transmitter
-// composition is unchanged, so the incremental field reuses it; rotations
-// are bulk membership changes that force selective rebuilds. No RNG.
+// cohortProto is the deterministic traffic of the dense field benchmark: a
+// persistent cohort of k transmitters that rotates to the next k node ids
+// every `period` slots. No RNG.
 type cohortProto struct {
 	id, t, n, k, period int
 }
@@ -170,10 +168,11 @@ func (c *cohortProto) Act(nd *Node, slot int) Action {
 
 func (c *cohortProto) Observe(*Node, int, *Observation) {}
 
-// denseSim8192 builds the dense-deployment workload of the incremental
-// field: 8192 nodes (beyond the pathloss cache budget, so every re-summed
-// term pays a model evaluation) under full sensing, with a 128-transmitter
-// cohort rotating every 64 slots.
+// denseSim8192 builds the dense-deployment workload of the field engine:
+// 8192 nodes (beyond the pathloss cache budget, so every summed term pays a
+// model evaluation) under full sensing, with a 128-transmitter cohort
+// rotating every 64 slots. Its query boxes exceed the grid's cell count, so
+// every slot sums every receiver.
 func denseSim8192(b *testing.B) *Sim {
 	b.Helper()
 	pts := workload.UniformDisc(8192, workload.SideForDegree(8192, 16, 9), 3)
@@ -192,8 +191,34 @@ func denseSim8192(b *testing.B) *Sim {
 	return s
 }
 
-func BenchmarkStepDense8192Incremental(b *testing.B) {
+func BenchmarkStepDense8192(b *testing.B) {
 	s := denseSim8192(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkStepStrip3200 has the shape of the end-to-end benchmark's
+// sparse-strip workload: 3200 nodes on a 3200×R_B strip (beyond the
+// pathloss cache budget), SINR with CD|ACK|NTD at the strip's sensing
+// precision, and about 2.5 transmitters per slot. The field engine sums
+// only the few receivers near each transmitter.
+func BenchmarkStepStrip3200(b *testing.B) {
+	const n = 3200
+	mdl := model.NewSINR(1500, 1.5, 1, 3, 0.1)
+	pts := workload.Strip(n, n, mdl.CommRadius(0.1), 1)
+	s, err := New(Config{
+		Space: metric.NewEuclidean(pts),
+		Model: mdl,
+		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1, SenseEps: 0.05,
+		BusyScale: 0.25, AckScale: 8,
+		Seed:       1,
+		Primitives: CD | ACK | NTD,
+	}, func(int) Protocol { return fixedProb(2.5 / n) })
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()

@@ -19,15 +19,24 @@ import (
 // actions are deterministic functions of the node RNG stream (transmit
 // decision, channel hop, power scale), and every observation it receives is
 // serialized — including RSS float bits — so two runs agree iff their entire
-// observable histories agree byte for byte.
+// observable histories agree byte for byte. With hold > 1 a node draws a
+// fresh action only every hold-th time it acts and repeats it in between.
 type diffProto struct {
 	p      float64
 	nchan  int
 	scales bool
+	hold   int
+	acts   int
+	last   Action
 	log    *strings.Builder
 }
 
 func (d *diffProto) Act(n *Node, slot int) Action {
+	held := d.hold > 1 && d.acts%d.hold != 0
+	d.acts++
+	if held {
+		return d.last
+	}
 	act := Action{
 		Transmit: n.RNG.Bernoulli(d.p),
 		Msg:      Message{Kind: 1, Data: int64(n.ID)},
@@ -43,6 +52,7 @@ func (d *diffProto) Act(n *Node, slot int) Action {
 			act.PowerScale = 2
 		}
 	}
+	d.last = act
 	return act
 }
 
@@ -118,6 +128,8 @@ type diffScenario struct {
 	churn    bool
 	inject   bool
 	prims    Primitives
+	// hold is diffProto's action hold period; 0 and 1 draw every act.
+	hold int
 }
 
 // runDiff builds and runs one simulation for sc and returns its full
@@ -157,7 +169,7 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 		cfg.Injector = &diffInjector{seed: sc.seed ^ 0xfa017}
 	}
 	s, err := New(cfg, func(int) Protocol {
-		return &diffProto{p: 0.05, nchan: sc.channels, scales: sc.scales, log: &log}
+		return &diffProto{p: 0.05, nchan: sc.channels, scales: sc.scales, hold: sc.hold, log: &log}
 	})
 	if err != nil {
 		t.Fatal(err)

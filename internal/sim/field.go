@@ -1,232 +1,145 @@
 package sim
 
-// This file maintains the Phase 2 interference field incrementally.
-//
-// Every receiver v carries the interference on its tuned channel: for each
-// same-channel transmitter w in ascending id order, add Power(w,v)·scale(w).
-// That accumulation order — ascending transmitters, per receiver, restricted
-// to the receiver's channel — is the *canonical sum*. The engine never
-// produces anything else: instead of adding and subtracting deltas (whose
-// result bits would depend on history), it tracks which receivers'
-// accumulators are still the canonical sum of the current slot's
-// transmission composition and re-runs the canonical sum for exactly the
-// receivers that are not. Equal compositions summed in the canonical order
-// give equal bits, so a reused accumulator is byte-identical to a sum from
-// scratch — there is no approximation to bound, and the periodic epoch
-// rebuild (defaultFieldEpoch) is a defense-in-depth rail, not a correctness
-// requirement. The sum from scratch exists only as the test oracle of the
-// differential suites.
-//
-// Validity is tracked with slot stamps rather than per-receiver dirty bits
-// so that clearing costs nothing: accSlot[v] is the slot whose composition
-// totalPower[v] reflects, chanDirty[c] is the last slot at which channel c's
-// transmission composition changed, and vDirty[v] is the last slot at which
-// receiver v itself was invalidated (it moved, or retuned to another
-// channel). totalPower[v] is valid iff accSlot[v] is at least as new as both
-// stamps that govern it.
-//
-// fieldAdvance rematerializes every invalid receiver eagerly — either by the
-// canonical sum over the invalid set, or, when the composition only
-// *appended* transmitters (each with an id above its channel's previous
-// maximum, no removals, scale or channel changes, moves or retunes), by
-// extending every accumulator with the new transmitters' terms, which is
-// exactly the canonical sum continued. Every receiver is therefore valid at
-// the end of fieldAdvance: the rest of the slot reads totalPower directly,
-// and the next slot's append starts from accumulators that all equal the
-// canonical sum of the previous composition.
+import "math"
 
-// FieldStats counts the incremental field engine's per-slot outcomes, for
-// run diagnostics and the opt-in "sim/field/*" metrics. All zeros when the
-// run never builds a field.
+// This file computes the Phase 2 interference field on demand.
+//
+// Receiver v's interference is the canonical sum: for each transmitter w on
+// v's tuned channel, in ascending id order, add Power(w,v)·scale(w). Every
+// reader of that sum compares it with a threshold — CD busy, ACK clear, the
+// SINR decode test — so fieldAdvance sums it only over the slot's demand
+// set, marked through the spatial index:
+//
+//   - every transmitter, whose ACK outcome reads its own sum;
+//   - every same-channel listener inside a transmitter's decode cutoff,
+//     whose decode test may read it;
+//   - when CD is granted, every same-channel listener within the
+//     certified-idle radius ρ_w of a transmitter w (idleRadius).
+//
+// Every other alive listener reads Idle without a sum. Let k_c be its
+// channel's transmitter count. Each of its at most k_c terms comes from a
+// transmitter farther than ρ_w = (scale_w·P·k_c·(1+δ)/BusyRSS)^{1/ζ}, so the
+// exact term is below BusyRSS/(k_c(1+δ)). Rounding is monotone, and the
+// distance, power, scale product and ρ_w itself each round by a few ulps.
+// The float sum of k_c terms, each at most t, is at most k_c·t·(1+2⁻⁵³)^{k_c}.
+// All of this sits far inside δ = idleDelta, so the canonical sum stays
+// below BusyRSS and the receiver is idle. slotView.TotalPower computes the
+// canonical sum on the spot for a receiver outside the set, so a model
+// never reads a stale value.
+//
+// The demand set is not always the cheaper path. fieldAdvance sums every
+// receiver when there is no index or no decode cutoff, and when the
+// transmitters' query boxes would cover at least as many grid cells as
+// the grid holds.
+
+// idleDelta is δ of the certified-idle radius: the relative margin that
+// absorbs the rounding argued in the file comment.
+const idleDelta = 1e-6
+
+// FieldStats counts the interference engine's per-slot outcomes, for run
+// diagnostics and the opt-in "sim/field/*" metrics. All zeros when the run
+// never builds a field.
 type FieldStats struct {
-	// ReusedSlots counts slots whose entire field carried over unchanged.
-	ReusedSlots int64
-	// DeltaSlots counts slots resolved by the append fast path (new
-	// transmitters' terms extended onto every accumulator).
-	DeltaSlots int64
-	// RebuildSlots counts slots that re-summed some invalidated subset of
-	// receivers (possibly all of them).
+	// RebuildSlots counts slots that summed every receiver.
 	RebuildSlots int64
-	// EpochRebuilds counts forced full rebuilds on the epoch rail.
-	EpochRebuilds int64
+	// SubsetSlots counts slots that summed only the demand set.
+	SubsetSlots int64
+	// SummedReceivers counts receiver sums over all slots of both kinds.
+	SummedReceivers int64
 }
 
-// FieldStats returns the cumulative incremental-field work counters.
+// FieldStats returns the cumulative interference-engine work counters.
 func (s *Sim) FieldStats() FieldStats { return s.fstat }
 
-// fieldInit allocates the incremental engine's state; called from New only
-// when the run reads the field. A nil accSlot elsewhere means "no engine":
-// fieldAdvance is never called and totalPower stays zero.
-func (s *Sim) fieldInit() {
-	n := s.n
-	s.accSlot = make([]int64, n)
-	s.vDirty = make([]int64, n)
-	s.chanDirty = make([]int64, s.cfg.Channels)
-	s.chanLastPrev = make([]int32, s.cfg.Channels)
-	if s.cfg.Channels > 1 {
-		s.chanPrev = make([]int8, n)
-	}
-	s.fieldEpoch = defaultFieldEpoch
-}
-
-// defaultFieldEpoch is the forced-rebuild period in slots: every
-// defaultFieldEpoch-th slot recomputes the whole field from scratch
-// regardless of what changed.
-const defaultFieldEpoch = 256
-
-// fieldValidAt reports whether totalPower[v] is the canonical sum of the
-// current slot's composition on v's channel.
-func (s *Sim) fieldValidAt(v int) bool {
-	a := s.accSlot[v]
-	return a >= s.chanDirty[s.chanBuf[v]] && a >= s.vDirty[v]
-}
-
-// fieldAdvance diffs this slot's transmission composition against the
-// previous slot's, stamps the channels and receivers the changes invalidate,
-// and rematerializes exactly the invalid receivers by the canonical sum.
-// Called once per slot, after Phase 1 filled txBuf/scaleBuf/chanBuf, with
-// tick not yet advanced.
+// fieldAdvance computes this slot's field over its demand set, or over every
+// receiver when the demand queries would cost more than that. Called once
+// per slot, after Phase 1 filled txBuf, chanTx, scaleBuf and chanBuf.
 func (s *Sim) fieldAdvance() {
-	S := int64(s.tick) + 1 // stamps must be positive: zero marks "clean"
-
-	// Whether the composition change is a pure per-channel append — the only
-	// shape whose delta application is itself a canonical-sum continuation.
-	appendOK := true
-
-	// A moved node invalidates itself as a receiver, and — if it transmits
-	// this slot — every receiver on its channel, since its distance terms
-	// changed. A mover that transmitted last slot but not this one, or on
-	// another channel, dirties its old channel in the merge walk below.
-	if len(s.movedBuf) > 0 {
-		appendOK = false
-		for _, v := range s.movedBuf {
-			s.vDirty[v] = S
-			if s.isTxBuf[v] {
-				s.chanDirty[s.chanBuf[v]] = S
-			}
-		}
-		s.movedBuf = s.movedBuf[:0]
+	for _, v := range s.demandList {
+		s.demand[v] = false
 	}
-	// Channel retunes invalidate the retuned receiver (its accumulator
-	// belongs to the old channel). Only possible in multi-channel runs.
-	if s.chanPrev != nil {
-		for v := 0; v < s.n; v++ {
-			if c := s.chanBuf[v]; c != s.chanPrev[v] {
-				s.vDirty[v] = S
-				s.chanPrev[v] = c
-				appendOK = false
-			}
-		}
-	}
-
-	// Merge-walk the previous and current transmitter lists (both ascending)
-	// to stamp the channels whose composition changed and collect the added
-	// transmitters for the append path.
-	prev, cur := s.prevTx, s.txBuf
-	for c := range s.chanLastPrev {
-		s.chanLastPrev[c] = -1
-	}
-	for i := range prev {
-		s.chanLastPrev[s.prevChan[i]] = int32(prev[i])
-	}
-	s.addedBuf = s.addedBuf[:0]
-	i, j := 0, 0
-	for i < len(prev) || j < len(cur) {
-		switch {
-		case j >= len(cur) || (i < len(prev) && prev[i] < cur[j]):
-			// w stopped transmitting: its old channel loses a term.
-			s.chanDirty[s.prevChan[i]] = S
-			appendOK = false
-			i++
-		case i >= len(prev) || cur[j] < prev[i]:
-			// w started transmitting: its channel gains a term. The append
-			// path stays open only if w's id extends the channel's ascending
-			// sum past its previous maximum.
-			w := cur[j]
-			c := s.chanBuf[w]
-			s.chanDirty[c] = S
-			if int32(w) <= s.chanLastPrev[c] {
-				appendOK = false
-			}
-			s.addedBuf = append(s.addedBuf, w)
-			j++
-		default:
-			// w transmits in both slots; scale or channel changes alter its
-			// term (on both channels for a retune).
-			w := cur[j]
-			if s.scaleBuf[w] != s.prevScale[i] || s.chanBuf[w] != s.prevChan[i] {
-				s.chanDirty[s.prevChan[i]] = S
-				s.chanDirty[s.chanBuf[w]] = S
-				appendOK = false
-			}
-			i++
-			j++
-		}
-	}
-
-	// Refresh the baseline composition for the next slot's diff.
-	s.prevTx = append(s.prevTx[:0], cur...)
-	s.prevScale = s.prevScale[:0]
-	s.prevChan = s.prevChan[:0]
-	for _, w := range cur {
-		s.prevScale = append(s.prevScale, s.scaleBuf[w])
-		s.prevChan = append(s.prevChan, s.chanBuf[w])
-	}
-
-	// Epoch rail: a forced full canonical rebuild every fieldEpoch slots.
-	// Structurally the result bits cannot drift, but a cheap periodic
-	// re-anchoring makes that a local argument instead of a global one.
-	if S%int64(s.fieldEpoch) == 0 {
-		for v := 0; v < s.n; v++ {
-			s.totalPower[v] = 0
-		}
-		s.fieldAddAll(s.txBuf, S)
-		s.fstat.EpochRebuilds++
+	s.demandList = s.demandList[:0]
+	s.fieldAll = !s.demandRadii()
+	if s.fieldAll {
+		s.fieldSumAll()
 		return
 	}
-
-	if appendOK {
-		if len(s.addedBuf) == 0 {
-			// Identical composition, no receiver invalidations: every
-			// accumulator carries over bit-for-bit.
-			s.fstat.ReusedSlots++
-			return
-		}
-		// Pure append: extend every accumulator with the new transmitters'
-		// terms in ascending order — the canonical sum, continued. Valid
-		// because the previous fieldAdvance left every receiver valid for the
-		// previous composition and each added id exceeds its channel's
-		// previous maximum.
-		s.fieldAddAll(s.addedBuf, S)
-		s.fstat.DeltaSlots++
-		return
-	}
-
-	// General case: canonical re-summation of exactly the invalid receivers.
-	s.invalBuf = s.invalBuf[:0]
-	for v := 0; v < s.n; v++ {
-		if !s.fieldValidAt(v) {
-			s.totalPower[v] = 0
-			s.accSlot[v] = S
-			s.invalBuf = append(s.invalBuf, v)
+	for i, u := range s.txBuf {
+		uc := s.chanBuf[u]
+		s.markDemand(u)
+		it := s.grid.IterWithin(s.euclid.Point(u), s.radBuf[i]*indexSlack)
+		for {
+			v, ok := it.Next()
+			if !ok {
+				break
+			}
+			if s.chanBuf[v] == uc {
+				s.markDemand(v)
+			}
 		}
 	}
-	if len(s.invalBuf) == 0 {
-		s.fstat.ReusedSlots++
-		return
+	for _, v := range s.demandList {
+		s.totalPower[v] = s.fieldSum(v)
 	}
-	inval := s.invalBuf
+	s.fstat.SubsetSlots++
+	s.fstat.SummedReceivers += int64(len(s.demandList))
+}
+
+// demandRadii fills radBuf with each transmitter's demand radius — its
+// decode cutoff, widened to its certified-idle radius when CD is granted —
+// and reports whether querying those discs beats summing every receiver.
+func (s *Sim) demandRadii() bool {
+	if !s.indexedRecv() {
+		return false
+	}
+	cd := s.cfg.Primitives.Has(CD)
+	s.radBuf = s.radBuf[:0]
+	cells := 0
+	for _, u := range s.txBuf {
+		r := s.decodeCutoff(u)
+		if cd {
+			r = math.Max(r, s.idleRadius(u))
+		}
+		box, total := s.grid.BoxCells(s.euclid.Point(u), r*indexSlack)
+		if cells += box; cells >= total {
+			return false
+		}
+		s.radBuf = append(s.radBuf, r)
+	}
+	return true
+}
+
+// idleRadius is transmitter u's certified-idle radius ρ_u: a listener on
+// u's channel farther than ρ_u from every transmitter there senses Idle.
+func (s *Sim) idleRadius(u int) float64 {
+	k := float64(len(s.chanTx[s.chanBuf[u]]))
+	return math.Pow(s.scaleBuf[u]*s.cfg.P*k*(1+idleDelta)/s.th.BusyRSS, 1/s.cfg.Zeta)
+}
+
+func (s *Sim) markDemand(v int) {
+	if !s.demand[v] {
+		s.demand[v] = true
+		s.demandList = append(s.demandList, v)
+	}
+}
+
+// fieldSumAll runs the canonical sum at every receiver, transmitter-major
+// so cached power rows stream in order.
+func (s *Sim) fieldSumAll() {
+	for v := range s.totalPower {
+		s.totalPower[v] = 0
+	}
 	for _, w := range s.txBuf {
 		sc := s.scaleBuf[w]
 		wc := s.chanBuf[w]
 		if row := s.field.Row(w); row != nil {
-			for _, v := range inval {
+			for v, p := range row {
 				if s.chanBuf[v] == wc {
-					s.totalPower[v] += row[v] * sc
+					s.totalPower[v] += p * sc
 				}
 			}
 		} else {
-			for _, v := range inval {
+			for v := 0; v < s.n; v++ {
 				if s.chanBuf[v] == wc {
 					s.totalPower[v] += s.field.Power(w, v) * sc
 				}
@@ -234,39 +147,42 @@ func (s *Sim) fieldAdvance() {
 		}
 	}
 	s.fstat.RebuildSlots++
+	s.fstat.SummedReceivers += int64(s.n)
 }
 
-// fieldAddAll extends every receiver's accumulator with the terms of the
-// same-channel transmitters ws, in order, and stamps every receiver valid
-// for slot S. Over zeroed accumulators and ws = txBuf it is the canonical
-// sum from scratch.
-func (s *Sim) fieldAddAll(ws []int, S int64) {
-	for _, w := range ws {
-		sc := s.scaleBuf[w]
-		wc := s.chanBuf[w]
-		if row := s.field.Row(w); row != nil {
-			for v := 0; v < s.n; v++ {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += row[v] * sc
-				}
-			}
-		} else {
-			for v := 0; v < s.n; v++ {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += s.field.Power(w, v) * sc
-				}
-			}
+// fieldSum is receiver v's canonical sum.
+func (s *Sim) fieldSum(v int) float64 {
+	total := 0.0
+	for _, w := range s.chanTx[s.chanBuf[v]] {
+		total += s.field.Power(w, v) * s.scaleBuf[w]
+	}
+	return total
+}
+
+// demanded reports whether fieldAdvance summed receiver v this slot.
+func (s *Sim) demanded(v int) bool { return s.fieldAll || s.demand[v] }
+
+// fieldAt returns receiver v's interference: the engine's sum when v is in
+// the slot's demand set, the canonical sum computed now otherwise.
+func (s *Sim) fieldAt(v int) float64 {
+	if s.demanded(v) {
+		return s.totalPower[v]
+	}
+	return s.fieldSum(v)
+}
+
+// decodeCutoff returns the distance beyond which u's transmission this slot
+// cannot decode: the model's MaxDecodeRange, widened by scale^{1/ζ} for a
+// boosted transmission and narrowed to scale^{1/ζ}·R for an attenuated one.
+func (s *Sim) decodeCutoff(u int) float64 {
+	sc := s.scaleBuf[u]
+	cutoff := s.maxDecode
+	if sc > 1 {
+		cutoff *= math.Pow(sc, 1/s.cfg.Zeta)
+	} else if sc < 1 {
+		if r := math.Pow(sc, 1/s.cfg.Zeta) * s.cfg.Model.R(); r < cutoff {
+			cutoff = r
 		}
 	}
-	for v := range s.accSlot {
-		s.accSlot[v] = S
-	}
-}
-
-// fieldNoteMove records that node v moved, for the next fieldAdvance; the
-// mark is cheap and unconditional so mutators stay simple.
-func (s *Sim) fieldNoteMove(v int) {
-	if s.accSlot != nil {
-		s.movedBuf = append(s.movedBuf, v)
-	}
+	return cutoff
 }

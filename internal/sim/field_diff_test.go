@@ -5,17 +5,22 @@ import (
 	"math"
 	"testing"
 
+	"udwn/internal/geom"
 	"udwn/internal/metric"
 	"udwn/internal/model"
+	"udwn/internal/sensing"
 	"udwn/internal/workload"
 )
 
-// fieldEpochs is the epoch matrix of the incremental-field differential
-// suite: per-slot rebuild (degenerate), a short rail and the default rail.
-var fieldEpochs = []int{1, 16, defaultFieldEpoch}
+// holdEpochs is the traffic dimension of the field differential suite:
+// each node repeats its action for epoch consecutive acts, so epoch 1 draws
+// fresh traffic every slot and 16 and 256 keep transmitter sets in place
+// across mobility, churn, faults and retunes — the compositions an engine
+// that carried sums between slots would reuse.
+var holdEpochs = []int{1, 16, 256}
 
-// canonicalField is the oracle of the incremental field engine: receiver
-// v's interference summed from scratch in the canonical order — the slot's
+// canonicalField is the oracle of the field engine: receiver v's
+// interference summed from scratch in the canonical order — the slot's
 // transmitters (txBuf, ascending) on v's channel, each contributing
 // Power·scale.
 func canonicalField(s *Sim, v int) float64 {
@@ -28,27 +33,47 @@ func canonicalField(s *Sim, v int) float64 {
 	return total
 }
 
-// checkField demands that the engine's accumulator equal the oracle to the
-// bit at every receiver; called after a Step, while the slot's buffers
-// still describe it.
+// checkField demands the engine's demand contract after a Step, while the
+// slot's buffers still describe it. At every receiver in the demand set the
+// engine's sum equals the oracle to the bit. Every alive receiver outside it
+// is not a transmitter, lies beyond the decode cutoff of every same-channel
+// transmitter, and senses Idle on the oracle's sum when CD is granted. Any
+// receiver's View.TotalPower equals the oracle.
 func checkField(t testing.TB, s *Sim) {
 	t.Helper()
-	if s.accSlot == nil {
+	if !s.needPower {
 		t.Fatal("run has no field engine — the field check is vacuous")
 	}
+	cd := s.cfg.Primitives.Has(CD)
 	for v := 0; v < s.n; v++ {
-		got, want := math.Float64bits(s.totalPower[v]), math.Float64bits(canonicalField(s, v))
-		if got != want {
-			t.Fatalf("tick %d receiver %d: engine field %x != canonical sum %x",
-				s.tick-1, v, got, want)
+		want := canonicalField(s, v)
+		if got := s.fieldAt(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("tick %d receiver %d (demanded %v): field %x != canonical sum %x",
+				s.tick-1, v, s.demanded(v), math.Float64bits(got), math.Float64bits(want))
+		}
+		if s.demanded(v) || !s.alive[v] {
+			continue
+		}
+		if s.isTxBuf[v] {
+			t.Fatalf("tick %d: transmitter %d outside the demand set", s.tick-1, v)
+		}
+		if cd && s.th.Busy(want) {
+			t.Fatalf("tick %d: receiver %d certified idle but senses %v >= busy %v",
+				s.tick-1, v, want, s.th.BusyRSS)
+		}
+		for _, u := range s.txBuf {
+			if s.chanBuf[u] == s.chanBuf[v] && s.cfg.Space.Dist(u, v) <= s.decodeCutoff(u) {
+				t.Fatalf("tick %d: receiver %d inside transmitter %d's decode cutoff but not demanded",
+					s.tick-1, v, u)
+			}
 		}
 	}
 }
 
 // fieldDiffScenarios is the scenario matrix: every model family crossed
-// with channels, power scales, churn, mobility and fault injection — the
-// full set of composition-mutation sources the incremental engine diffs —
-// under the CD|ACK, ACK-only, FreeAck and CD primitive mixes.
+// with channels, power scales, churn, mobility and fault injection — every
+// source of composition and geometry change — under the CD|ACK, ACK-only,
+// FreeAck and CD primitive mixes.
 func fieldDiffScenarios() []diffScenario {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
 	return []diffScenario{
@@ -100,114 +125,38 @@ func fieldDiffScenarios() []diffScenario {
 }
 
 // TestIncrementalFieldEquivalence is the differential suite of the
-// incremental interference field: for every scenario and epoch, the
-// engine's accumulator must equal the canonical sum from scratch to the
-// bit at every receiver after every slot. Short mode runs a curated subset;
-// the full matrix runs otherwise (and raced in ci.sh).
+// interference field: for every scenario and traffic hold period, checkField
+// must hold after every slot. The ramp scenario adds persistent transmitters
+// one at a time in ascending id order. Short mode runs a curated subset; the
+// full matrix runs otherwise (and raced in ci.sh).
 func TestIncrementalFieldEquivalence(t *testing.T) {
 	scenarios := fieldDiffScenarios()
-	epochs := fieldEpochs
+	epochs := holdEpochs
 	if testing.Short() {
 		scenarios = []diffScenario{scenarios[1], scenarios[2], scenarios[5], scenarios[9],
 			scenarios[11], scenarios[12]}
-		epochs = []int{1, defaultFieldEpoch}
+		epochs = []int{1, 256}
 	}
 	for _, sc := range scenarios {
 		for _, epoch := range epochs {
-			sc, epoch := sc, epoch
+			sc := sc
+			sc.hold = epoch
 			t.Run(fmt.Sprintf("%s/epoch%d", sc.name, epoch), func(t *testing.T) {
 				runDiffWatch(t, sc, false, func(s *Sim) func() {
-					s.fieldEpoch = epoch
 					return func() { checkField(t, s) }
 				})
 			})
 		}
 	}
-}
-
-// TestIncrementalFieldModesExercised guards the differential suite against
-// vacuity: a static scenario must hit the reuse/delta/rebuild paths under
-// both CD (every node senses the field) and ACK alone (only transmitters
-// and decode checks read it), the epoch rail must fire, and a run that
-// never reads the field must build no engine.
-func TestIncrementalFieldModesExercised(t *testing.T) {
-	run := func(prims Primitives, epoch int, p float64) (*Sim, FieldStats) {
-		t.Helper()
-		s := newFieldTestSim(t, 160, 61, prims, p)
-		s.fieldEpoch = epoch
-		for i := 0; i < 400; i++ {
+	t.Run("ramp", func(t *testing.T) {
+		s := newFieldTestSimProto(t, 120, 71, CD|ACK, func(id int) Protocol {
+			return &rampProto{id: id}
+		})
+		for i := 0; i < 90; i++ {
 			s.Step()
 			checkField(t, s)
 		}
-		return s, s.FieldStats()
-	}
-
-	// p=0.01 keeps ~20% of slots transmitter-free, so consecutive empty
-	// compositions (the reuse path) and empty→nonempty appends both occur.
-	for _, prims := range []Primitives{CD | ACK, ACK} {
-		s, st := run(prims, defaultFieldEpoch, 0.01)
-		if st.RebuildSlots == 0 {
-			t.Errorf("prims %b: no rebuild slots (stats %+v)", prims, st)
-		}
-		if st.ReusedSlots == 0 {
-			t.Errorf("prims %b: no reused slots — sparse tx should repeat compositions (stats %+v)", prims, st)
-		}
-		if st.DeltaSlots == 0 {
-			t.Errorf("prims %b: no delta slots (stats %+v)", prims, st)
-		}
-		if st.EpochRebuilds == 0 {
-			t.Errorf("prims %b: epoch rail never fired (stats %+v)", prims, st)
-		}
-		if got := s.FieldStats(); got != st {
-			t.Errorf("FieldStats accessor unstable: %+v vs %+v", got, st)
-		}
-	}
-
-	// Epoch 1 degenerates to a rebuild every slot.
-	_, st := run(CD|ACK, 1, 0.01)
-	if st.ReusedSlots != 0 || st.DeltaSlots != 0 || st.RebuildSlots != 0 {
-		t.Errorf("epoch-1 run: non-epoch slots present (stats %+v)", st)
-	}
-	if st.EpochRebuilds == 0 {
-		t.Errorf("epoch-1 run: no epoch rebuilds (stats %+v)", st)
-	}
-
-	// A field-oblivious model without power-sensing primitives has no
-	// engine at all.
-	pts := workload.UniformDisc(160, workload.SideForDegree(160, 16, 10), 61)
-	s, err := New(Config{
-		Space: metric.NewEuclidean(pts),
-		Model: model.NewUDG(10),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       61,
-		Primitives: NTD | FreeAck,
-	}, func(int) Protocol { return fixedProb(0.01) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(100)
-	if s.accSlot != nil || s.FieldStats() != (FieldStats{}) {
-		t.Errorf("field-oblivious run built a field engine: %+v", s.FieldStats())
-	}
-}
-
-// TestFieldAppendPath pins the append fast path: a monotone-id set of
-// persistent transmitters (each new transmitter id above every previous
-// one) must resolve through delta slots, bit-identically to the canonical
-// sum.
-func TestFieldAppendPath(t *testing.T) {
-	s := newFieldTestSimProto(t, 120, 71, CD|ACK, func(id int) Protocol {
-		// Node id starts transmitting at tick 3*id and never stops:
-		// additions arrive in ascending id order, one at a time.
-		return &rampProto{id: id}
 	})
-	for i := 0; i < 90; i++ {
-		s.Step()
-		checkField(t, s)
-	}
-	if st := s.FieldStats(); st.DeltaSlots == 0 {
-		t.Errorf("append path never taken: %+v", st)
-	}
 }
 
 // rampProto makes node id a persistent transmitter from tick 3*id on.
@@ -225,6 +174,154 @@ func (r *rampProto) Act(n *Node, slot int) Action {
 }
 
 func (r *rampProto) Observe(n *Node, slot int, obs *Observation) {}
+
+// TestIncrementalFieldModesExercised guards the differential suite against
+// vacuity: under CD|ACK, ACK, CD and FreeAck, sparse traffic must produce
+// subset slots that sum fewer than n receivers and dense traffic slots that
+// sum every receiver; the counters must add up; and a run that never reads
+// the field must build no engine.
+func TestIncrementalFieldModesExercised(t *testing.T) {
+	const n = 400
+	run := func(prims Primitives, p float64) (subset, all int, st FieldStats) {
+		t.Helper()
+		s := newFieldTestSim(t, n, 61, prims, p)
+		var summed int64
+		for i := 0; i < 400; i++ {
+			s.Step()
+			checkField(t, s)
+			switch {
+			case s.fieldAll:
+				all++
+				summed += n
+			case len(s.demandList) < n:
+				subset++
+				summed += int64(len(s.demandList))
+			default:
+				t.Fatalf("prims %b: subset slot summed all %d receivers", prims, n)
+			}
+		}
+		st = s.FieldStats()
+		if st.RebuildSlots != int64(all) || st.SubsetSlots != int64(subset) || st.SummedReceivers != summed {
+			t.Errorf("prims %b: stats %+v, observed %d all-receiver and %d subset slots summing %d",
+				prims, st, all, subset, summed)
+		}
+		if got := s.FieldStats(); got != st {
+			t.Errorf("FieldStats accessor unstable: %+v vs %+v", got, st)
+		}
+		return subset, all, st
+	}
+
+	for _, prims := range []Primitives{CD | ACK, ACK, CD, FreeAck} {
+		if subset, _, st := run(prims, 0.002); subset == 0 {
+			t.Errorf("prims %b: sparse traffic produced no subset slots (stats %+v)", prims, st)
+		}
+		if _, all, st := run(prims, 0.05); all == 0 {
+			t.Errorf("prims %b: dense traffic produced no all-receiver slots (stats %+v)", prims, st)
+		}
+	}
+
+	// A field-oblivious model without power-sensing primitives has no
+	// engine at all.
+	pts := workload.UniformDisc(160, workload.SideForDegree(160, 16, 10), 61)
+	s, err := New(Config{
+		Space: metric.NewEuclidean(pts),
+		Model: model.NewUDG(10),
+		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		Seed:       61,
+		Primitives: NTD | FreeAck,
+	}, func(int) Protocol { return fixedProb(0.01) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(100)
+	if s.needPower || s.FieldStats() != (FieldStats{}) {
+		t.Errorf("field-oblivious run built a field engine: %+v", s.FieldStats())
+	}
+}
+
+// TestFieldCertifiedIdleBoundary pins the certified-idle radius from both
+// sides. k transmitters sit on a circle around a CD listener that lies
+// beyond every decode cutoff. Just outside the demand radius ρ (the index
+// query, inflated by indexSlack) the listener must be left out of the
+// demand set and read Idle; just inside ρ it must be demanded. Either way
+// its observed Busy equals the threshold test on the canonical sum.
+func TestFieldCertifiedIdleBoundary(t *testing.T) {
+	const p, zeta, eps = 1500.0, 3.0, 0.1
+	mdl := model.NewSINR(p, 1.5, 1, zeta, eps)
+	th := sensing.NewThresholds(p, zeta, eps, mdl.R(), mdl.Params())
+	for _, k := range []int{3, 16} {
+		rho := math.Pow(p*float64(k)*(1+idleDelta)/th.BusyRSS, 1/zeta)
+		if rho <= mdl.MaxDecodeRange() {
+			t.Fatalf("k=%d: ρ=%v inside the decode cutoff %v", k, rho, mdl.MaxDecodeRange())
+		}
+		for _, c := range []struct {
+			name   string
+			radius float64
+			demand bool
+		}{
+			{"outside", rho * indexSlack * (1 + 1e-9), false},
+			{"inside", rho * (1 - 1e-9), true},
+		} {
+			t.Run(fmt.Sprintf("k%d/%s", k, c.name), func(t *testing.T) {
+				// Node 0 is the listener at the origin, nodes 1..k the
+				// transmitters; four silent corner nodes widen the grid so
+				// the transmitters' query boxes stay within the cell budget.
+				pts := []geom.Point{{}}
+				for i := 0; i < k; i++ {
+					a := 2 * math.Pi * float64(i) / float64(k)
+					pts = append(pts, geom.Point{X: c.radius * math.Cos(a), Y: c.radius * math.Sin(a)})
+				}
+				for _, q := range []geom.Point{{X: -500, Y: -500}, {X: 500, Y: -500}, {X: -500, Y: 500}, {X: 500, Y: 500}} {
+					pts = append(pts, q)
+				}
+				lis := &busyProbe{}
+				s, err := New(Config{
+					Space: metric.NewEuclidean(pts),
+					Model: mdl,
+					P:     p, Zeta: zeta, Noise: 1, Eps: eps,
+					Seed:       7,
+					Primitives: CD,
+				}, func(id int) Protocol {
+					switch {
+					case id == 0:
+						return lis
+					case id <= k:
+						return fixedProb(1)
+					}
+					return fixedProb(0)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Step()
+				checkField(t, s)
+				if s.fieldAll {
+					t.Fatal("slot summed every receiver; the boundary is untested")
+				}
+				if got := s.demanded(0); got != c.demand {
+					t.Fatalf("listener demanded = %v, want %v", got, c.demand)
+				}
+				if want := th.Busy(canonicalField(s, 0)); !lis.observed || lis.busy != want {
+					t.Fatalf("listener observed %v busy=%v, want busy=%v", lis.observed, lis.busy, want)
+				}
+				if !c.demand && lis.busy {
+					t.Fatal("undemanded listener read Busy")
+				}
+			})
+		}
+	}
+}
+
+// busyProbe is a silent protocol recording its last CD outcome.
+type busyProbe struct {
+	observed, busy bool
+}
+
+func (b *busyProbe) Act(*Node, int) Action { return Action{} }
+
+func (b *busyProbe) Observe(_ *Node, _ int, obs *Observation) {
+	b.observed, b.busy = true, obs.Busy
+}
 
 // newFieldTestSim builds a static SINR sim with fixed-probability traffic.
 func newFieldTestSim(t *testing.T, n int, seed uint64, prims Primitives, p float64) *Sim {

@@ -45,11 +45,10 @@ func (p *fuzzProto) Act(n *Node, slot int) Action {
 
 func (p *fuzzProto) Observe(n *Node, slot int, obs *Observation) {}
 
-// FuzzFieldDelta drives an incremental-field sim through a fuzzer-chosen
-// mutation program — transmit toggles, kills, revives, moves, channel
-// retunes, power flips — and demands the engine's field equal the canonical
-// sum from scratch to the bit at every receiver after every slot (not just
-// at epoch boundaries), under the CD|ACK, ACK-only, CD and FreeAck mixes.
+// FuzzFieldDelta drives a sim through a fuzzer-chosen mutation program —
+// transmit toggles, kills, revives, moves, channel retunes, power flips —
+// and demands the field engine's demand contract (checkField) after every
+// slot, under the CD|ACK, ACK-only, CD and FreeAck mixes.
 func FuzzFieldDelta(f *testing.F) {
 	f.Add(uint64(1), []byte("a5K9rMv2QpX0dTzL8wBn4cYh"))
 	f.Add(uint64(2), []byte("kill&revive\x00\x01\x02\xffmove~~portal"))
@@ -79,8 +78,6 @@ func FuzzFieldDelta(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.fieldEpoch = 1 + int(seed%300)
-
 		// Three bytes per tick: opcode, node selector, operand. Cap the run
 		// so pathological inputs stay fast.
 		ticks := len(prog)/3 + 2

@@ -22,9 +22,9 @@ type stepMetrics struct {
 	radiusFallback *metrics.Counter
 	// Spatial-index work counters; nil unless Config.IndexMetrics opted in.
 	idxTx, idxCand, idxCount, idxNbr *metrics.Counter
-	// Incremental-field work counters; nil unless Config.IndexMetrics
+	// Interference-engine work counters; nil unless Config.IndexMetrics
 	// opted in.
-	fldReused, fldDelta, fldRebuild, fldEpoch *metrics.Counter
+	fldRebuild, fldSubset, fldSummed *metrics.Counter
 }
 
 // Contention histogram bucket bounds. Declaration-fixed (see the metrics
@@ -57,10 +57,9 @@ func newStepMetrics(r *metrics.Registry, indexMetrics bool) *stepMetrics {
 		m.idxCand = r.Counter("sim/index/candidates")
 		m.idxCount = r.Counter("sim/index/count_queries")
 		m.idxNbr = r.Counter("sim/index/neighbor_queries")
-		m.fldReused = r.Counter("sim/field/reused_slots")
-		m.fldDelta = r.Counter("sim/field/delta_slots")
 		m.fldRebuild = r.Counter("sim/field/rebuild_slots")
-		m.fldEpoch = r.Counter("sim/field/epoch_rebuilds")
+		m.fldSubset = r.Counter("sim/field/subset_slots")
+		m.fldSummed = r.Counter("sim/field/summed")
 	}
 	return m
 }
@@ -80,19 +79,18 @@ func (s *Sim) flushIndexStats() {
 	s.idxFlushed = cur
 }
 
-// flushFieldStats exports the incremental-field counter deltas accumulated
+// flushFieldStats exports the interference-engine counter deltas accumulated
 // since the last flush; no-op unless Config.IndexMetrics registered the
 // handles.
 func (s *Sim) flushFieldStats() {
 	m := s.met
-	if m == nil || m.fldReused == nil {
+	if m == nil || m.fldRebuild == nil {
 		return
 	}
 	f, fp := s.fstat, s.fstatFlushed
-	m.fldReused.Add(f.ReusedSlots - fp.ReusedSlots)
-	m.fldDelta.Add(f.DeltaSlots - fp.DeltaSlots)
 	m.fldRebuild.Add(f.RebuildSlots - fp.RebuildSlots)
-	m.fldEpoch.Add(f.EpochRebuilds - fp.EpochRebuilds)
+	m.fldSubset.Add(f.SubsetSlots - fp.SubsetSlots)
+	m.fldSummed.Add(f.SummedReceivers - fp.SummedReceivers)
 	s.fstatFlushed = f
 }
 
@@ -102,11 +100,8 @@ func (s *Sim) flushFieldStats() {
 // instrumented slots.
 func (s *Sim) probMass() float64 {
 	total := 0.0
-	for v := 0; v < s.n; v++ {
-		if !s.alive[v] {
-			continue
-		}
-		if pr, ok := s.protos[v].(ProbReporter); ok {
+	for v, pr := range s.reporters {
+		if pr != nil && s.alive[v] {
 			total += pr.TransmitProb()
 		}
 	}

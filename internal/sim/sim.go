@@ -94,7 +94,7 @@ type Config struct {
 	Injector Injector
 	// IndexMetrics additionally registers the "sim/index/*" spatial-index
 	// work counters (transmitter queries, candidate enumerations, count and
-	// neighbour queries) and the "sim/field/*" incremental-field outcome
+	// neighbour queries) and the "sim/field/*" interference-engine outcome
 	// counters with Metrics. Off by default so existing registry snapshots
 	// keep their instrument set; the same numbers are always available
 	// programmatically via (*Sim).IndexStats and FieldStats.
@@ -145,6 +145,7 @@ type Sim struct {
 	alive      []bool
 	nodes      []Node
 	protos     []Protocol
+	reporters  []ProbReporter // protos[v] as a ProbReporter, or nil
 	factory    ProtocolFactory
 	root       *rng.Source
 	generation []uint64
@@ -183,21 +184,14 @@ type Sim struct {
 	idxFlushed    IndexStats
 	viewFallbacks int64
 
-	// Incremental interference field (see field.go). accSlot == nil means no
-	// engine: the run never reads the field. fieldEpoch is the forced-rebuild
-	// period (defaultFieldEpoch; the differential suites vary it).
-	accSlot      []int64 // slot whose composition totalPower[v] reflects
-	vDirty       []int64 // last slot receiver v itself was invalidated
-	chanDirty    []int64 // last slot channel c's tx composition changed
-	chanPrev     []int8  // previous slot's tuned channel (multi-channel only)
-	chanLastPrev []int32 // merge-walk scratch: max prev tx id per channel
-	prevTx       []int   // previous slot's transmitters, ascending
-	prevScale    []float64
-	prevChan     []int8
-	addedBuf     []int // transmitters new this slot, ascending
-	invalBuf     []int // receivers to rematerialize this slot
-	movedBuf     []int // nodes moved since the last fieldAdvance
-	fieldEpoch   int
+	// Interference field (see field.go). demand[v] marks receiver v as
+	// summed this slot, demandList lists the marked receivers, and fieldAll
+	// reports a slot that summed every receiver. radBuf holds each
+	// transmitter's demand radius, parallel to txBuf.
+	demand       []bool
+	demandList   []int
+	fieldAll     bool
+	radBuf       []float64
 	fstat        FieldStats
 	fstatFlushed FieldStats
 
@@ -316,6 +310,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		alive:       make([]bool, n),
 		nodes:       make([]Node, n),
 		protos:      make([]Protocol, n),
+		reporters:   make([]ProbReporter, n),
 		factory:     factory,
 		root:        rng.New(cfg.Seed),
 		generation:  make([]uint64, n),
@@ -326,6 +321,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		txCount:     make([]int32, n),
 		massCount:   make([]int32, n),
 		totalPower:  make([]float64, n),
+		demand:      make([]bool, n),
 		recvBuf:     make([][]Recv, n),
 		massBuf:     make([]bool, n),
 		massAckBuf:  make([]bool, n),
@@ -342,6 +338,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		s.alive[i] = true
 		s.nodes[i] = Node{ID: i, RNG: s.root.Fork(uint64(i))}
 		s.protos[i] = factory(i)
+		s.reporters[i], _ = s.protos[i].(ProbReporter)
 		s.firstMass[i] = -1
 		s.firstDecode[i] = -1
 	}
@@ -380,9 +377,6 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 	if fo, ok := cfg.Model.(model.FieldOblivious); ok && fo.FieldOblivious() &&
 		!cfg.Primitives.Has(CD) && !cfg.Primitives.Has(ACK) {
 		s.needPower = false
-	}
-	if s.needPower {
-		s.fieldInit()
 	}
 	if !cfg.Dynamic {
 		s.buildNeighbours()
@@ -503,6 +497,7 @@ func (s *Sim) Revive(v int) {
 	s.generation[v]++
 	s.nodes[v] = Node{ID: v, RNG: s.root.Fork(uint64(v) ^ s.generation[v]<<40)}
 	s.protos[v] = s.factory(v)
+	s.reporters[v], _ = s.protos[v].(ProbReporter)
 	if s.grid != nil {
 		s.grid.Insert(v, s.euclid.Point(v))
 	}
@@ -527,7 +522,6 @@ func (s *Sim) Move(v int, p geom.Point) error {
 	if !ok {
 		return errors.New("sim: Move requires a Euclidean space")
 	}
-	s.fieldNoteMove(v)
 	e.SetPoint(v, p)
 	if s.grid != nil {
 		// Dead nodes are absent from the index; Grid.Move then just records
@@ -682,11 +676,11 @@ func (s *Sim) Contention(v int, radius float64) float64 {
 		if s.cfg.Space.Dist(w, v) >= radius {
 			continue
 		}
-		if pr, ok := s.protos[w].(ProbReporter); ok {
+		if pr := s.reporters[w]; pr != nil {
 			total += pr.TransmitProb()
 		}
 	}
-	if pr, ok := s.protos[v].(ProbReporter); ok && s.alive[v] {
+	if pr := s.reporters[v]; pr != nil && s.alive[v] {
 		total += pr.TransmitProb()
 	}
 	return total

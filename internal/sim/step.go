@@ -2,7 +2,7 @@ package sim
 
 import "math"
 
-// slotView implements model.View over the current slot with cached
+// slotView implements model.View over the current slot with the engine's
 // interference sums and lazily resolved within-radius transmitter counts.
 //
 // Two count paths exist. The scan path builds a full per-node count vector
@@ -16,9 +16,6 @@ import "math"
 type slotView struct {
 	s  *Sim
 	tx []int
-	// total[v] is Σ_w Power(w,v) over transmitters w (own signal excluded
-	// automatically since Power(v,v) = 0).
-	total []float64
 	// scale holds per-node transmission power scales (1 for unscaled).
 	scale []float64
 	// ch is the channel this view covers; transmitter-membership tests
@@ -46,7 +43,6 @@ type slotView struct {
 func (vw *slotView) reset(s *Sim, tx []int, ch int8, epoch int64) {
 	vw.s = s
 	vw.tx = tx
-	vw.total = s.totalPower
 	vw.scale = s.scaleBuf
 	vw.ch = ch
 	vw.useGrid = s.grid != nil
@@ -63,7 +59,7 @@ func (vw *slotView) Power(w, v int) float64 {
 	return p
 }
 func (vw *slotView) Dist(u, v int) float64    { return vw.s.cfg.Space.Dist(u, v) }
-func (vw *slotView) TotalPower(v int) float64 { return vw.total[v] }
+func (vw *slotView) TotalPower(v int) float64 { return vw.s.fieldAt(v) }
 
 func (vw *slotView) TransmittersWithin(v int, r float64, excluding int) int {
 	for i := 0; i < vw.cntN; i++ {
@@ -254,8 +250,9 @@ func (s *Sim) Step() {
 	// the interference on v's tuned channel: only same-channel
 	// transmissions reach a tuned radio. Skipped entirely for
 	// field-oblivious models running without power-sensing primitives —
-	// nothing in the slot reads the field then. Otherwise the incremental
-	// engine (field.go) leaves every receiver's accumulator valid.
+	// nothing in the slot reads the field then. Otherwise the engine
+	// (field.go) sums the receivers a later phase reads and certifies the
+	// rest idle.
 	if s.needPower {
 		s.fieldAdvance()
 	}
@@ -277,14 +274,11 @@ func (s *Sim) Step() {
 	// candidate pairs and apply the same reception rule (recv):
 	//
 	// Indexed (transmitter-outward): each transmitter pushes to the
-	// listeners the spatial index finds inside its decode cutoff — the
-	// model's MaxDecodeRange, widened by scale^{1/ζ} for boosted
-	// transmissions and narrowed to scale^{1/ζ}·R for attenuated ones.
-	// Beyond the cutoff Decodes is guaranteed false, so skipping those
-	// pairs changes nothing — not even injector calls, which only happen
-	// for pairs that decode. Iterating transmitters in ascending id keeps
-	// every recvBuf[v] in the same ascending-transmitter order the listener
-	// scan produces.
+	// listeners the spatial index finds inside its decodeCutoff. Beyond the
+	// cutoff Decodes is guaranteed false, so skipping those pairs changes
+	// nothing — not even injector calls, which only happen for pairs that
+	// decode. Iterating transmitters in ascending id keeps every recvBuf[v]
+	// in the same ascending-transmitter order the listener scan produces.
 	//
 	// Scan (listener-oriented): every alive non-transmitting listener
 	// checks every same-channel transmitter. Used only when there is no
@@ -293,18 +287,8 @@ func (s *Sim) Step() {
 		s.recvBuf[v] = s.recvBuf[v][:0]
 	}
 	if s.indexedRecv() {
-		mdl := s.cfg.Model
-		zinv := 1 / s.cfg.Zeta
 		for _, u := range s.txBuf {
-			sc := s.scaleBuf[u]
-			cutoff := s.maxDecode
-			if sc > 1 {
-				cutoff *= math.Pow(sc, zinv)
-			} else if sc < 1 {
-				if r := math.Pow(sc, zinv) * mdl.R(); r < cutoff {
-					cutoff = r
-				}
-			}
+			cutoff := s.decodeCutoff(u)
 			uc := s.chanBuf[u]
 			vw := &s.views[uc]
 			s.idx.TxQueries++
@@ -424,7 +408,8 @@ func (s *Sim) Step() {
 			obs.Received = s.recvBuf[v]
 		}
 		if prim.Has(CD) {
-			obs.Busy = s.th.Busy(s.totalPower[v])
+			// A receiver outside the demand set is certified idle.
+			obs.Busy = s.demanded(v) && s.th.Busy(s.totalPower[v])
 		}
 		if isTx {
 			switch {

@@ -10,11 +10,13 @@
 # (BenchmarkStepSparse4096Indexed / BenchmarkStepSparse4096Brute in
 # internal/sim): their ratio is the speedup of the grid-indexed slot loop
 # over the O(n·|tx|) scan on a sparse n=4096 deployment, and should stay
-# well above 3x. BenchmarkStepDense8192Incremental times the incremental
-# interference field on a dense deployment (rotating 128-transmitter cohort
-# at n=8192). It also includes the trace-format pair
-# (BenchmarkTraceWriteJSONL / BenchmarkTraceWriteBinary in
-# internal/trace, plus the Read pair): bytes/event is the on-disk cost of
+# well above 3x. BenchmarkStepDense8192 times the interference field on a
+# dense deployment (rotating 128-transmitter cohort at n=8192), where every
+# slot sums every receiver; BenchmarkStepStrip3200 times it on the
+# sparse-strip shape (n=3200 strip, about 2.5 transmitters per slot), where
+# the engine sums only the receivers near a transmitter. It also includes
+# the trace-format pair (BenchmarkTraceWriteJSONL / BenchmarkTraceWriteBinary
+# in internal/trace, plus the Read pair): bytes/event is the on-disk cost of
 # each encoding on a dense trace and the binary format should stay ~3x
 # smaller and several times faster in both directions. The trace query trio
 # (BenchmarkTraceQueryFullMatch / SingleNode / TickWindow) pins the index's

@@ -47,12 +47,14 @@ go test -short -timeout 5m -run 'Progress|Manifest|Metrics' ./internal/experimen
 # under the race detector explicitly so a shard of the suites above can
 # never silently skip them.
 go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgree' ./internal/sim
-# The incremental interference field carries the same exactness bar: raced
-# short-mode runs of the differential suite against its canonical-sum oracle
-# (the full scenario×epoch matrix runs un-raced in the whole-suite pass
-# above), the append-path pin, and the shared-registry lazy-registration
-# regression.
-go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldAppendPath|TestRadiusFallbackSharedRegistry' ./internal/sim
+# The interference field carries the same exactness bar: raced short-mode
+# runs of the differential suite, which checks the engine's demand contract
+# against its canonical-sum oracle (demanded receivers bit-identical, every
+# other alive receiver certified idle and outside every decode cutoff; the
+# full scenario×hold-period matrix runs un-raced in the whole-suite pass
+# above), the certified-idle boundary pin, and the shared-registry
+# lazy-registration regression.
+go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestRadiusFallbackSharedRegistry' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
 # race the crash/resume differential harness explicitly (short mode: one
 # abort point per experiment, still all 16 experiments × both worker counts).
@@ -101,9 +103,10 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 10s ./internal
 # panic, bounded allocation, a forged index can suppress frames but never
 # fabricate or corrupt query results).
 go test -timeout 5m -run '^$' -fuzz '^FuzzIndexDecode$' -fuzztime 10s ./internal/trace
-# The incremental field engine against its canonical-sum oracle: random
-# move/kill/revive/tx-toggle/retune/power programs must keep the engine's
-# field bit-identical to a sum from scratch at every receiver every slot.
+# The field engine against its canonical-sum oracle: random
+# move/kill/revive/tx-toggle/retune/power programs must keep every demanded
+# receiver's field bit-identical to a sum from scratch and every other
+# receiver certified idle, every slot.
 go test -timeout 5m -run '^$' -fuzz '^FuzzFieldDelta$' -fuzztime 10s ./internal/sim
 
 # Coverage gate: statement coverage of the gated packages must not drop

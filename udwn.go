@@ -210,7 +210,7 @@ type SimOptions struct {
 	// its commutative counters merge deterministically.
 	Metrics *metrics.Registry
 	// IndexMetrics additionally registers the "sim/index/*" spatial-index
-	// and "sim/field/*" incremental-field work counters with Metrics (off
+	// and "sim/field/*" field-engine work counters with Metrics (off
 	// by default to keep existing snapshot instrument sets stable).
 	IndexMetrics bool
 	// Cancel, when non-nil, is polled at the top of every simulation step;
