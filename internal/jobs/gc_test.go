@@ -13,7 +13,9 @@ import (
 	"udwn/internal/checkpoint"
 )
 
-// runN submits n jobs through the stub runner and waits for all of them.
+// runN runs n jobs through the stub runner, one at a time, so they finish
+// in submission order: retention ranks terminal jobs by finish time, and
+// the tests name the oldest by id.
 func runN(t *testing.T, s *Server, n int) []string {
 	t.Helper()
 	ids := make([]string, n)
@@ -23,10 +25,8 @@ func runN(t *testing.T, s *Server, n int) []string {
 			t.Fatal(err)
 		}
 		ids[i] = v.ID
-	}
-	for _, id := range ids {
-		if v := waitTerminal(t, s, id); v.State != StateDone {
-			t.Fatalf("job %s finished %s", id, v.State)
+		if final := waitTerminal(t, s, v.ID); final.State != StateDone {
+			t.Fatalf("job %s finished %s", v.ID, final.State)
 		}
 	}
 	return ids

@@ -320,14 +320,29 @@ func TestRetentionBoundsStateDir(t *testing.T) {
 
 	// Restart: the retained jobs (the 3 newest terminal ones) serve
 	// byte-identical output, the parked non-terminal jobs resume and finish.
+	// The resumed gate jobs are held until the listing is taken, so it sees
+	// them as the non-terminal jobs the kill left behind.
 	reg := metrics.NewRegistry()
-	srv, err := Open(Config{Dir: dir, Workers: 2, RetainCount: 3, Metrics: reg, Runner: gcKillCompletingRunner})
+	release := make(chan struct{})
+	held := func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
+		if spec.Client == "gate" {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return "", ctx.Err()
+			}
+		}
+		return gcKillCompletingRunner(ctx, spec, rc)
+	}
+	srv, err := Open(Config{Dir: dir, Workers: 2, RetainCount: 3, Metrics: reg, Runner: held})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { srv.Drain(); srv.Close() }()
+	views := srv.List()
+	close(release)
 	terminal, resumed := 0, 0
-	for _, v := range srv.List() {
+	for _, v := range views {
 		if v.State.Terminal() {
 			out, state, err := srv.Result(v.ID)
 			if err != nil || state != StateDone {

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"udwn/internal/checkpoint"
+	"udwn/internal/experiment"
 	"udwn/internal/metrics"
 )
 
@@ -25,16 +27,40 @@ func killSpecs() []Spec {
 	}
 }
 
+// stallAfterFirstCell wraps the production runner for the kill/restart
+// victim: each attempt forwards grid progress until its first committed
+// cell, reports on committed, then blocks in the progress callback until
+// the process dies. The grid reports a cell only after storing it, so the
+// cell is already in the journal when the attempt reports.
+func stallAfterFirstCell(committed chan<- struct{}) Runner {
+	inner := ExperimentRunner(2, 0, 1)
+	return func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
+		forward := rc.Progress
+		rc.Progress = func(p experiment.Progress) {
+			if forward != nil {
+				forward(p)
+			}
+			if p.Done > p.Failed {
+				committed <- struct{}{}
+				select {} // killed here
+			}
+		}
+		return inner(ctx, spec, rc)
+	}
+}
+
 // TestKillRestartHelper is the victim process of the SIGKILL differential
 // test: it opens a real daemon over the directory the parent provides,
-// submits four concurrent jobs, signals readiness, and runs until killed.
-// Only meaningful when re-executed by TestKillRestartResumesByteIdentical.
+// submits four concurrent jobs, signals readiness once every job has
+// committed a cell and stalled, and waits to be killed. Only meaningful when
+// re-executed by TestKillRestartResumesByteIdentical.
 func TestKillRestartHelper(t *testing.T) {
 	if os.Getenv("JOBS_KILL_HELPER") != "1" {
 		t.Skip("helper process for TestKillRestartResumesByteIdentical")
 	}
 	dir := os.Getenv("JOBS_KILL_DIR")
-	srv, err := Open(Config{Dir: dir, Workers: 4, GridWorkers: 2})
+	committed := make(chan struct{})
+	srv, err := Open(Config{Dir: dir, Workers: 4, GridWorkers: 2, Runner: stallAfterFirstCell(committed)})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
@@ -44,6 +70,9 @@ func TestKillRestartHelper(t *testing.T) {
 			fmt.Fprintln(os.Stderr, "helper submit:", err)
 			os.Exit(1)
 		}
+	}
+	for range killSpecs() {
+		<-committed
 	}
 	if err := os.WriteFile(filepath.Join(dir, "ready"), []byte("ok\n"), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
@@ -56,7 +85,8 @@ func TestKillRestartHelper(t *testing.T) {
 
 // TestKillRestartResumesByteIdentical is the acceptance test for crash-safe
 // resume: a real daemon process with four concurrent jobs is SIGKILLed
-// mid-grid; a new daemon over the same directory must (a) re-queue every
+// mid-grid, while every job is non-terminal with at least one committed
+// cell; a new daemon over the same directory must (a) re-queue every
 // non-terminal job, (b) finish them with zero recompute — every grid cell
 // is computed exactly once across both processes, asserted from the
 // checkpoint store's counters — and (c) produce output byte-identical to an
@@ -67,7 +97,8 @@ func TestKillRestartResumesByteIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Phase 1: run the victim and SIGKILL it once cells are committing.
+	// Phase 1: run the victim and SIGKILL it once every job has committed
+	// a cell and stalled.
 	cmd := exec.Command(os.Args[0], "-test.run=^TestKillRestartHelper$", "-test.v")
 	cmd.Env = append(os.Environ(), "JOBS_KILL_HELPER=1", "JOBS_KILL_DIR="+dir)
 	var helperOut bytes.Buffer
@@ -90,8 +121,6 @@ func TestKillRestartResumesByteIdentical(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Let the kill land amid genuinely concurrent grid work.
-	time.Sleep(30 * time.Millisecond)
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup runs
 		t.Fatal(err)
 	}

@@ -20,29 +20,27 @@ type Field struct {
 	space metric.Space
 	p     float64
 	zeta  float64
-	dMin  float64
 
 	// cache holds the dense n×n power matrix when the space is small enough
 	// to afford it; nil otherwise. Entry u*n+v is Power(u, v).
 	cache []float64
 	n     int
 
-	intZeta int  // ζ as an integer exponent, 0 if ζ is not integral
-	dynamic bool // true when distances may change (mobility); disables cache
+	intZeta int // ζ as an integer exponent, 0 if ζ is not integral
 }
+
+// dMin clamps distances from below to avoid infinite near-field power.
+const dMin = 1e-3
+
+// maxCacheNodes bounds the size of the precomputed power matrix; spaces with
+// more nodes compute powers on the fly.
+const maxCacheNodes = 2048
 
 // Options configures a Field.
 type Options struct {
-	// DMin clamps distances from below to avoid infinite near-field power.
-	// Zero selects a default of 1e-3.
-	DMin float64
 	// Dynamic marks the space as mutable (mobility); the power cache is
 	// disabled so queries always reflect current distances.
 	Dynamic bool
-	// MaxCacheNodes bounds the size of the precomputed power matrix; spaces
-	// with more nodes fall back to on-the-fly computation. Zero selects a
-	// default of 2048.
-	MaxCacheNodes int
 }
 
 // NewField returns a power field with transmit power p over space, using
@@ -54,24 +52,16 @@ func NewField(space metric.Space, p, zeta float64, opts Options) *Field {
 	if zeta <= 0 {
 		panic("pathloss: zeta must be positive")
 	}
-	if opts.DMin == 0 {
-		opts.DMin = 1e-3
-	}
-	if opts.MaxCacheNodes == 0 {
-		opts.MaxCacheNodes = 2048
-	}
 	f := &Field{
-		space:   space,
-		p:       p,
-		zeta:    zeta,
-		dMin:    opts.DMin,
-		n:       space.Len(),
-		dynamic: opts.Dynamic,
+		space: space,
+		p:     p,
+		zeta:  zeta,
+		n:     space.Len(),
 	}
 	if iz := int(zeta); float64(iz) == zeta && iz >= 1 && iz <= 8 {
 		f.intZeta = iz
 	}
-	if !opts.Dynamic && f.n <= opts.MaxCacheNodes {
+	if !opts.Dynamic && f.n <= maxCacheNodes {
 		f.buildCache()
 	}
 	return f
@@ -95,8 +85,8 @@ func (f *Field) compute(u, v int) float64 {
 	if d >= metric.Unreachable {
 		return 0
 	}
-	if d < f.dMin {
-		d = f.dMin
+	if d < dMin {
+		d = dMin
 	}
 	return f.p / powN(d, f.zeta, f.intZeta)
 }
@@ -151,8 +141,8 @@ func (f *Field) Row(u int) []float64 {
 
 // PowerAtDist returns the power received at quasi-distance d.
 func (f *Field) PowerAtDist(d float64) float64 {
-	if d < f.dMin {
-		d = f.dMin
+	if d < dMin {
+		d = dMin
 	}
 	return f.p / powN(d, f.zeta, f.intZeta)
 }
@@ -160,15 +150,6 @@ func (f *Field) PowerAtDist(d float64) float64 {
 // DistForPower returns the quasi-distance at which received power equals pw.
 func (f *Field) DistForPower(pw float64) float64 {
 	return math.Pow(f.p/pw, 1/f.zeta)
-}
-
-// Invalidate discards the power cache after the space mutated. Dynamic
-// fields have no cache, so this is only needed when a cached static field's
-// space is edited (e.g. in tests).
-func (f *Field) Invalidate() {
-	if f.cache != nil {
-		f.buildCache()
-	}
 }
 
 // SINRRange returns the maximum clear-channel communication distance in the

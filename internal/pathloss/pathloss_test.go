@@ -31,9 +31,10 @@ func TestPowerSelfZero(t *testing.T) {
 }
 
 func TestPowerNearFieldClamp(t *testing.T) {
-	f := NewField(twoNodeSpace(1e-9), 1, 2, Options{DMin: 0.5})
-	want := 1.0 / 0.25
-	if got := f.Power(0, 1); math.Abs(got-want) > 1e-12 {
+	// A pair closer than dMin receives the power at dMin.
+	f := NewField(twoNodeSpace(1e-9), 1, 2, Options{})
+	want := 1 / (dMin * dMin)
+	if got := f.Power(0, 1); math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("clamped Power = %v, want %v", got, want)
 	}
 }
@@ -54,7 +55,7 @@ func TestCacheMatchesCompute(t *testing.T) {
 	}
 	e := metric.NewEuclidean(pts)
 	cached := NewField(e, 2, 3, Options{})
-	uncached := NewField(e, 2, 3, Options{MaxCacheNodes: 1}) // force no cache
+	uncached := NewField(e, 2, 3, Options{Dynamic: true}) // no cache
 	for u := 0; u < 50; u++ {
 		for v := 0; v < 50; v++ {
 			if math.Abs(cached.Power(u, v)-uncached.Power(u, v)) > 1e-12 {
@@ -72,19 +73,6 @@ func TestDynamicFieldTracksSpace(t *testing.T) {
 	after := f.Power(0, 1)
 	if math.Abs(before-1) > 1e-12 || math.Abs(after-0.25) > 1e-12 {
 		t.Fatalf("dynamic field stale: before=%v after=%v", before, after)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	e := metric.NewEuclidean([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}})
-	f := NewField(e, 1, 2, Options{})
-	if math.Abs(f.Power(0, 1)-1) > 1e-12 {
-		t.Fatal("initial power wrong")
-	}
-	e.SetPoint(1, geom.Point{X: 2, Y: 0})
-	f.Invalidate()
-	if math.Abs(f.Power(0, 1)-0.25) > 1e-12 {
-		t.Fatal("Invalidate did not rebuild cache")
 	}
 }
 
@@ -207,7 +195,7 @@ func BenchmarkPowerUncached(b *testing.B) {
 	for i := range pts {
 		pts[i] = geom.Point{X: r.Range(0, 100), Y: r.Range(0, 100)}
 	}
-	f := NewField(metric.NewEuclidean(pts), 1, 3, Options{MaxCacheNodes: 1})
+	f := NewField(metric.NewEuclidean(pts), 1, 3, Options{Dynamic: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.Power(i%1024, (i+7)%1024)
@@ -226,8 +214,8 @@ func TestFieldAccessors(t *testing.T) {
 }
 
 func TestPowerAtDistClamp(t *testing.T) {
-	f := NewField(twoNodeSpace(1), 1, 2, Options{DMin: 0.5})
-	if got, want := f.PowerAtDist(0.001), 1/0.25; math.Abs(got-want) > 1e-12 {
+	f := NewField(twoNodeSpace(1), 1, 2, Options{})
+	if got, want := f.PowerAtDist(1e-4), 1/(dMin*dMin); math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("clamped PowerAtDist = %v, want %v", got, want)
 	}
 }

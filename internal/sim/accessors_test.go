@@ -79,9 +79,8 @@ func TestGenericNeighbourCacheBuild(t *testing.T) {
 }
 
 func TestSlotViewRadiusCache(t *testing.T) {
-	// Exercise the per-radius count cache of TransmittersWithin: two radii
-	// cached, a third falls back to the direct count, all matching a brute
-	// reference.
+	// TransmittersWithin on a hand-built view matches a brute count at
+	// three radii, with and without an excluded node.
 	e := metric.NewEuclidean(makePoints(8))
 	s, err := New(Config{
 		Space: e,
@@ -106,7 +105,7 @@ func TestSlotViewRadiusCache(t *testing.T) {
 		}
 		return c
 	}
-	for _, r := range []float64{1.5, 3, 6} { // third radius exceeds cache slots
+	for _, r := range []float64{1.5, 3, 6} {
 		for v := 0; v < 8; v++ {
 			for _, excl := range []int{-1, 0, 2, v} {
 				if got, want := vw.TransmittersWithin(v, r, excl), brute(v, r, excl); got != want {

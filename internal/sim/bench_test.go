@@ -121,9 +121,10 @@ func BenchmarkStepSparse4096Indexed(b *testing.B) {
 }
 
 // BenchmarkStepSparse4096Brute disables the spatial index on the identical
-// workload, forcing the listener-oriented O(n·|tx|) reception scan and the
-// O(|tx|·n) count vectors — the pre-index slot loop. The ratio of this pair
-// is the index speedup on sparse topologies.
+// workload, forcing the listener-oriented O(n·|tx|) reception scan — the
+// pre-index slot loop. Both variants count interferers with the same pass
+// over the channel's transmitters, so the ratio of this pair is the index
+// speedup of reception on sparse topologies.
 func BenchmarkStepSparse4096Brute(b *testing.B) {
 	s := sparseSim4096(b)
 	s.grid = nil

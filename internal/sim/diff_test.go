@@ -9,7 +9,6 @@ import (
 
 	"udwn/internal/geom"
 	"udwn/internal/metric"
-	"udwn/internal/metrics"
 	"udwn/internal/model"
 	"udwn/internal/rng"
 	"udwn/internal/workload"
@@ -314,8 +313,8 @@ func TestGridParallelRunsAgree(t *testing.T) {
 	}
 }
 
-// threeRadiusModel queries TransmittersWithin at three distinct radii,
-// deliberately overflowing the slot view's two-radius cache.
+// threeRadiusModel queries TransmittersWithin at three distinct radii per
+// decode candidate.
 type threeRadiusModel struct{ model.Model }
 
 func (m threeRadiusModel) Decodes(view model.View, u, v int) bool {
@@ -330,10 +329,8 @@ func (m threeRadiusModel) Decodes(view model.View, u, v int) bool {
 
 func (m threeRadiusModel) MaxDecodeRange() float64 { return 10 }
 
-// TestThirdRadiusFallback pins the visibility of the radius-cache fallback:
-// a three-radius model must produce identical grid/brute results, a non-zero
-// ViewRadiusFallbacks reading, and — only then — the lazily registered
-// "sim/view/radius_fallback" counter.
+// TestThirdRadiusFallback pins that a model querying three radii gets the
+// same histories from the grid-backed and the brute-scan simulation.
 func TestThirdRadiusFallback(t *testing.T) {
 	sc := diffScenario{n: 150, ticks: 80, seed: 31,
 		model: func(func() int) model.Model { return threeRadiusModel{model.NewUDG(10)} },
@@ -341,111 +338,6 @@ func TestThirdRadiusFallback(t *testing.T) {
 	if grid, brute := runDiff(t, sc, false), runDiff(t, sc, true); grid != brute {
 		t.Fatalf("three-radius histories diverge:\n%s", firstDiffLine(grid, brute))
 	}
-
-	reg := metrics.NewRegistry()
-	pts := workload.UniformDisc(150, workload.SideForDegree(150, 12, 10), 31)
-	s, err := New(Config{
-		Space: metric.NewEuclidean(pts),
-		Model: threeRadiusModel{model.NewUDG(10)},
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:    31,
-		Metrics: reg,
-	}, func(int) Protocol { return fixedProb(0.1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapshotHasCounter(reg, "sim/view/radius_fallback") {
-		t.Fatal("radius_fallback counter registered before any fallback occurred")
-	}
-	s.Run(80)
-	if s.ViewRadiusFallbacks() == 0 {
-		t.Fatal("three-radius model did not trigger the radius-cache fallback")
-	}
-	if !snapshotHasCounter(reg, "sim/view/radius_fallback") {
-		t.Fatal("radius_fallback counter not registered after fallbacks")
-	}
-	if got := reg.CounterValue("sim/view/radius_fallback"); got != s.ViewRadiusFallbacks() {
-		t.Fatalf("counter = %d, ViewRadiusFallbacks = %d", got, s.ViewRadiusFallbacks())
-	}
-
-	// Two-radius models must never register the counter (golden stability).
-	reg2 := metrics.NewRegistry()
-	s2, err := New(Config{
-		Space: metric.NewEuclidean(pts),
-		Model: model.NewUDG(10),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:    31,
-		Metrics: reg2,
-	}, func(int) Protocol { return fixedProb(0.1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Run(80)
-	if s2.ViewRadiusFallbacks() != 0 || snapshotHasCounter(reg2, "sim/view/radius_fallback") {
-		t.Fatal("two-radius model triggered the radius-cache fallback")
-	}
-}
-
-// TestRadiusFallbackSharedRegistry is the regression test for the lazily
-// registered fallback counter under concurrency: many cells (independent
-// sims sharing one run-level registry, as grid runs do) race their first
-// fallback, and registration must be idempotent — exactly one
-// "sim/view/radius_fallback" instrument, totalling the per-sim fallback
-// counts exactly. Run under -race in CI.
-func TestRadiusFallbackSharedRegistry(t *testing.T) {
-	reg := metrics.NewRegistry()
-	const cells = 8
-	var wg sync.WaitGroup
-	perSim := make([]int64, cells)
-	for w := 0; w < cells; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pts := workload.UniformDisc(150, workload.SideForDegree(150, 12, 10), uint64(31+w))
-			s, err := New(Config{
-				Space: metric.NewEuclidean(pts),
-				Model: threeRadiusModel{model.NewUDG(10)},
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-				Seed:    uint64(31 + w),
-				Metrics: reg,
-			}, func(int) Protocol { return fixedProb(0.1) })
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			s.Run(60)
-			perSim[w] = s.ViewRadiusFallbacks()
-		}(w)
-	}
-	wg.Wait()
-	var want int64
-	for w, v := range perSim {
-		if v == 0 {
-			t.Fatalf("cell %d triggered no fallbacks — race regression test is vacuous", w)
-		}
-		want += v
-	}
-	instruments := 0
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == "sim/view/radius_fallback" {
-			instruments++
-		}
-	}
-	if instruments != 1 {
-		t.Fatalf("radius_fallback registered %d times, want exactly 1", instruments)
-	}
-	if got := reg.CounterValue("sim/view/radius_fallback"); got != want {
-		t.Fatalf("shared counter = %d, sum of per-sim fallbacks = %d", got, want)
-	}
-}
-
-func snapshotHasCounter(r *metrics.Registry, name string) bool {
-	for _, c := range r.Snapshot().Counters {
-		if c.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // firstDiffLine locates the first line where two histories diverge.

@@ -14,14 +14,8 @@ type stepMetrics struct {
 	txPerSlot                         *metrics.Histogram
 	contention                        *metrics.Histogram
 
-	// reg backs lazy registration of instruments that must stay absent from
-	// snapshots until an event actually occurs (see noteRadiusFallback).
-	reg *metrics.Registry
-	// radiusFallback counts slot-view radius-cache misses; nil until the
-	// first miss registers it.
-	radiusFallback *metrics.Counter
 	// Spatial-index work counters; nil unless Config.IndexMetrics opted in.
-	idxTx, idxCand, idxCount, idxNbr *metrics.Counter
+	idxTx, idxCand, idxNbr *metrics.Counter
 	// Interference-engine work counters; nil unless Config.IndexMetrics
 	// opted in.
 	fldRebuild, fldSubset, fldSummed *metrics.Counter
@@ -50,12 +44,10 @@ func newStepMetrics(r *metrics.Registry, indexMetrics bool) *stepMetrics {
 		ntd:        r.Counter("sim/ntd"),
 		txPerSlot:  r.Histogram("sim/tx_per_slot", txPerSlotBounds...),
 		contention: r.Histogram("sim/contention", contentionBounds...),
-		reg:        r,
 	}
 	if indexMetrics {
 		m.idxTx = r.Counter("sim/index/tx_queries")
 		m.idxCand = r.Counter("sim/index/candidates")
-		m.idxCount = r.Counter("sim/index/count_queries")
 		m.idxNbr = r.Counter("sim/index/neighbor_queries")
 		m.fldRebuild = r.Counter("sim/field/rebuild_slots")
 		m.fldSubset = r.Counter("sim/field/subset_slots")
@@ -74,7 +66,6 @@ func (s *Sim) flushIndexStats() {
 	cur, prev := s.idx, s.idxFlushed
 	m.idxTx.Add(cur.TxQueries - prev.TxQueries)
 	m.idxCand.Add(cur.Candidates - prev.Candidates)
-	m.idxCount.Add(cur.CountQueries - prev.CountQueries)
 	m.idxNbr.Add(cur.NeighborQueries - prev.NeighborQueries)
 	s.idxFlushed = cur
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"udwn/internal/geom"
 	"udwn/internal/metric"
@@ -93,7 +92,7 @@ type Config struct {
 	// corruption; see the Injector interface and internal/faults).
 	Injector Injector
 	// IndexMetrics additionally registers the "sim/index/*" spatial-index
-	// work counters (transmitter queries, candidate enumerations, count and
+	// work counters (transmitter queries, candidate enumerations and
 	// neighbour queries) and the "sim/field/*" interference-engine outcome
 	// counters with Metrics. Off by default so existing registry snapshots
 	// keep their instrument set; the same numbers are always available
@@ -135,12 +134,13 @@ func (c Cancelled) String() string {
 
 // Sim is a running simulation. It is not safe for concurrent use.
 type Sim struct {
-	cfg   Config
-	n     int
-	field *pathloss.Field
-	th    sensing.Thresholds
-	rb    float64 // measurement neighbourhood radius, CommRadius(Eps)
-	rbAck float64 // ACK neighbourhood radius, CommRadius(SenseEps)
+	cfg    Config
+	n      int
+	field  *pathloss.Field
+	th     sensing.Thresholds
+	rb     float64 // measurement neighbourhood radius, CommRadius(Eps)
+	rbAck  float64 // ACK neighbourhood radius, CommRadius(SenseEps)
+	rNeigh float64 // max(rb, rbAck): the neighbour cache radius Phase 4 walks
 
 	alive      []bool
 	nodes      []Node
@@ -178,11 +178,9 @@ type Sim struct {
 	needPower bool
 
 	// idx accumulates spatial-index work counters; idxFlushed tracks what
-	// has already been exported to the metrics registry. viewFallbacks
-	// counts TransmittersWithin calls that exceeded the per-radius cache.
-	idx           IndexStats
-	idxFlushed    IndexStats
-	viewFallbacks int64
+	// has already been exported to the metrics registry.
+	idx        IndexStats
+	idxFlushed IndexStats
 
 	// Interference field (see field.go). demand[v] marks receiver v as
 	// summed this slot, demandList lists the marked receivers, and fieldAll
@@ -199,8 +197,8 @@ type Sim struct {
 	// out-of-range node id and were rejected as no-ops.
 	invalidOps int64
 
-	// neigh caches, per node, the out-neighbours within rbAck (the larger
-	// of the two radii); nil when the space is dynamic.
+	// neigh caches, per node, the out-neighbours within rNeigh; nil when
+	// the space is dynamic.
 	neigh [][]int32
 
 	// Measurements.
@@ -217,7 +215,8 @@ type Sim struct {
 	covered    []bool
 	firstCover []int32
 
-	// Scratch buffers reused across slots.
+	// Scratch buffers reused across slots. New sizes the per-node ones and
+	// makes one view per channel.
 	txBuf       []int
 	actedBuf    []int
 	totalPower  []float64
@@ -228,12 +227,11 @@ type Sim struct {
 	chanBuf     []int8
 	chanTx      [][]int
 	seizedBuf   []bool
-	msgBuf      []Message // message per transmitter id; valid where isTxBuf
-	isTxBuf     []bool    // transmitter membership this slot
-	nbrBuf      []int     // grid-backed forEachNeighbor scratch
-	massDelBuf  []int     // SlotEvent.MassDeliverers scratch (observer runs only)
-	decodersBuf []int     // SlotEvent.Decoders scratch (observer runs only)
-	views       []slotView
+	msgBuf      []Message  // message per transmitter id; valid where isTxBuf
+	isTxBuf     []bool     // transmitter membership this slot
+	massDelBuf  []int      // SlotEvent.MassDeliverers scratch (observer runs only)
+	decodersBuf []int      // SlotEvent.Decoders scratch (observer runs only)
+	views       []slotView // one per channel
 	obsBuf      Observation
 }
 
@@ -246,9 +244,6 @@ type IndexStats struct {
 	// Candidates is the number of candidate listeners those queries
 	// enumerated before filtering and decoding.
 	Candidates int64
-	// CountQueries is the number of grid-backed TransmittersWithin point
-	// counts the slot views resolved.
-	CountQueries int64
 	// NeighborQueries is the number of grid-backed forEachNeighbor
 	// enumerations (dynamic spaces only; static spaces use the cache).
 	NeighborQueries int64
@@ -325,6 +320,17 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		recvBuf:     make([][]Recv, n),
 		massBuf:     make([]bool, n),
 		massAckBuf:  make([]bool, n),
+		scaleBuf:    make([]float64, n),
+		chanBuf:     make([]int8, n),
+		chanTx:      make([][]int, cfg.Channels),
+		seizedBuf:   make([]bool, n),
+		msgBuf:      make([]Message, n),
+		isTxBuf:     make([]bool, n),
+		views:       make([]slotView, cfg.Channels),
+	}
+	s.rNeigh = math.Max(s.rb, s.rbAck)
+	for c := range s.views {
+		s.views[c].s = s
 	}
 	s.th = sensing.NewThresholds(cfg.P, cfg.Zeta, cfg.SenseEps, cfg.Model.R(), cfg.Model.Params())
 	if cfg.BusyScale > 0 {
@@ -336,6 +342,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 
 	for i := 0; i < n; i++ {
 		s.alive[i] = true
+		s.scaleBuf[i] = 1
 		s.nodes[i] = Node{ID: i, RNG: s.root.Fork(uint64(i))}
 		s.protos[i] = factory(i)
 		s.reporters[i], _ = s.protos[i].(ProbReporter)
@@ -396,33 +403,31 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 // therefore byte-identical, not merely approximately equal.
 const indexSlack = 1 + 1e-9
 
-// buildNeighbours precomputes directed out-neighbour lists at radius rbAck.
-// Distances are static whenever the space is, even under churn, so the cache
-// survives Kill/Revive; liveness is filtered at use time.
+// buildNeighbours precomputes directed out-neighbour lists at radius rNeigh,
+// through the spatial index when there is one. Distances are static whenever
+// the space is, even under churn, so the cache survives Kill/Revive;
+// liveness is filtered at use time.
 func (s *Sim) buildNeighbours() {
 	s.neigh = make([][]int32, s.n)
-	if e, ok := s.cfg.Space.(*metric.Euclidean); ok {
-		pts := make([]geom.Point, s.n)
-		for i := range pts {
-			pts[i] = e.Point(i)
+	add := func(u, v int) {
+		if v != u && s.cfg.Space.Dist(u, v) <= s.rNeigh {
+			s.neigh[u] = append(s.neigh[u], int32(v))
 		}
-		grid := geom.NewGrid(pts, s.rbAck)
-		buf := make([]int, 0, 64)
-		for u := 0; u < s.n; u++ {
-			buf = grid.Within(pts[u], s.rbAck, buf[:0])
-			for _, v := range buf {
-				if v != u {
-					s.neigh[u] = append(s.neigh[u], int32(v))
-				}
-			}
-		}
-		return
 	}
 	for u := 0; u < s.n; u++ {
-		for v := 0; v < s.n; v++ {
-			if v != u && s.cfg.Space.Dist(u, v) <= s.rbAck {
-				s.neigh[u] = append(s.neigh[u], int32(v))
+		if s.grid == nil {
+			for v := 0; v < s.n; v++ {
+				add(u, v)
 			}
+			continue
+		}
+		it := s.grid.IterWithin(s.euclid.Point(u), s.rNeigh*indexSlack)
+		for {
+			v, ok := it.Next()
+			if !ok {
+				break
+			}
+			add(u, v)
 		}
 	}
 }
@@ -560,7 +565,7 @@ func (s *Sim) MassDeliveries(v int) int { return int(s.massCount[v]) }
 func (s *Sim) TotalMassDeliveries() int64 { return s.totalMass }
 
 // Neighbors returns the alive out-neighbours of u at the measurement radius
-// R_B. The returned slice is freshly allocated.
+// R_B, in no particular order. The returned slice is freshly allocated.
 func (s *Sim) Neighbors(u int) []int {
 	var out []int
 	s.forEachNeighbor(u, s.rb, func(v int) {
@@ -576,15 +581,14 @@ func (s *Sim) NeighborCount(u int) int {
 	return c
 }
 
-// forEachNeighbor visits all alive v != u with d(u,v) <= r, using the cache
-// when available (the cache holds radius rbAck ≥ rb ≥ any r we query).
-// Dynamic Euclidean spaces have no cache but do have the live grid index:
-// candidates come from the index (inflated by indexSlack), pass the same
-// exact Dist check as the scan path, and are visited in ascending id order —
-// so membership and order match the brute scan exactly. fn must not call
-// forEachNeighbor reentrantly (shared scratch buffer).
+// forEachNeighbor visits all alive v != u with d(u,v) <= r, in no
+// particular order: callers fold the visits into a flag or a count, or
+// (Neighbors) return them unordered. Static spaces read the cache
+// (r ≤ rNeigh); dynamic Euclidean spaces query the live grid index,
+// inflated by indexSlack, and apply the same exact Dist check as the scan
+// path, so membership matches the scan exactly.
 func (s *Sim) forEachNeighbor(u int, r float64, fn func(v int)) {
-	if s.neigh != nil && r <= s.rbAck {
+	if s.neigh != nil && r <= s.rNeigh {
 		for _, v := range s.neigh[u] {
 			if s.alive[v] && s.cfg.Space.Dist(u, int(v)) <= r {
 				fn(int(v))
@@ -594,22 +598,16 @@ func (s *Sim) forEachNeighbor(u int, r float64, fn func(v int)) {
 	}
 	if s.grid != nil {
 		s.idx.NeighborQueries++
-		s.nbrBuf = s.nbrBuf[:0]
 		it := s.grid.IterWithin(s.euclid.Point(u), r*indexSlack)
 		for {
 			v, ok := it.Next()
 			if !ok {
-				break
+				return
 			}
 			if v != u && s.alive[v] && s.cfg.Space.Dist(u, v) <= r {
-				s.nbrBuf = append(s.nbrBuf, v)
+				fn(v)
 			}
 		}
-		slices.Sort(s.nbrBuf)
-		for _, v := range s.nbrBuf {
-			fn(v)
-		}
-		return
 	}
 	for v := 0; v < s.n; v++ {
 		if v != u && s.alive[v] && s.cfg.Space.Dist(u, v) <= r {
@@ -708,23 +706,3 @@ func (s *Sim) indexedRecv() bool { return s.grid != nil && s.maxDecode > 0 }
 
 // IndexStats returns the cumulative spatial-index work counters.
 func (s *Sim) IndexStats() IndexStats { return s.idx }
-
-// ViewRadiusFallbacks returns how many TransmittersWithin queries exceeded
-// the slot view's two-radius cache and fell back to a direct count. The
-// shipped models use at most two distinct radii, so a non-zero value flags
-// a model whose query pattern defeats the cache.
-func (s *Sim) ViewRadiusFallbacks() int64 { return s.viewFallbacks }
-
-// noteRadiusFallback records a TransmittersWithin radius-cache miss. The
-// "sim/view/radius_fallback" counter is registered lazily on first use so
-// runs that never fall back (all shipped models) keep their registry
-// snapshot instrument set unchanged.
-func (s *Sim) noteRadiusFallback() {
-	s.viewFallbacks++
-	if m := s.met; m != nil {
-		if m.radiusFallback == nil {
-			m.radiusFallback = m.reg.Counter("sim/view/radius_fallback")
-		}
-		m.radiusFallback.Inc()
-	}
-}

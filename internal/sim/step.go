@@ -2,177 +2,32 @@ package sim
 
 import "math"
 
-// slotView implements model.View over the current slot with the engine's
-// interference sums and lazily resolved within-radius transmitter counts.
-//
-// Two count paths exist. The scan path builds a full per-node count vector
-// per queried radius in one O(|tx|·n) pass — the only option for opaque
-// (non-Euclidean) spaces. The grid path answers each (node, radius) query
-// from the simulation's spatial index in O(local density), memoized per node
-// for the slot; Step enables it (useGrid) whenever the sim has a live grid.
-// Hand-built views (tests) leave useGrid false and exercise the scan path.
-// Both paths apply the exact Space.Dist comparison, so their counts are
-// identical.
+// slotView implements model.View over one channel of the current slot: tx
+// lists the channel's transmitters in ascending id order.
 type slotView struct {
 	s  *Sim
 	tx []int
-	// scale holds per-node transmission power scales (1 for unscaled).
-	scale []float64
-	// ch is the channel this view covers; transmitter-membership tests
-	// filter by it.
-	ch int8
-	// useGrid selects the spatial-index count path.
-	useGrid bool
-	// epoch is tick+1 while the view is live inside Step, 0 in hand-built
-	// views; it validates the per-node grid-count memo across slots.
-	epoch int64
-
-	// cntRadii registers the radii queried this slot; models use at most
-	// two distinct radii, so a tiny linear store beats a map.
-	cntRadii [2]float64
-	cntN     int
-	// vec holds the scan path's full count vectors, rebuilt in place.
-	vec [2][]int16
-	// cnt/cntTick memoize grid-path per-node counts; cntTick[i][v] == epoch
-	// marks cnt[i][v] valid for the current slot.
-	cnt     [2][]int32
-	cntTick [2][]int64
-}
-
-// reset re-arms a persistent view for the current slot.
-func (vw *slotView) reset(s *Sim, tx []int, ch int8, epoch int64) {
-	vw.s = s
-	vw.tx = tx
-	vw.scale = s.scaleBuf
-	vw.ch = ch
-	vw.useGrid = s.grid != nil
-	vw.epoch = epoch
-	vw.cntN = 0
 }
 
 func (vw *slotView) Transmitters() []int { return vw.tx }
 func (vw *slotView) Power(w, v int) float64 {
-	p := vw.s.field.Power(w, v)
-	if vw.scale != nil {
-		p *= vw.scale[w]
-	}
-	return p
+	return vw.s.field.Power(w, v) * vw.s.scaleBuf[w]
 }
 func (vw *slotView) Dist(u, v int) float64    { return vw.s.cfg.Space.Dist(u, v) }
 func (vw *slotView) TotalPower(v int) float64 { return vw.s.fieldAt(v) }
 
+// TransmittersWithin counts the channel's transmitters w ∉ {v, excluding}
+// with d(w, v) ≤ r. One pass over tx is the whole cost: the graph-based
+// models ask it once per decode candidate, and a slot holds few
+// transmitters per channel.
 func (vw *slotView) TransmittersWithin(v int, r float64, excluding int) int {
-	for i := 0; i < vw.cntN; i++ {
-		if vw.cntRadii[i] == r {
-			return vw.adjust(vw.countAt(i, v, r), v, r, excluding)
-		}
-	}
-	if vw.cntN < len(vw.cntRadii) {
-		i := vw.cntN
-		vw.cntRadii[i] = r
-		vw.cntN++
-		if !vw.useGrid {
-			vw.buildVec(i, r)
-		}
-		return vw.adjust(vw.countAt(i, v, r), v, r, excluding)
-	}
-	// Fallback: direct count. No shipped model queries a third radius, so
-	// hitting this is flagged (see ViewRadiusFallbacks).
-	vw.s.noteRadiusFallback()
 	n := 0
 	for _, w := range vw.tx {
-		if w == v || w == excluding {
-			continue
-		}
-		if vw.s.cfg.Space.Dist(w, v) <= r {
+		if w != v && w != excluding && vw.s.cfg.Space.Dist(w, v) <= r {
 			n++
 		}
 	}
 	return n
-}
-
-// countAt resolves the count of transmitters within registered radius slot i
-// of node v (self excluded).
-func (vw *slotView) countAt(i, v int, r float64) int {
-	if !vw.useGrid {
-		return int(vw.vec[i][v])
-	}
-	if vw.cnt[i] == nil {
-		vw.cnt[i] = make([]int32, vw.s.n)
-		vw.cntTick[i] = make([]int64, vw.s.n)
-	}
-	if vw.cntTick[i][v] == vw.epoch {
-		return int(vw.cnt[i][v])
-	}
-	c := vw.gridCount(v, r)
-	vw.cnt[i][v] = int32(c)
-	vw.cntTick[i][v] = vw.epoch
-	return c
-}
-
-// gridCount counts this channel's transmitters within r of v from the
-// spatial index: the index enumerates a superset (radius inflated by
-// indexSlack), the exact Dist comparison — the same one the scan path
-// evaluates — decides membership.
-func (vw *slotView) gridCount(v int, r float64) int {
-	s := vw.s
-	s.idx.CountQueries++
-	n := 0
-	it := s.grid.IterWithin(s.euclid.Point(v), r*indexSlack)
-	for {
-		w, ok := it.Next()
-		if !ok {
-			return n
-		}
-		if w != v && s.isTxBuf[w] && s.chanBuf[w] == vw.ch && s.cfg.Space.Dist(w, v) <= r {
-			n++
-		}
-	}
-}
-
-// buildVec rebuilds the scan path's count vector for radius slot i in place.
-func (vw *slotView) buildVec(i int, r float64) {
-	n := vw.s.n
-	if cap(vw.vec[i]) < n {
-		vw.vec[i] = make([]int16, n)
-	} else {
-		vw.vec[i] = vw.vec[i][:n]
-		for j := range vw.vec[i] {
-			vw.vec[i][j] = 0
-		}
-	}
-	counts := vw.vec[i]
-	for _, w := range vw.tx {
-		for v2 := 0; v2 < n; v2++ {
-			if v2 != w && vw.s.cfg.Space.Dist(w, v2) <= r {
-				counts[v2]++
-			}
-		}
-	}
-}
-
-func (vw *slotView) adjust(count, v int, r float64, excluding int) int {
-	if excluding >= 0 && excluding != v && vw.s.cfg.Space.Dist(excluding, v) <= r {
-		// Only subtract if the excluded node is actually transmitting.
-		if vw.isTransmitter(excluding) {
-			count--
-		}
-	}
-	return count
-}
-
-// isTransmitter reports whether w transmits on this view's channel. Inside
-// Step the per-slot flags answer in O(1); hand-built views scan their tx.
-func (vw *slotView) isTransmitter(w int) bool {
-	if vw.epoch != 0 {
-		return vw.s.isTxBuf[w] && vw.s.chanBuf[w] == vw.ch
-	}
-	for _, x := range vw.tx {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 // Step advances the simulation by one tick (one slot). With Config.Cancel
@@ -196,14 +51,6 @@ func (s *Sim) Step() {
 	nChan := s.cfg.Channels
 	s.actedBuf = s.actedBuf[:0]
 	s.txBuf = s.txBuf[:0]
-	if s.scaleBuf == nil {
-		s.scaleBuf = make([]float64, s.n)
-		s.chanBuf = make([]int8, s.n)
-		s.chanTx = make([][]int, nChan)
-		s.seizedBuf = make([]bool, s.n)
-		s.msgBuf = make([]Message, s.n)
-		s.isTxBuf = make([]bool, s.n)
-	}
 	for c := range s.chanTx {
 		s.chanTx[c] = s.chanTx[c][:0]
 	}
@@ -256,18 +103,8 @@ func (s *Sim) Step() {
 	if s.needPower {
 		s.fieldAdvance()
 	}
-	// One persistent view per channel; with a single channel this is the
-	// old single view.
-	if len(s.views) != nChan {
-		s.views = make([]slotView, nChan)
-	}
-	epoch := int64(s.tick) + 1
-	for c := 0; c < nChan; c++ {
-		tx := s.txBuf
-		if nChan > 1 {
-			tx = s.chanTx[c]
-		}
-		s.views[c].reset(s, tx, int8(c), epoch)
+	for c := range s.views {
+		s.views[c].tx = s.chanTx[c]
 	}
 
 	// Phase 3: receptions. Two equivalent drivers enumerate the same
@@ -332,41 +169,24 @@ func (s *Sim) Step() {
 	}
 
 	// Phase 4: ground-truth delivery per transmitter, at both the
-	// measurement radius R_B(Eps) and the ACK radius R_B(SenseEps).
+	// measurement radius R_B(Eps) and the ACK radius R_B(SenseEps), in one
+	// walk of the neighbourhood at the larger of the two.
 	for _, u := range s.txBuf {
 		mass, massAck := true, true
-		s.forEachNeighbor(u, s.rbAck, func(v int) {
-			got := false
+		s.forEachNeighbor(u, s.rNeigh, func(v int) {
 			for _, rc := range s.recvBuf[v] {
 				if rc.From == u {
-					got = true
-					break
+					return
 				}
 			}
-			if !got {
+			d := s.cfg.Space.Dist(u, v)
+			if d <= s.rb {
+				mass = false
+			}
+			if d <= s.rbAck {
 				massAck = false
-				if s.cfg.Space.Dist(u, v) <= s.rb {
-					mass = false
-				}
 			}
 		})
-		// If rb > rbAck (never with SenseEps <= Eps, but be safe), fall back
-		// to an explicit check at rb.
-		if s.rb > s.rbAck {
-			mass = true
-			s.forEachNeighbor(u, s.rb, func(v int) {
-				ok := false
-				for _, rc := range s.recvBuf[v] {
-					if rc.From == u {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					mass = false
-				}
-			})
-		}
 		s.massBuf[u] = mass
 		s.massAckBuf[u] = massAck
 		if mass {

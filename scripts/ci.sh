@@ -52,9 +52,10 @@ go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgr
 # against its canonical-sum oracle (demanded receivers bit-identical, every
 # other alive receiver certified idle and outside every decode cutoff; the
 # full scenario×hold-period matrix runs un-raced in the whole-suite pass
-# above), the certified-idle boundary pin, and the shared-registry
-# lazy-registration regression.
-go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestRadiusFallbackSharedRegistry' ./internal/sim
+# above), the certified-idle boundary pin, and the delivery-radius oracle
+# (Phase 4 mass and ACK delivery against a brute recount at both radii,
+# with the ACK radius above, at and below the measurement radius).
+go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestDeliveryRadiusOracle' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
 # race the crash/resume differential harness explicitly (short mode: one
 # abort point per experiment, still all 16 experiments × both worker counts).
