@@ -138,6 +138,28 @@ func TestGridHardCancelStopsInFlightCells(t *testing.T) {
 	}
 }
 
+// TestEveryRunnerHonoursHardCancel pins that every registered experiment
+// builds its simulators through Options.sim, so they poll the grid's cancel
+// hook: with the context cancelled on the first slot, a hard-cancelled run
+// must stop its in-flight cell before any cell completes.
+func TestEveryRunnerHonoursHardCancel(t *testing.T) {
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			o := QuickOptions()
+			o.Seeds, o.Workers = 1, 1
+			o.Context, o.HardCancel = ctx, true
+			o.Observer = func(sim.SlotEvent) { cancel() }
+			c := runExpectCancelled(t, func() { e.Run(o) })
+			if c.Done != 0 {
+				t.Fatalf("%v, want 0 completed cells", c)
+			}
+		})
+	}
+}
+
 // TestGridCellTimeoutDoesNotLeakGoroutines is the regression test for the
 // historical abandonment bug: a cell overrunning CellTimeout used to have
 // its goroutine left running forever. Cells now receive a context carrying

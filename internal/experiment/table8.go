@@ -91,30 +91,11 @@ func Table8Fading(o Options) fmt.Stringer {
 	return t
 }
 
-// coverageSim rebuilds the simulator with coverage tracking enabled.
+// coverageSim builds the LocalBcast simulator with coverage tracking enabled.
 func coverageSim(nw *udwn.Network, n int, seed uint64, tick *udwn.TickSource, o Options) *sim.Sim {
-	cfg := sim.Config{
-		Space:         nw.Space,
-		Model:         nw.Model,
-		P:             nw.PHY.Power(),
-		Zeta:          nw.PHY.Alpha,
-		Noise:         nw.PHY.Noise,
-		Eps:           nw.PHY.Eps,
-		Seed:          seed,
-		Primitives:    sim.CD | sim.ACK,
-		BusyScale:     nw.PHY.BusyScale,
-		AckScale:      nw.PHY.AckScale,
-		TrackCoverage: true,
-		Observer:      o.Observer,
-		Metrics:       o.Metrics,
-		IndexMetrics:  o.IndexMetrics,
-	}
-	s, err := sim.New(cfg, func(id int) sim.Protocol {
+	s := mustSim(nw, func(id int) sim.Protocol {
 		return core.NewLocalBcast(n, int64(id))
-	})
-	if err != nil {
-		panic(err)
-	}
+	}, o.sim(udwn.SimOptions{Seed: seed, Primitives: sim.CD | sim.ACK, TrackCoverage: true}))
 	if tick != nil {
 		tick.Bind(s)
 	}

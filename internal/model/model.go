@@ -48,21 +48,6 @@ type SuccClear struct {
 	Ic float64
 }
 
-// RangeLimiter is an optional Model extension declaring a hard geometric
-// cutoff on decoding: Decodes(view, u, v) is guaranteed false whenever
-// d(u, v) > MaxDecodeRange(), for any transmitter set and any interference,
-// at the model's nominal (unit) power scale. The simulator uses it to drive
-// reception transmitter-outward from a spatial index — each transmitter only
-// visits listeners inside the cutoff — so the bound must be exact, not
-// approximate: for graph-style models it is the defining connectivity radius,
-// and for SINR-style models it is the distance at which the bare signal drops
-// to the decode threshold over noise alone (beyond it the ratio test cannot
-// succeed even with zero interference). Power-scaled transmissions extend the
-// cutoff by scale^{1/ζ}, which the simulator applies on top.
-type RangeLimiter interface {
-	MaxDecodeRange() float64
-}
-
 // FieldOblivious is an optional Model extension declaring that Decodes never
 // consults View.TotalPower — the slot's aggregated interference field — only
 // per-pair powers and distances. When such a model runs without any
@@ -83,9 +68,19 @@ type Model interface {
 	// Decodes reports whether listener v (not transmitting) decodes
 	// transmitter u in the slot described by view.
 	Decodes(view View, u, v int) bool
-	// Neighbor reports whether v is a potential receiver of u on a clear
-	// channel, i.e. whether (u,v) can be a communication-graph edge.
-	Neighbor(dist float64) bool
+	// MaxDecodeRange returns a hard geometric cutoff on decoding:
+	// Decodes(view, u, v) is guaranteed false whenever d(u, v) >
+	// MaxDecodeRange(), for any transmitter set and any interference, at the
+	// model's nominal (unit) power scale; +Inf means no cutoff. The
+	// simulator uses a finite cutoff to drive reception transmitter-outward
+	// from a spatial index — each transmitter only visits listeners inside
+	// it — so the bound must be exact, not approximate: for graph-style
+	// models it is the defining connectivity radius, and for SINR-style
+	// models it is the distance at which the bare signal drops to the
+	// decode threshold over noise alone (beyond it the ratio test cannot
+	// succeed even with zero interference). Power-scaled transmissions
+	// extend the cutoff by scale^{1/ζ}, which the simulator applies on top.
+	MaxDecodeRange() float64
 	// CommRadius returns the dissemination neighbourhood radius R_B for
 	// precision eps: (1−eps)·R for fading models, whose maximum range is
 	// only achievable on a perfectly clear channel, and R for graph models,
@@ -139,9 +134,6 @@ func (s *SINR) Noise() float64 { return s.noise }
 
 // Params returns ρ_c = 0 and the App. B interference bound.
 func (s *SINR) Params() SuccClear { return SuccClear{RhoC: 0, Ic: s.ic} }
-
-// Neighbor reports dist <= R.
-func (s *SINR) Neighbor(dist float64) bool { return dist <= s.r }
 
 // CommRadius returns (1−eps)·R.
 func (s *SINR) CommRadius(eps float64) float64 { return (1 - eps) * s.r }
@@ -199,9 +191,6 @@ func (m *UDG) Params() SuccClear {
 	return SuccClear{RhoC: (m.commR + m.interfR) / m.commR, Ic: math.Inf(1)}
 }
 
-// Neighbor reports dist <= R.
-func (m *UDG) Neighbor(dist float64) bool { return dist <= m.commR }
-
 // CommRadius returns R: graph neighbourhoods are exact.
 func (m *UDG) CommRadius(float64) float64 { return m.commR }
 
@@ -254,11 +243,6 @@ func (m *QUDG) R() float64 { return m.innerR }
 func (m *QUDG) Params() SuccClear {
 	return SuccClear{RhoC: (m.innerR + m.outerR) / m.innerR, Ic: math.Inf(1)}
 }
-
-// Neighbor reports guaranteed connectivity (dist <= innerR); grey-zone
-// pairs are not neighbours in the communication graph the algorithms must
-// serve, matching the unified model's guarantee.
-func (m *QUDG) Neighbor(dist float64) bool { return dist <= m.innerR }
 
 // CommRadius returns the inner radius: guaranteed edges are exact.
 func (m *QUDG) CommRadius(float64) float64 { return m.innerR }
@@ -317,9 +301,6 @@ func (m *Protocol) Params() SuccClear {
 	return SuccClear{RhoC: (m.commR + m.interfR) / m.commR, Ic: math.Inf(1)}
 }
 
-// Neighbor reports dist <= R.
-func (m *Protocol) Neighbor(dist float64) bool { return dist <= m.commR }
-
 // CommRadius returns R: graph neighbourhoods are exact.
 func (m *Protocol) CommRadius(float64) float64 { return m.commR }
 
@@ -367,9 +348,6 @@ func (m *BIG) R() float64 { return 1 }
 func (m *BIG) Params() SuccClear {
 	return SuccClear{RhoC: m.interfHops + 1, Ic: math.Inf(1)}
 }
-
-// Neighbor reports dist <= 1 (graph adjacency).
-func (m *BIG) Neighbor(dist float64) bool { return dist <= 1 }
 
 // CommRadius returns 1: adjacency is exact.
 func (m *BIG) CommRadius(float64) float64 { return 1 }

@@ -242,31 +242,6 @@ func TestBIGModel(t *testing.T) {
 	}
 }
 
-func TestNeighborPredicates(t *testing.T) {
-	tests := []struct {
-		name string
-		m    Model
-		dist float64
-		want bool
-	}{
-		{"sinr in", NewSINR(8, 1, 1, 3, 0.1), 1.9, true},
-		{"sinr out", NewSINR(8, 1, 1, 3, 0.1), 2.1, false},
-		{"udg in", NewUDG(1), 1.0, true},
-		{"udg out", NewUDG(1), 1.01, false},
-		{"qudg grey not neighbor", NewQUDG(1, 2, func(float64) bool { return true }), 1.5, false},
-		{"protocol in", NewProtocol(1, 2), 0.9, true},
-		{"big adjacent", NewBIG(2), 1, true},
-		{"big non-adjacent", NewBIG(2), 2, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.m.Neighbor(tt.dist); got != tt.want {
-				t.Fatalf("Neighbor(%v) = %v, want %v", tt.dist, got, tt.want)
-			}
-		})
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"sinr p=0":         func() { NewSINR(0, 1, 1, 3, 0.1) },

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMaxDecodeRangeValues pins the declared decode cutoffs of every shipped
-// RangeLimiter model.
+// model.
 func TestMaxDecodeRangeValues(t *testing.T) {
 	sinr := NewSINR(1500, 1.5, 1, 3, 0.1)
 	if got, want := sinr.MaxDecodeRange(), pathloss.SINRRange(1500, 1.5, 1, 3); got != want {
@@ -43,7 +43,7 @@ func TestMaxDecodeRangeValues(t *testing.T) {
 	}
 }
 
-// TestDecodesFalseBeyondMaxDecodeRange verifies the RangeLimiter contract
+// TestDecodesFalseBeyondMaxDecodeRange verifies the MaxDecodeRange contract
 // under its hardest condition — a lone transmitter, zero interference: past
 // the declared cutoff Decodes must be false, which is what licenses the
 // simulator to skip those pairs entirely on the indexed reception path.
@@ -60,11 +60,7 @@ func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
 		NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7, tick),
 	}
 	for _, m := range models {
-		rl, ok := m.(RangeLimiter)
-		if !ok {
-			t.Fatalf("%s does not declare a decode cutoff", m.Name())
-		}
-		cutoff := rl.MaxDecodeRange()
+		cutoff := m.MaxDecodeRange()
 		for _, factor := range []float64{1 + 1e-9, 1.01, 1.5, 4} {
 			d := cutoff * factor
 			e := metric.NewEuclidean([]geom.Point{{X: 0, Y: 0}, {X: d, Y: 0}})

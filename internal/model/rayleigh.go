@@ -52,9 +52,6 @@ func (m *RayleighSINR) R() float64 { return m.base.R() }
 // Params returns the underlying SINR SuccClear parameters.
 func (m *RayleighSINR) Params() SuccClear { return m.base.Params() }
 
-// Neighbor uses the mean field, like the dissemination guarantees.
-func (m *RayleighSINR) Neighbor(dist float64) bool { return m.base.Neighbor(dist) }
-
 // CommRadius returns the mean-field (1−eps)·R.
 func (m *RayleighSINR) CommRadius(eps float64) float64 { return m.base.CommRadius(eps) }
 

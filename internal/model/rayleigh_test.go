@@ -83,9 +83,6 @@ func TestRayleighMetadata(t *testing.T) {
 	if m.CommRadius(0.1) >= m.R() {
 		t.Fatal("CommRadius must shrink")
 	}
-	if !m.Neighbor(1.9) || m.Neighbor(2.1) {
-		t.Fatal("Neighbor predicate wrong")
-	}
 }
 
 func TestRayleighPanicsWithoutTick(t *testing.T) {

@@ -167,8 +167,8 @@ type Sim struct {
 	grid   *geom.Grid
 	euclid *metric.Euclidean
 
-	// maxDecode is the model's hard decode cutoff (model.RangeLimiter), or 0
-	// when the model declares none; it gates the transmitter-outward
+	// maxDecode is the model's hard decode cutoff (Model.MaxDecodeRange), or
+	// 0 when the model declares none; it gates the transmitter-outward
 	// reception fast path in Step.
 	maxDecode float64
 
@@ -375,10 +375,8 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 			s.grid = geom.NewGrid(pts, cell)
 		}
 	}
-	if rl, ok := cfg.Model.(model.RangeLimiter); ok {
-		if r := rl.MaxDecodeRange(); r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r) {
-			s.maxDecode = r
-		}
+	if r := cfg.Model.MaxDecodeRange(); r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r) {
+		s.maxDecode = r
 	}
 	s.needPower = true
 	if fo, ok := cfg.Model.(model.FieldOblivious); ok && fo.FieldOblivious() &&

@@ -9,12 +9,12 @@
 //	frame*:  magic "UTF1" | uint32 payload len | uint32 CRC-32C | payload
 //	payload: uvarint event count | count × packed events
 //
-// Unless NoIndex is set, every data frame is preceded — in the same Write —
-// by an index frame ("UTI1", see index.go) summarising it, so queries can
-// seek past frames that cannot match. Index frames are advisory: the Reader
-// CRC-validates and skips them, decoding an indexed file into exactly the
-// event stream of an unindexed one. An index frame's CRC also covers its
-// magic, so a bit flip cannot morph one frame kind into the other undetected.
+// Every data frame is preceded — in the same Write — by an index frame
+// ("UTI1", see index.go) summarising it, so queries can seek past frames
+// that cannot match. Index frames are advisory: a plain read CRC-validates
+// and skips them, decoding an indexed file into exactly the event stream of
+// a pre-index one. An index frame's CRC also covers its magic, so a bit flip
+// cannot morph one frame kind into the other undetected.
 //
 // The framing discipline is the one proven in internal/checkpoint: each
 // frame is appended with a single Write call, so a crash (even SIGKILL)
@@ -93,10 +93,6 @@ type Binary struct {
 	ibuf       []byte // index payload assembly buffer, reused across flushes
 	summary    frameSummary
 	KeepSilent bool
-	// NoIndex suppresses index frames, producing the pre-index file layout
-	// (and the smallest possible file). Queries over such traces fall back
-	// to a full scan.
-	NoIndex bool
 }
 
 // NewBinary returns a recorder writing to w. Nothing reaches w until the
@@ -115,9 +111,7 @@ func (b *Binary) Record(ev sim.SlotEvent) {
 	}
 	b.n++
 	b.count++
-	if !b.NoIndex {
-		b.summary.observe(ev.Tick, ev.Transmitters, ev.MassDeliverers, ev.Decoders, ev.Decodes, ev.Seized)
-	}
+	b.summary.observe(ev.Tick, ev.Transmitters, ev.MassDeliverers, ev.Decoders, ev.Decodes, ev.Seized)
 	b.buf = appendEvent(b.buf, ev)
 	if len(b.buf) >= flushPayload {
 		b.flushFrame()
@@ -135,9 +129,9 @@ func (b *Binary) Frames() int64 { return b.frames }
 func (b *Binary) BytesWritten() int64 { return b.bytes }
 
 // flushFrame commits the pending events as one frame with a single Write
-// (preceded, the first time, by the file header, and — unless NoIndex — by
-// an index frame summarising this data frame, all in the same Write), so a
-// crash can tear at most this index/data pair.
+// (preceded, the first time, by the file header, and by an index frame
+// summarising this data frame, all in the same Write), so a crash can tear
+// at most this index/data pair.
 func (b *Binary) flushFrame() {
 	if b.err != nil || b.count == 0 {
 		return
@@ -152,19 +146,17 @@ func (b *Binary) flushFrame() {
 		out = append(out, fileMagic[:]...)
 		out = binary.LittleEndian.AppendUint64(out, SchemaHash())
 	}
-	if !b.NoIndex {
-		// The entry's offset is relative to the end of its index frame; the
-		// described data frame follows immediately, hence 0.
-		entry := b.summary.take(0, payloadLen, b.count)
-		b.ibuf = appendIndexPayload(b.ibuf[:0], []indexEntry{entry})
-		if len(b.ibuf) <= maxFramePayload {
-			out = append(out, indexMagic[:]...)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(b.ibuf)))
-			crc := crc32.Checksum(indexMagic[:], traceCRC)
-			crc = crc32.Update(crc, traceCRC, b.ibuf)
-			out = binary.LittleEndian.AppendUint32(out, crc)
-			out = append(out, b.ibuf...)
-		}
+	// The entry's offset is relative to the end of its index frame; the
+	// described data frame follows immediately, hence 0.
+	entry := b.summary.take(0, payloadLen, b.count)
+	b.ibuf = appendIndexPayload(b.ibuf[:0], []indexEntry{entry})
+	if len(b.ibuf) <= maxFramePayload {
+		out = append(out, indexMagic[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(b.ibuf)))
+		crc := crc32.Checksum(indexMagic[:], traceCRC)
+		crc = crc32.Update(crc, traceCRC, b.ibuf)
+		out = binary.LittleEndian.AppendUint32(out, crc)
+		out = append(out, b.ibuf...)
 	}
 	out = append(out, frameMagic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(payloadLen))
@@ -242,23 +234,46 @@ func appendIDs(buf []byte, ids []int) []byte {
 	return buf
 }
 
-// Reader streams events back out of a binary trace. It validates the header
-// eagerly (NewReader) and each frame's magic, length and CRC before
-// decoding, stopping at the first violation: Next then returns io.EOF and
-// Truncated reports whether anything was dropped. The longest valid frame
-// prefix is always recovered — a torn tail never poisons earlier frames and
-// never panics the reader.
+// Reader streams events back out of a binary trace; it is the only code
+// that walks the frame layout. It validates the header eagerly (NewReader)
+// and each frame's magic, length and CRC before decoding, stopping at the
+// first violation: Next then returns io.EOF and Truncated reports whether
+// anything was dropped. The longest valid frame prefix is always recovered —
+// a torn tail never poisons earlier frames and never panics the reader. A
+// read or seek error is not a torn tail: Next returns it.
+//
+// Query (query.go) arms a Reader over a seekable source with its
+// predicate's index test; the Reader then seeks past every data frame whose
+// index entry rules the predicate out, never reading it.
 type Reader struct {
 	r io.Reader
-	payloadDecoder
-	remaining int // events left in the current frame
+	// hdr is the header scratch, for the file header and then each frame
+	// header: a local array would escape into io.ReadFull and cost one
+	// allocation per frame.
+	hdr       [frameHeaderSize]byte
+	payload   []byte // the current frame's payload
+	pos       int    // decode position in payload
+	remaining int    // events left in the current frame
 	decoded   int
 	truncated bool
 	done      bool
+	err       error // read or seek failure, returned by Next once done
 	// lastIndex tracks whether the previous frame was an index frame: the
 	// writer emits each index frame in the same Write as the data frame it
 	// describes, so a stream that ends right after an index frame is torn.
 	lastIndex bool
+	off       int64 // offset of the next frame from the start of the trace
+
+	// seeker is the source when Open found it seekable, size its length
+	// from the trace start.
+	seeker io.Seeker
+	size   int64
+
+	// Query's plan; keep is nil on a plain read.
+	keep    func(*indexEntry) bool
+	entries []indexEntry // entries of the last index frame not yet matched
+	base    int64        // offset the entries are relative to: their index frame's end
+	st      *QueryStats  // receives the frame and byte counts; an index frame clears FullScan
 }
 
 // NewReader opens a binary trace. It fails with ErrEmptyTrace on an empty
@@ -266,8 +281,9 @@ type Reader struct {
 // stream tears inside the header, and *SchemaMismatchError on a schema hash
 // from a different event layout.
 func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [headerSize]byte
-	n, err := io.ReadFull(r, hdr[:])
+	tr := &Reader{r: r, off: headerSize}
+	hdr := tr.hdr[:headerSize]
+	n, err := io.ReadFull(r, hdr)
 	if err != nil {
 		switch {
 		case n == 0:
@@ -284,19 +300,23 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if got := binary.LittleEndian.Uint64(hdr[4:]); got != SchemaHash() {
 		return nil, &SchemaMismatchError{Got: got, Want: SchemaHash()}
 	}
-	return &Reader{r: r}, nil
+	return tr, nil
 }
 
 // Next returns the next event, or io.EOF at the end of the recoverable
 // prefix (clean end of trace or first torn/corrupt frame — see Truncated).
+// A failed read or seek of the source is returned in place of io.EOF.
 func (r *Reader) Next() (sim.SlotEvent, error) {
 	for {
 		if r.done {
+			if r.err != nil {
+				return sim.SlotEvent{}, r.err
+			}
 			return sim.SlotEvent{}, io.EOF
 		}
 		if r.remaining > 0 {
-			ev, ok := r.decodeEvent()
-			if !ok {
+			var ev sim.SlotEvent
+			if !r.decodeEvent(&ev) {
 				// CRC passed but the payload does not parse: treat the whole
 				// stream position as lost, like any other corrupt frame.
 				r.stop(true)
@@ -306,9 +326,7 @@ func (r *Reader) Next() (sim.SlotEvent, error) {
 			r.decoded++
 			return ev, nil
 		}
-		if !r.nextFrame() {
-			return sim.SlotEvent{}, io.EOF
-		}
+		r.nextFrame()
 	}
 }
 
@@ -326,122 +344,170 @@ func (r *Reader) stop(truncated bool) {
 	r.remaining = 0
 }
 
+// fail ends the stream on a failed read or seek of the frame at off:
+// running out of bytes tears the frame, any other error is kept for Next to
+// return.
+func (r *Reader) fail(off int64, err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		r.stop(true)
+		return
+	}
+	r.err = fmt.Errorf("trace: frame at offset %d: %w", off, err)
+	r.stop(false)
+}
+
 // nextFrame loads and validates the next data frame, skipping CRC-valid
-// index frames; false means end of stream (clean or truncated — r.truncated
-// distinguishes).
-func (r *Reader) nextFrame() bool {
+// index frames and the data frames the armed plan rules out. At the end of
+// the stream (clean or truncated — r.truncated distinguishes) or on an
+// error (r.err) it stops the reader.
+func (r *Reader) nextFrame() {
 	for {
-		var hdr [frameHeaderSize]byte
-		n, err := io.ReadFull(r.r, hdr[:])
+		n, err := io.ReadFull(r.r, r.hdr[:])
 		if err == io.EOF && n == 0 {
 			// A clean end of stream lands after a data frame; an index frame
 			// always has its data frame in the same Write, so ending on one
 			// means the pair was torn.
 			r.stop(r.lastIndex)
-			return false
+			return
 		}
 		if err != nil {
-			r.stop(true)
-			return false
+			r.fail(r.off, err)
+			return
 		}
-		isIndex := bytes.Equal(hdr[:4], indexMagic[:])
-		if !isIndex && !bytes.Equal(hdr[:4], frameMagic[:]) {
+		isIndex := bytes.Equal(r.hdr[:4], indexMagic[:])
+		if !isIndex && !bytes.Equal(r.hdr[:4], frameMagic[:]) {
 			r.stop(true)
-			return false
+			return
 		}
-		plen := binary.LittleEndian.Uint32(hdr[4:8])
+		plen := binary.LittleEndian.Uint32(r.hdr[4:8])
 		if plen == 0 || plen > maxFramePayload {
 			r.stop(true)
-			return false
+			return
+		}
+		frameOff := r.off
+		r.off += frameHeaderSize + int64(plen)
+		if !isIndex && r.keep != nil {
+			if e := r.entryFor(frameOff, int(plen)); e != nil && !r.keep(e) {
+				if r.off > r.size {
+					// A declared length past EOF is the torn-pair
+					// signature: the valid prefix ends here, as on a read.
+					r.stop(true)
+					return
+				}
+				if _, err := r.seeker.Seek(int64(plen), io.SeekCurrent); err != nil {
+					r.fail(frameOff, err)
+					return
+				}
+				r.st.FramesSkipped++
+				r.st.BytesSkipped += int64(plen)
+				r.lastIndex = false
+				continue
+			}
 		}
 		if cap(r.payload) < int(plen) {
 			r.payload = make([]byte, plen)
 		}
 		payload := r.payload[:plen]
 		if _, err := io.ReadFull(r.r, payload); err != nil {
-			r.stop(true)
-			return false
+			r.fail(frameOff, err)
+			return
 		}
-		want := binary.LittleEndian.Uint32(hdr[8:12])
+		want := binary.LittleEndian.Uint32(r.hdr[8:12])
 		if isIndex {
-			// Index frame CRCs cover the magic too (see index.go); entries
-			// are advisory, so a valid frame is simply skipped here.
+			// Index frame CRCs cover the magic too (see index.go).
 			crc := crc32.Checksum(indexMagic[:], traceCRC)
 			if crc32.Update(crc, traceCRC, payload) != want {
 				r.stop(true)
-				return false
+				return
 			}
 			r.payload = payload
 			r.lastIndex = true
+			if r.keep != nil {
+				// A malformed or newer-version payload yields no entries:
+				// the frames it covered are simply read.
+				r.entries, _ = decodeIndexPayload(payload)
+				r.base = r.off
+				r.st.BytesIndex += int64(plen)
+				r.st.FullScan = false
+			}
 			continue
 		}
 		if crc32.Checksum(payload, traceCRC) != want {
 			r.stop(true)
-			return false
+			return
 		}
 		count, n2 := binary.Uvarint(payload)
 		// Each packed event is at least 11 bytes of field varints, but 1 is a
 		// safe lower bound; an impossible count ends the valid prefix.
 		if n2 <= 0 || count > uint64(len(payload)-n2) {
 			r.stop(true)
-			return false
+			return
+		}
+		if r.st != nil {
+			r.st.FramesScanned++
+			r.st.BytesScanned += int64(plen)
 		}
 		r.payload = payload
 		r.pos = n2
 		r.remaining = int(count)
 		r.lastIndex = false
-		return true
+		return
 	}
 }
 
-// payloadDecoder unpacks packed events from one data-frame payload; shared
-// by the streaming Reader and the query executor (query.go).
-type payloadDecoder struct {
-	payload []byte
-	pos     int
+// entryFor returns the pending index entry describing the data frame at off
+// with payload length plen, dropping it and every entry before it; nil when
+// none fits, so a lying index only costs a read.
+func (r *Reader) entryFor(off int64, plen int) *indexEntry {
+	for i := range r.entries {
+		if e := &r.entries[i]; r.base+e.off == off && e.plen == plen {
+			r.entries = r.entries[i+1:]
+			return e
+		}
+	}
+	return nil
 }
 
-// decodeEvent unpacks one event from the current frame payload.
-func (r *payloadDecoder) decodeEvent() (sim.SlotEvent, bool) {
-	var ev sim.SlotEvent
+// decodeEvent unpacks one event from the current frame payload into ev.
+func (r *Reader) decodeEvent(ev *sim.SlotEvent) bool {
 	var ok bool
 	if ev.Tick, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.Slot, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.Transmitters, ok = r.ids(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.Decodes, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.MassDeliverers, ok = r.ids(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.CDBusy, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.CDIdle, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.Acks, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.NTDs, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.Decoders, ok = r.ids(); !ok {
-		return ev, false
+		return false
 	}
 	if ev.Seized, ok = r.uvarint(); !ok {
-		return ev, false
+		return false
 	}
-	return ev, true
+	return true
 }
 
-func (r *payloadDecoder) uvarint() (int, bool) {
+func (r *Reader) uvarint() (int, bool) {
 	v, n := binary.Uvarint(r.payload[r.pos:])
 	if n <= 0 || v > math.MaxInt64 {
 		return 0, false
@@ -452,7 +518,7 @@ func (r *payloadDecoder) uvarint() (int, bool) {
 
 // ids decodes a length-prefixed id list; a zero count yields nil, matching
 // the canonical (Canonicalize) representation.
-func (r *payloadDecoder) ids() ([]int, bool) {
+func (r *Reader) ids() ([]int, bool) {
 	count, n := binary.Uvarint(r.payload[r.pos:])
 	if n <= 0 {
 		return nil, false

@@ -92,33 +92,64 @@ type EventReader interface {
 var ErrHeaderOnly = errors.New("trace: binary trace holds a valid header but no events")
 
 // Open sniffs the trace format from the stream's first bytes (the binary
-// file magic, else JSONL) and returns a streaming reader over it. Degenerate
+// file magic, else JSONL) and returns a streaming reader over it. A source
+// that can seek is rewound after the sniff and read directly, so Query can
+// seek within it; any other stream is read through a buffer. Degenerate
 // inputs fail with typed errors instead of generic decode failures:
 // ErrEmptyTrace for a zero-byte stream, ErrTruncatedHeader for a binary
 // trace torn inside its header, and ErrHeaderOnly for a binary trace with a
 // valid header and no frames.
 func Open(r io.Reader) (EventReader, Format, error) {
-	br := bufio.NewReader(r)
 	// One byte past the header distinguishes a header-only binary trace
 	// (exactly headerSize bytes) from one with at least a partial frame.
-	head, err := br.Peek(headerSize + 1)
-	if err != nil && err != io.EOF {
+	head, r, size, err := peek(r, headerSize+1)
+	if err != nil {
 		return nil, "", fmt.Errorf("trace: sniff format: %w", err)
 	}
 	if len(head) == 0 {
 		return nil, "", ErrEmptyTrace
 	}
 	if bytes.HasPrefix(head, fileMagic[:]) || bytes.HasPrefix(fileMagic[:], head) {
-		tr, err := NewReader(br)
+		tr, err := NewReader(r)
 		if err != nil {
 			return nil, FormatBinary, err
 		}
 		if len(head) == headerSize {
 			return nil, FormatBinary, ErrHeaderOnly
 		}
+		if size >= 0 {
+			tr.seeker, tr.size = r.(io.Seeker), size
+		}
 		return tr, FormatBinary, nil
 	}
-	return NewJSONLReader(br), FormatJSONL, nil
+	return NewJSONLReader(r), FormatJSONL, nil
+}
+
+// peek returns up to n leading bytes of r (fewer only at end of stream) and
+// a reader that still yields them. A source that can seek is rewound and
+// returned itself, with its length from there; a pipe's Seek fails, so like
+// any stream it is read through a buffer, with length -1.
+func peek(r io.Reader, n int) ([]byte, io.Reader, int64, error) {
+	if rs, ok := r.(io.ReadSeeker); ok {
+		if start, err := rs.Seek(0, io.SeekCurrent); err == nil {
+			head := make([]byte, n)
+			m, err := io.ReadFull(rs, head)
+			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				return nil, nil, 0, err
+			}
+			end, err := rs.Seek(0, io.SeekEnd)
+			if err == nil {
+				_, err = rs.Seek(start, io.SeekStart)
+			}
+			return head[:m], rs, end - start, err
+		}
+	}
+	br := bufio.NewReader(r)
+	head, err := br.Peek(n)
+	if err == io.EOF {
+		err = nil
+	}
+	return head, br, -1, err
 }
 
 // ReadEvents decodes a whole trace of either format into memory (tests and

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"hash/crc32"
 	"io"
@@ -64,7 +65,10 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"seed_huge_len":      huge,
 		"seed_count_claim":   over,
 		"seed_jsonl":         []byte("{\"tick\":3,\"transmitters\":[1,2]}\n{\"tick\":4}\n"),
-		"seed_magic_only":    append([]byte(nil), fileMagic[:]...),
+		// Valid JSONL shorter than the binary header: Query must still
+		// read it as JSONL, as Open does.
+		"seed_jsonl_short": []byte("{\"tick\":1}\n"),
+		"seed_magic_only":  append([]byte(nil), fileMagic[:]...),
 	}
 }
 
@@ -102,6 +106,8 @@ func TestFuzzCorpusSeeds(t *testing.T) {
 // truncation report must match how the stream actually ended, and any event
 // sequence it accepts must survive a re-encode/decode round trip unchanged —
 // the decoder defines the format, so whatever it accepts must be expressible.
+// A match-everything query must agree with Open + Next: the same events,
+// truncation flag and typed error, and an error whenever Next fails.
 func FuzzTraceDecode(f *testing.F) {
 	for _, data := range fuzzSeeds(f) {
 		f.Add(data)
@@ -167,14 +173,43 @@ func FuzzTraceDecode(f *testing.F) {
 
 		// The auto-detector must classify or reject without panicking, and
 		// a stream it hands to the JSONL reader must fail cleanly at worst.
-		events, _, err := Open(bytes.NewReader(data))
-		if err != nil {
+		events, _, oerr := Open(bytes.NewReader(data))
+		qgot, st, qerr := QueryAll(bytes.NewReader(data), Predicate{})
+		if oerr != nil {
+			for _, typed := range []error{ErrEmptyTrace, ErrHeaderOnly, ErrTruncatedHeader, ErrNotBinary} {
+				if errors.Is(qerr, typed) != errors.Is(oerr, typed) {
+					t.Fatalf("Open: %v, Query: %v", oerr, qerr)
+				}
+			}
+			var osm, qsm *SchemaMismatchError
+			if errors.As(qerr, &qsm) != errors.As(oerr, &osm) || qerr == nil {
+				t.Fatalf("Open: %v, Query: %v", oerr, qerr)
+			}
 			return
 		}
-		for i := 0; i <= len(data); i++ {
-			if _, err := events.Next(); err != nil {
+		var want []sim.SlotEvent
+		for {
+			ev, nerr := events.Next()
+			if nerr == io.EOF {
 				break
 			}
+			if nerr != nil {
+				if qerr == nil {
+					t.Fatalf("Next: %v, but Query returned no error", nerr)
+				}
+				return
+			}
+			want = append(want, ev)
+		}
+		if qerr != nil {
+			t.Fatalf("Query: %v, but Next reached the end", qerr)
+		}
+		if !reflect.DeepEqual(Canonicalize(qgot), Canonicalize(want)) {
+			t.Fatalf("Query returned %d events, Next %d", len(qgot), len(want))
+		}
+		br, _ := events.(*Reader)
+		if torn := br != nil && br.Truncated(); st.Truncated != torn {
+			t.Fatalf("Query Truncated=%v, Reader %v", st.Truncated, torn)
 		}
 	})
 }

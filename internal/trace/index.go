@@ -24,8 +24,8 @@
 // match a real data frame (offset/length mismatch, torn tail) is ignored —
 // the frame is then decoded like any other. Readers that predate the index
 // (or that just stream events) skip index frames after validating their CRC,
-// so an indexed file decodes exactly like an unindexed one. A trace written
-// without index frames answers the same queries via full scan.
+// so an indexed file decodes exactly like an unindexed one. A trace in the
+// pre-index layout answers the same queries via full scan.
 package trace
 
 import (

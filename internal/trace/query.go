@@ -1,20 +1,18 @@
 // Query is the predicate-pushdown engine over recorded traces: filter a
 // trace by node set, tick window and event-kind predicates, decoding — and
 // for seekable indexed binary traces, even *reading* — only the frames that
-// can possibly match. The planner walks the frame stream, prunes data frames
-// whose index entries (index.go) rule the predicate out, and seeks past
-// their payloads; everything it does decode is CRC-checked and re-filtered
-// event by event, so a wrong or hostile index can only cost speed, never
-// correctness. JSONL traces, non-seekable streams and indexless binary
-// files answer the same queries through a full-scan fallback with identical
-// results.
+// can possibly match. The planner is a mode of the binary Reader, not a
+// second parser: Query hands the Reader its predicate's index test
+// (Predicate.candidate), and the Reader seeks past every data frame whose
+// index entry (index.go) rules the predicate out. Everything it does decode
+// is CRC-checked and re-filtered event by event, so a wrong or hostile index
+// can only cost speed, never correctness. JSONL traces, non-seekable streams
+// and pre-index binary files answer the same queries by a full scan with
+// identical results.
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"strconv"
@@ -327,25 +325,22 @@ func (st *QueryStats) AddTo(reg *metrics.Registry) {
 	}
 }
 
-// Query streams the events matching pred, in file order, to yield. When r
-// is an io.Seeker over an indexed binary trace the planner seeks past data
-// frames the index rules out; otherwise (JSONL, pipes, indexless files) it
-// degrades to a full scan with identical results. A torn tail ends the query
-// at the longest valid prefix (QueryStats.Truncated) rather than erroring; a
-// yield error aborts the query and is returned as-is.
+// Query streams the events matching pred, in file order, to yield. It is
+// one loop over the reader Open returns: when r can seek, a binary trace's
+// Reader seeks past the data frames its index rules out; otherwise (JSONL,
+// pipes, pre-index files) every frame is decoded, with identical results. A
+// torn tail ends the query at the longest valid prefix
+// (QueryStats.Truncated) rather than erroring; a yield error aborts the
+// query and is returned as-is.
 func Query(r io.Reader, pred Predicate, yield func(sim.SlotEvent) error) (QueryStats, error) {
-	if rs, ok := r.(io.ReadSeeker); ok {
-		return queryIndexed(rs, pred, yield)
-	}
-	return queryScan(r, pred, yield)
-}
-
-// queryScan is the fallback path: decode everything, filter per event.
-func queryScan(r io.Reader, pred Predicate, yield func(sim.SlotEvent) error) (QueryStats, error) {
-	st := QueryStats{FullScan: true}
 	er, _, err := Open(r)
 	if err != nil {
-		return st, err
+		return QueryStats{}, err
+	}
+	st := QueryStats{FullScan: true}
+	br, _ := er.(*Reader)
+	if br != nil && br.seeker != nil {
+		br.keep, br.st = pred.candidate, &st
 	}
 	for {
 		ev, err := er.Next()
@@ -363,171 +358,9 @@ func queryScan(r io.Reader, pred Predicate, yield func(sim.SlotEvent) error) (Qu
 			}
 		}
 	}
-	if tr, ok := er.(*Reader); ok {
-		st.Truncated = tr.Truncated()
+	if br != nil {
+		st.Truncated = br.Truncated()
 	}
-	return st, nil
-}
-
-// queryIndexed walks the frame stream of a seekable binary trace: index
-// frames are decoded into pending entries, and each data frame is either
-// proven irrelevant (seek past its payload without reading it) or read,
-// CRC-checked, decoded and filtered. Entries are matched to data frames by
-// position and payload length; an entry that fits no frame is dropped, so a
-// lying index degrades to a scan of the frames it covered.
-func queryIndexed(r io.ReadSeeker, pred Predicate, yield func(sim.SlotEvent) error) (QueryStats, error) {
-	var st QueryStats
-	size, err := r.Seek(0, io.SeekEnd)
-	if err != nil {
-		return st, fmt.Errorf("trace: query: size: %w", err)
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return st, fmt.Errorf("trace: query: rewind: %w", err)
-	}
-	var hdr [headerSize]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err != nil {
-		switch {
-		case n == 0:
-			return st, ErrEmptyTrace
-		case !bytes.HasPrefix(fileMagic[:], hdr[:min(n, len(fileMagic))]):
-			return st, ErrNotBinary
-		default:
-			return st, fmt.Errorf("trace: binary header: %d of %d bytes: %w", n, headerSize, ErrTruncatedHeader)
-		}
-	}
-	if !bytes.Equal(hdr[:4], fileMagic[:]) {
-		// Not a binary trace: JSONL has no frame index, rewind and scan.
-		if _, err := r.Seek(0, io.SeekStart); err != nil {
-			return st, fmt.Errorf("trace: query: rewind: %w", err)
-		}
-		return queryScan(r, pred, yield)
-	}
-	if got := binary.LittleEndian.Uint64(hdr[4:]); got != SchemaHash() {
-		return st, &SchemaMismatchError{Got: got, Want: SchemaHash()}
-	}
-	if size == headerSize {
-		return st, ErrHeaderOnly
-	}
-
-	pos := int64(headerSize)
-	sawIndex := false
-	lastIndex := false
-	// pending index entries from the last index frame; pendingBase is the
-	// file offset entry offsets are relative to (the index frame's end).
-	var pending []indexEntry
-	var pendingBase int64
-	var dec payloadDecoder
-	var fhdr [frameHeaderSize]byte
-	for pos < size {
-		if size-pos < frameHeaderSize {
-			st.Truncated = true
-			break
-		}
-		if _, err := io.ReadFull(r, fhdr[:]); err != nil {
-			return st, fmt.Errorf("trace: query: frame header at %d: %w", pos, err)
-		}
-		isIndex := bytes.Equal(fhdr[:4], indexMagic[:])
-		if !isIndex && !bytes.Equal(fhdr[:4], frameMagic[:]) {
-			st.Truncated = true
-			break
-		}
-		plen := int64(binary.LittleEndian.Uint32(fhdr[4:8]))
-		want := binary.LittleEndian.Uint32(fhdr[8:12])
-		if plen == 0 || plen > maxFramePayload || pos+frameHeaderSize+plen > size {
-			// A declared length past EOF is the torn-pair signature; the
-			// valid prefix ends here, exactly where Reader stops.
-			st.Truncated = true
-			break
-		}
-		if isIndex {
-			if cap(dec.payload) < int(plen) {
-				dec.payload = make([]byte, plen)
-			}
-			payload := dec.payload[:plen]
-			if _, err := io.ReadFull(r, payload); err != nil {
-				return st, fmt.Errorf("trace: query: index frame at %d: %w", pos, err)
-			}
-			crc := crc32.Checksum(indexMagic[:], traceCRC)
-			if crc32.Update(crc, traceCRC, payload) != want {
-				st.Truncated = true
-				break
-			}
-			st.BytesIndex += plen
-			pos += frameHeaderSize + plen
-			// A malformed or newer-version payload yields no entries: the
-			// frames it covered are simply scanned.
-			pending, _ = decodeIndexPayload(payload)
-			pendingBase = pos
-			sawIndex = true
-			lastIndex = true
-			continue
-		}
-		lastIndex = false
-
-		// Match the frame to a pending entry by position and length.
-		var entry *indexEntry
-		for i := range pending {
-			if pendingBase+pending[i].off == pos && int64(pending[i].plen) == plen {
-				entry = &pending[i]
-				pending = pending[i+1:]
-				break
-			}
-		}
-		framePos := pos
-		pos += frameHeaderSize + plen
-		if entry != nil && !pred.candidate(entry) {
-			if _, err := r.Seek(pos, io.SeekStart); err != nil {
-				return st, fmt.Errorf("trace: query: seek past frame at %d: %w", framePos, err)
-			}
-			st.FramesSkipped++
-			st.BytesSkipped += plen
-			continue
-		}
-		if cap(dec.payload) < int(plen) {
-			dec.payload = make([]byte, plen)
-		}
-		payload := dec.payload[:plen]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return st, fmt.Errorf("trace: query: frame at %d: %w", framePos, err)
-		}
-		if crc32.Checksum(payload, traceCRC) != want {
-			st.Truncated = true
-			break
-		}
-		count, n2 := binary.Uvarint(payload)
-		if n2 <= 0 || count > uint64(len(payload)-n2) {
-			st.Truncated = true
-			break
-		}
-		st.FramesScanned++
-		st.BytesScanned += plen
-		dec.payload = payload
-		dec.pos = n2
-		for i := uint64(0); i < count; i++ {
-			ev, ok := dec.decodeEvent()
-			if !ok {
-				st.Truncated = true
-				break
-			}
-			st.EventsScanned++
-			if pred.Match(ev) {
-				st.EventsMatched++
-				if err := yield(ev); err != nil {
-					return st, err
-				}
-			}
-		}
-		if st.Truncated {
-			break
-		}
-	}
-	if lastIndex {
-		// The writer emits each index frame in the same Write as its data
-		// frame; a stream ending on an index frame lost that frame's events.
-		st.Truncated = true
-	}
-	st.FullScan = !sawIndex
 	return st, nil
 }
 

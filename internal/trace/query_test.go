@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -206,30 +207,32 @@ func TestQueryScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryIndexlessFallback: a binary trace written with NoIndex (the
-// pre-index layout) must answer every query identically through the full
-// scan, flagged as such in the stats.
+// dropIndexFrames rewrites an indexed binary trace into the pre-index
+// layout: the header followed by its data frames alone.
+func dropIndexFrames(data []byte) []byte {
+	out := append([]byte(nil), data[:headerSize]...)
+	for off := headerSize; off < len(data); {
+		end := off + frameHeaderSize + int(binary.LittleEndian.Uint32(data[off+4:]))
+		if !bytes.Equal(data[off:off+4], indexMagic[:]) {
+			out = append(out, data[off:end]...)
+		}
+		off = end
+	}
+	return out
+}
+
+// TestQueryIndexlessFallback: a binary trace in the pre-index layout must
+// answer every query identically through the full scan, flagged as such in
+// the stats.
 func TestQueryIndexlessFallback(t *testing.T) {
 	events := Canonicalize(randomEvents(97, 400))
-	var buf bytes.Buffer
-	w := NewBinary(&buf)
-	w.NoIndex = true
-	for i, ev := range events {
-		w.Record(ev)
-		if (i+1)%50 == 0 {
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), indexMagic[:]) {
-		t.Fatal("NoIndex trace contains an index frame magic")
+	indexed, _ := encodeIndexed(t, events, 50)
+	data := dropIndexFrames(indexed)
+	if bytes.Contains(data, indexMagic[:]) {
+		t.Fatal("pre-index trace contains an index frame magic")
 	}
 	for _, pred := range queryPredicates(events) {
-		got, st, err := QueryAll(bytes.NewReader(buf.Bytes()), pred)
+		got, st, err := QueryAll(bytes.NewReader(data), pred)
 		if err != nil {
 			t.Fatalf("query %q: %v", pred.String(), err)
 		}

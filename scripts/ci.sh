@@ -58,8 +58,10 @@ go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgr
 go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestDeliveryRadiusOracle' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
 # race the crash/resume differential harness explicitly (short mode: one
-# abort point per experiment, still all 16 experiments × both worker counts).
-go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters' ./internal/experiment
+# abort point per experiment, still all 16 experiments × both worker counts),
+# and the hard-cancel contract of every runner (each experiment's simulators
+# poll the grid's cancel hook, so a cancelled cell stops at its next tick).
+go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestEveryRunnerHonoursHardCancel' ./internal/experiment
 # The trace layer's locked observer serializes concurrent grid workers into
 # one writer; race the whole package (includes the query/scan differential
 # suite TestQueryScanEquivalence) plus the suite-level differential tests
@@ -97,7 +99,8 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 10s ./int
 go test -timeout 5m -run '^$' -fuzz '^FuzzGridWithin$' -fuzztime 10s ./internal/geom
 # The binary trace decoder fronts files from killed runs and foreign
 # builds; fuzz it against arbitrary bytes (never panic, bounded allocation,
-# accepted decodes must round-trip).
+# accepted decodes must round-trip, and a match-everything Query must agree
+# with Open + Next on events, truncation and typed errors).
 go test -timeout 5m -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 10s ./internal/trace
 # The index-frame decoder and the query planner sit behind the same hostile
 # inputs; fuzz arbitrary payloads spliced as CRC-valid index frames (never
