@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
@@ -18,7 +19,9 @@ func bruteForceWithin(pts []Point, present []bool, q Point, r float64) []int {
 }
 
 // checkAgainstBrute compares Within and CountWithin to the brute scan for
-// every indexed point as the query plus one off-grid probe.
+// every indexed point as the query plus one off-grid probe, and requires
+// IterWithin's Dist2 to equal each yielded point's squared distance bit for
+// bit.
 func checkAgainstBrute(t *testing.T, g *Grid, pts []Point, present []bool, r float64) {
 	t.Helper()
 	queries := append([]Point(nil), pts...)
@@ -38,6 +41,12 @@ func checkAgainstBrute(t *testing.T, g *Grid, pts []Point, present []bool, r flo
 		}
 		if n := g.CountWithin(q, r); n != len(want) {
 			t.Fatalf("CountWithin(%v, %g) = %d, want %d", q, r, n, len(want))
+		}
+		it := g.IterWithin(q, r)
+		for id, ok := it.Next(); ok; id, ok = it.Next() {
+			if got, want := it.Dist2(), pts[id].Dist2(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("IterWithin(%v, %g): Dist2() = %v for id %d, want %v", q, r, got, id, want)
+			}
 		}
 	}
 }

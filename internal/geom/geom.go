@@ -182,6 +182,7 @@ type Iter struct {
 	cx, cy   int
 	cell     []int32
 	pos      int
+	d2       float64
 }
 
 // IterWithin returns an iterator over the present points within distance r
@@ -222,7 +223,8 @@ func (it *Iter) Next() (id int, ok bool) {
 		for it.pos < len(it.cell) {
 			cand := it.cell[it.pos]
 			it.pos++
-			if it.g.points[cand].Dist2(it.q) <= it.r2 {
+			if d2 := it.g.points[cand].Dist2(it.q); d2 <= it.r2 {
+				it.d2 = d2
 				return int(cand), true
 			}
 		}
@@ -238,6 +240,9 @@ func (it *Iter) Next() (id int, ok bool) {
 		it.pos = 0
 	}
 }
+
+// Dist2 returns the squared distance Next computed for the point it returned.
+func (it *Iter) Dist2() float64 { return it.d2 }
 
 // Within appends to dst the indices of all present points within distance r
 // of q (inclusive of points exactly at distance r) and returns the extended

@@ -84,7 +84,10 @@ type Model interface {
 	// CommRadius returns the dissemination neighbourhood radius R_B for
 	// precision eps: (1−eps)·R for fading models, whose maximum range is
 	// only achievable on a perfectly clear channel, and R for graph models,
-	// whose neighbourhoods are exact.
+	// whose neighbourhoods are exact. CommRadius(eps) ≤ MaxDecodeRange() for
+	// every eps in (0,1), so the simulator's reception walk, which decides
+	// delivery within R_B too, is no wider than the decode cutoff for an
+	// unattenuated transmission. Correctness does not depend on the bound.
 	CommRadius(eps float64) float64
 }
 
@@ -168,16 +171,27 @@ type UDG struct {
 var _ Model = (*UDG)(nil)
 
 // NewUDG returns a UDG model with communication and interference radius r.
-func NewUDG(r float64) *UDG { return &UDG{name: "udg", commR: r, interfR: r} }
+// It panics unless r > 0.
+func NewUDG(r float64) *UDG { return newUDG("udg", r, 1) }
 
 // NewUBG returns the unit-ball-graph variant (identical rule, reported under
-// its own name; the difference is the space it is used over).
-func NewUBG(r float64) *UDG { return &UDG{name: "ubg", commR: r, interfR: r} }
+// its own name; the difference is the space it is used over). It panics
+// unless r > 0.
+func NewUBG(r float64) *UDG { return newUDG("ubg", r, 1) }
 
 // NewKHop returns a k-hop interference variant: communication radius r,
-// interference radius k·r (k > 1 extends ρ_c as in App. B).
-func NewKHop(r float64, k float64) *UDG {
-	return &UDG{name: "khop", commR: r, interfR: k * r}
+// interference radius k·r (k > 1 extends ρ_c as in App. B). It panics
+// unless r > 0 and k >= 1: a smaller interference radius would let one
+// listener decode two transmitters in one slot.
+func NewKHop(r float64, k float64) *UDG { return newUDG("khop", r, k) }
+
+// newUDG panics on r ≤ 0, on a NaN r, under which Decodes would accept any
+// distance, and on a NaN k or k < 1.
+func newUDG(name string, r, k float64) *UDG {
+	if !(r > 0) || !(k >= 1) {
+		panic("model: " + name + " needs r > 0 and k >= 1")
+	}
+	return &UDG{name: name, commR: r, interfR: k * r}
 }
 
 // Name returns the model name.

@@ -249,6 +249,15 @@ func TestConstructorPanics(t *testing.T) {
 		"qudg outer<inner": func() { NewQUDG(2, 1, nil) },
 		"protocol bad":     func() { NewProtocol(2, 1) },
 		"big k=0":          func() { NewBIG(0) },
+		"udg r=0":          func() { NewUDG(0) },
+		"udg r<0":          func() { NewUDG(-1) },
+		"udg r=NaN":        func() { NewUDG(math.NaN()) },
+		"ubg r=0":          func() { NewUBG(0) },
+		"ubg r=NaN":        func() { NewUBG(math.NaN()) },
+		"khop r=0":         func() { NewKHop(0, 2) },
+		"khop r=NaN":       func() { NewKHop(math.NaN(), 2) },
+		"khop k<1":         func() { NewKHop(10, 0.5) },
+		"khop k=NaN":       func() { NewKHop(10, math.NaN()) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMaxDecodeRangeValues pins the declared decode cutoffs of every shipped
-// model.
+// model, and that no model's CommRadius exceeds its cutoff.
 func TestMaxDecodeRangeValues(t *testing.T) {
 	sinr := NewSINR(1500, 1.5, 1, 3, 0.1)
 	if got, want := sinr.MaxDecodeRange(), pathloss.SINRRange(1500, 1.5, 1, 3); got != want {
@@ -40,6 +40,16 @@ func TestMaxDecodeRangeValues(t *testing.T) {
 	}
 	if ray.MaxDecodeRange() <= ray.R() {
 		t.Fatal("Rayleigh MaxDecodeRange must exceed the mean-field range")
+	}
+	for _, m := range []Model{
+		sinr, NewUDG(7), NewUBG(7), NewKHop(7, 2), NewQUDG(4, 9, nil), NewQUDG(4, 9, grey),
+		NewProtocol(5, 11), NewBIG(2), ray,
+	} {
+		for _, eps := range []float64{0.05, 0.1, 0.3} {
+			if rb, cut := m.CommRadius(eps), m.MaxDecodeRange(); !(rb <= cut) {
+				t.Fatalf("%s: CommRadius(%v) = %v exceeds MaxDecodeRange %v", m.Name(), eps, rb, cut)
+			}
+		}
 	}
 }
 

@@ -55,9 +55,10 @@ func TestAdversaries(t *testing.T) {
 	}
 }
 
+// TestGenericNeighbourCacheBuild covers the one kind of space that builds
+// the neighbour cache: a static non-Euclidean one, whose scan driver's
+// delivery walk reads it. Euclidean spaces answer from the grid instead.
 func TestGenericNeighbourCacheBuild(t *testing.T) {
-	// A non-Euclidean static space exercises the O(n²) neighbour-cache
-	// fallback.
 	m := metric.NewMatrix(4, 100)
 	m.SetSym(0, 1, 1)
 	m.SetSym(1, 2, 1)
@@ -70,11 +71,26 @@ func TestGenericNeighbourCacheBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.neigh == nil {
+		t.Fatal("static non-Euclidean space built no neighbour cache")
+	}
 	if got := s.NeighborCount(1); got != 2 {
 		t.Fatalf("NeighborCount(1) = %d, want 2", got)
 	}
 	if got := s.NeighborCount(3); got != 0 {
 		t.Fatalf("NeighborCount(3) = %d, want 0", got)
+	}
+	e, err := New(Config{
+		Space: metric.NewEuclidean(makePoints(8)),
+		Model: model.NewSINR(8, 1, 1, 3, 0.1),
+		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		Seed: 1,
+	}, func(int) Protocol { return &scriptProto{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.neigh != nil || e.grid == nil {
+		t.Fatal("static Euclidean space must answer from its grid, without a neighbour cache")
 	}
 }
 

@@ -134,7 +134,8 @@ type diffScenario struct {
 // runDiff builds and runs one simulation for sc and returns its full
 // serialized history. disableGrid forces the brute-force scan paths after
 // construction (construction itself is shared, so both variants start from
-// bit-identical caches).
+// bit-identical path-loss caches; neither builds a neighbour cache, so the
+// scan variant's neighbourhoods come from the O(n) scan).
 func runDiff(t *testing.T, sc diffScenario, disableGrid bool) string {
 	return runDiffWatch(t, sc, disableGrid, nil)
 }
@@ -211,8 +212,8 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 	}
 	fmt.Fprintf(&log, "t %d %d %d\n", s.TotalTransmissions(), s.TotalMassDeliveries(), s.InvalidOps())
 	// Guard against a vacuous comparison: the grid variant must actually have
-	// used the index, for reception (injected runs included) and, in dynamic
-	// runs, for neighbourhood queries.
+	// used the index, for reception (injected runs included) and for the
+	// neighbourhood queries of coverage tracking.
 	if !disableGrid {
 		if got := s.IndexMode(); got != "grid" {
 			t.Fatalf("IndexMode = %q, want grid", got)
@@ -221,7 +222,7 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 		if st.TxQueries == 0 {
 			t.Fatal("indexed reception path was never exercised")
 		}
-		if sc.dynamic && st.NeighborQueries == 0 {
+		if st.NeighborQueries == 0 {
 			t.Fatal("grid-backed neighbour path was never exercised")
 		}
 	} else if got := s.IndexMode(); got != "scan" {

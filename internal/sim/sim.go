@@ -59,8 +59,8 @@ type Config struct {
 	// Adversary resolves under-specified outcomes; nil defaults to
 	// PessimisticAdversary.
 	Adversary Adversary
-	// Dynamic marks the space as mutable (mobility): power and neighbour
-	// caches are disabled so every slot reflects current distances.
+	// Dynamic marks the space as mutable (mobility): the path-loss cache (and
+	// any neighbour cache) is disabled so every slot reflects current distances.
 	Dynamic bool
 	// BusyScale scales the CD busy threshold. The paper's I_cd is "a
 	// constant" fixed by the analysis; the scale calibrates it (values < 1
@@ -140,7 +140,7 @@ type Sim struct {
 	th     sensing.Thresholds
 	rb     float64 // measurement neighbourhood radius, CommRadius(Eps)
 	rbAck  float64 // ACK neighbourhood radius, CommRadius(SenseEps)
-	rNeigh float64 // max(rb, rbAck): the neighbour cache radius Phase 4 walks
+	rNeigh float64 // max(rb, rbAck): the radius delivery is decided within
 
 	alive      []bool
 	nodes      []Node
@@ -197,8 +197,8 @@ type Sim struct {
 	// out-of-range node id and were rejected as no-ops.
 	invalidOps int64
 
-	// neigh caches, per node, the out-neighbours within rNeigh; nil when
-	// the space is dynamic.
+	// neigh caches, per node, the out-neighbours within rNeigh; built only
+	// for static spaces without a grid (see buildNeighbours).
 	neigh [][]int32
 
 	// Measurements.
@@ -245,7 +245,7 @@ type IndexStats struct {
 	// enumerated before filtering and decoding.
 	Candidates int64
 	// NeighborQueries is the number of grid-backed forEachNeighbor
-	// enumerations (dynamic spaces only; static spaces use the cache).
+	// enumerations; the indexed driver decides delivery without one.
 	NeighborQueries int64
 }
 
@@ -383,7 +383,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		!cfg.Primitives.Has(CD) && !cfg.Primitives.Has(ACK) {
 		s.needPower = false
 	}
-	if !cfg.Dynamic {
+	if !cfg.Dynamic && s.grid == nil {
 		s.buildNeighbours()
 	}
 	if cfg.Metrics != nil {
@@ -401,31 +401,17 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 // therefore byte-identical, not merely approximately equal.
 const indexSlack = 1 + 1e-9
 
-// buildNeighbours precomputes directed out-neighbour lists at radius rNeigh,
-// through the spatial index when there is one. Distances are static whenever
-// the space is, even under churn, so the cache survives Kill/Revive;
-// liveness is filtered at use time.
+// buildNeighbours precomputes, by an O(n²) scan, directed out-neighbour lists
+// at radius rNeigh for the scan driver's delivery walk on a static space
+// without a grid. The cache survives Kill/Revive: distances stay static under
+// churn, and liveness is filtered at use time.
 func (s *Sim) buildNeighbours() {
 	s.neigh = make([][]int32, s.n)
-	add := func(u, v int) {
-		if v != u && s.cfg.Space.Dist(u, v) <= s.rNeigh {
-			s.neigh[u] = append(s.neigh[u], int32(v))
-		}
-	}
 	for u := 0; u < s.n; u++ {
-		if s.grid == nil {
-			for v := 0; v < s.n; v++ {
-				add(u, v)
+		for v := 0; v < s.n; v++ {
+			if v != u && s.cfg.Space.Dist(u, v) <= s.rNeigh {
+				s.neigh[u] = append(s.neigh[u], int32(v))
 			}
-			continue
-		}
-		it := s.grid.IterWithin(s.euclid.Point(u), s.rNeigh*indexSlack)
-		for {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			add(u, v)
 		}
 	}
 }
@@ -581,10 +567,10 @@ func (s *Sim) NeighborCount(u int) int {
 
 // forEachNeighbor visits all alive v != u with d(u,v) <= r, in no
 // particular order: callers fold the visits into a flag or a count, or
-// (Neighbors) return them unordered. Static spaces read the cache
-// (r ≤ rNeigh); dynamic Euclidean spaces query the live grid index,
-// inflated by indexSlack, and apply the same exact Dist check as the scan
-// path, so membership matches the scan exactly.
+// (Neighbors) return them unordered. Static non-Euclidean spaces read the
+// cache (r ≤ rNeigh); Euclidean spaces query the live grid index, inflated
+// by indexSlack, and apply the same exact Dist check as the scan path, so
+// membership matches the scan exactly.
 func (s *Sim) forEachNeighbor(u int, r float64, fn func(v int)) {
 	if s.neigh != nil && r <= s.rNeigh {
 		for _, v := range s.neigh[u] {

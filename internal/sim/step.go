@@ -107,15 +107,14 @@ func (s *Sim) Step() {
 		s.views[c].tx = s.chanTx[c]
 	}
 
-	// Phase 3: receptions. Two equivalent drivers enumerate the same
-	// candidate pairs and apply the same reception rule (recv):
+	// Phase 3: receptions and delivery flags. Two equivalent drivers
+	// enumerate the same candidate pairs and apply the same reception rule:
 	//
-	// Indexed (transmitter-outward): each transmitter pushes to the
-	// listeners the spatial index finds inside its decodeCutoff. Beyond the
-	// cutoff Decodes is guaranteed false, so skipping those pairs changes
-	// nothing — not even injector calls, which only happen for pairs that
-	// decode. Iterating transmitters in ascending id keeps every recvBuf[v]
-	// in the same ascending-transmitter order the listener scan produces.
+	// Indexed (indexedWalk): each transmitter pushes to the listeners the
+	// spatial index finds inside its decodeCutoff. Beyond the cutoff Decodes
+	// is guaranteed false, so skipping those pairs changes nothing — not even
+	// injector calls, which only happen for pairs that decode. Ascending
+	// transmitter order keeps every recvBuf[v] in the listener scan's order.
 	//
 	// Scan (listener-oriented): every alive non-transmitting listener
 	// checks every same-channel transmitter. Used only when there is no
@@ -125,22 +124,7 @@ func (s *Sim) Step() {
 	}
 	if s.indexedRecv() {
 		for _, u := range s.txBuf {
-			cutoff := s.decodeCutoff(u)
-			uc := s.chanBuf[u]
-			vw := &s.views[uc]
-			s.idx.TxQueries++
-			it := s.grid.IterWithin(s.euclid.Point(u), cutoff*indexSlack)
-			for {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				s.idx.Candidates++
-				if v == u || s.isTxBuf[v] || s.chanBuf[v] != uc || !s.alive[v] {
-					continue
-				}
-				s.recv(vw, u, v)
-			}
+			s.indexedWalk(u)
 		}
 	} else {
 		for v := 0; v < s.n; v++ {
@@ -168,28 +152,14 @@ func (s *Sim) Step() {
 		}
 	}
 
-	// Phase 4: ground-truth delivery per transmitter, at both the
-	// measurement radius R_B(Eps) and the ACK radius R_B(SenseEps), in one
-	// walk of the neighbourhood at the larger of the two.
+	// Phase 4: delivery tally per transmitter. Its ground-truth flags, at
+	// the measurement radius R_B(Eps) and the ACK radius R_B(SenseEps), come
+	// from the indexed walk, or from scanDelivery on the scan driver.
 	for _, u := range s.txBuf {
-		mass, massAck := true, true
-		s.forEachNeighbor(u, s.rNeigh, func(v int) {
-			for _, rc := range s.recvBuf[v] {
-				if rc.From == u {
-					return
-				}
-			}
-			d := s.cfg.Space.Dist(u, v)
-			if d <= s.rb {
-				mass = false
-			}
-			if d <= s.rbAck {
-				massAck = false
-			}
-		})
-		s.massBuf[u] = mass
-		s.massAckBuf[u] = massAck
-		if mass {
+		if !s.indexedRecv() {
+			s.scanDelivery(u)
+		}
+		if s.massBuf[u] {
 			s.massCount[u]++
 			s.totalMass++
 			if s.firstMass[u] < 0 {
@@ -343,22 +313,81 @@ func (s *Sim) Step() {
 // a power notion); otherwise the model decides, and a frame that would
 // decode may still be lost to the injector. The loss is ground truth: the
 // frame never reaches v's protocol, so u's mass delivery and coverage miss v
-// this slot too.
-func (s *Sim) recv(vw *slotView, u, v int) {
+// this slot too. It reports whether v decoded u.
+func (s *Sim) recv(vw *slotView, u, v int) bool {
 	sc := s.scaleBuf[u]
 	if sc < 1 && s.cfg.Space.Dist(u, v) > math.Pow(sc, 1/s.cfg.Zeta)*s.cfg.Model.R() {
-		return
+		return false
 	}
 	if !s.cfg.Model.Decodes(vw, u, v) {
-		return
+		return false
 	}
 	if inj := s.cfg.Injector; inj != nil && inj.DropRecv(u, v, s.tick) {
-		return
+		return false
 	}
 	s.recvBuf[v] = append(s.recvBuf[v], Recv{
 		From: u,
 		Msg:  s.msgBuf[u],
 		RSS:  s.field.Power(u, v) * sc,
+	})
+	return true
+}
+
+// indexedWalk is the indexed driver's Phase 3 for transmitter u. Its walk is
+// at least rNeigh wide, so it also sets u's delivery flags: each alive
+// neighbour that did not decode u may clear them (missed).
+func (s *Sim) indexedWalk(u int) {
+	cutoff := s.decodeCutoff(u)
+	c2 := cutoff * indexSlack * (cutoff * indexSlack) // the walk's r² when it is cutoff wide
+	n2 := s.rNeigh * indexSlack * (s.rNeigh * indexSlack)
+	uc := s.chanBuf[u]
+	vw := &s.views[uc]
+	s.massBuf[u], s.massAckBuf[u] = true, true
+	open := true // a delivery flag of u is still set
+	s.idx.TxQueries++
+	it := s.grid.IterWithin(s.euclid.Point(u), math.Max(cutoff, s.rNeigh)*indexSlack)
+	for {
+		v, ok := it.Next()
+		if !ok {
+			return
+		}
+		d2 := it.Dist2()
+		if d2 <= c2 {
+			s.idx.Candidates++
+			if v != u && !s.isTxBuf[v] && s.chanBuf[v] == uc && s.alive[v] && s.recv(vw, u, v) {
+				continue
+			}
+		}
+		if open && d2 <= n2 && v != u && s.alive[v] {
+			open = s.missed(u, v)
+		}
+	}
+}
+
+// missed clears u's delivery flags for an alive neighbour v ≠ u that did not
+// decode u (mass within rb, ACK within rbAck); it reports whether one is set.
+func (s *Sim) missed(u, v int) bool {
+	d := s.cfg.Space.Dist(u, v)
+	if d <= s.rb {
+		s.massBuf[u] = false
+	}
+	if d <= s.rbAck {
+		s.massAckBuf[u] = false
+	}
+	return s.massBuf[u] || s.massAckBuf[u]
+}
+
+// scanDelivery sets u's delivery flags on the scan driver, in one walk of
+// u's neighbourhood at rNeigh for neighbours whose receipts lack u.
+func (s *Sim) scanDelivery(u int) {
+	s.massBuf[u], s.massAckBuf[u] = true, true
+	s.forEachNeighbor(u, s.rNeigh, func(v int) {
+		for _, rc := range s.recvBuf[v] {
+			if rc.From == u {
+				return
+			}
+		}
+		s.missed(u, v)
 	})
 }
 

@@ -53,8 +53,10 @@ go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgr
 # other alive receiver certified idle and outside every decode cutoff; the
 # full scenario×hold-period matrix runs un-raced in the whole-suite pass
 # above), the certified-idle boundary pin, and the delivery-radius oracle
-# (Phase 4 mass and ACK delivery against a brute recount at both radii,
-# with the ACK radius above, at and below the measurement radius).
+# (the indexed reception walk's mass and ACK delivery flags, and the scan
+# driver's neighbourhood walk, each against a brute recount at both radii,
+# with the ACK radius above, at and below the measurement radius, under
+# churn, mobility, power scales, two channels and dropped frames).
 go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestDeliveryRadiusOracle' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
 # race the crash/resume differential harness explicitly (short mode: one
@@ -92,9 +94,11 @@ go test -timeout 10m -run 'TestGCKillAtEveryStage|TestRetentionBoundsStateDir' .
 UDWND_SMOKE=1 go test -timeout 5m -run '^TestDaemonBinarySmoke$' ./internal/jobs
 
 # Native fuzz targets, 10 seconds each: the journal frame decoder against
-# arbitrary bytes, and the grid index against its brute-force oracle. The
-# committed corpora under testdata/fuzz replay as plain tests in the suites
-# above; here they seed short live fuzzing so CI keeps probing new inputs.
+# arbitrary bytes, and the grid index against its brute-force oracle (the
+# same members, and Iter.Dist2 bit-identical to each member's squared
+# distance). The committed corpora under testdata/fuzz replay as plain tests
+# in the suites above; here they seed short live fuzzing so CI keeps probing
+# new inputs.
 go test -timeout 5m -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 10s ./internal/checkpoint
 go test -timeout 5m -run '^$' -fuzz '^FuzzGridWithin$' -fuzztime 10s ./internal/geom
 # The binary trace decoder fronts files from killed runs and foreign
