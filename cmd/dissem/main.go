@@ -57,10 +57,9 @@ type flags struct {
 	svg      string
 
 	// Observability outputs (internal/metrics).
-	manifest     string
-	cpuprofile   string
-	memprofile   string
-	indexMetrics bool
+	manifest   string
+	cpuprofile string
+	memprofile string
 
 	// Fault injection (internal/faults); any non-zero rate arms the engine.
 	faultCrash float64
@@ -105,7 +104,6 @@ func parseFlags() flags {
 	flag.StringVar(&f.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl (reference, greppable) | binary (compact framed, for big runs)")
 	flag.StringVar(&f.svg, "svg", "", "render the outcome (completion-time heatmap) to this SVG file")
 	flag.StringVar(&f.manifest, "manifest", "", "write a JSON run manifest (config, metrics, counters) to this file")
-	flag.BoolVar(&f.indexMetrics, "index-metrics", false, "register the sim/index/* and sim/field/* work counters in the metric snapshot")
 	flag.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU pprof profile to this file")
 	flag.StringVar(&f.memprofile, "memprofile", "", "write a heap pprof profile to this file")
 	flag.Float64Var(&f.faultCrash, "fault-crash", 0, "per-tick crash probability (nodes restart after -fault-down ticks)")
@@ -142,12 +140,11 @@ func run() error {
 
 	reg := metrics.NewRegistry()
 	opts := udwn.SimOptions{
-		Seed:         f.seed,
-		Async:        f.async,
-		Primitives:   sim.CD | sim.ACK,
-		Dynamic:      f.walk > 0,
-		Metrics:      reg,
-		IndexMetrics: f.indexMetrics,
+		Seed:       f.seed,
+		Async:      f.async,
+		Primitives: sim.CD | sim.ACK,
+		Dynamic:    f.walk > 0,
+		Metrics:    reg,
 	}
 	var eng *faults.Engine
 	if spec := f.faultSpec(); spec.Enabled() {

@@ -92,9 +92,10 @@ func (r *Record) Key() Key { return KeyOf(r.Experiment, r.Label, r.Schema) }
 // Stats is a point-in-time view of one store session: the cache traffic
 // since Open, the store contents, and what recovery found.
 type Stats struct {
-	// Hits, Misses count Lookup outcomes; Stores counts Put commits and
-	// Errors counts failed Puts (the run continues, the cell is just not
-	// cached).
+	// Hits, Misses count store reads by Lookup and JoinFlight: a read that
+	// returned a committed record, and one that returned none. Stores
+	// counts Put commits and Errors counts failed Puts (the run continues,
+	// the cell is just not cached).
 	Hits, Misses, Stores, Errors int64
 	// Records is the number of distinct keys currently in the store.
 	Records int
@@ -337,23 +338,25 @@ func (s *Store) Compact(keep func(*Record) bool) (CompactStats, error) {
 	return st, nil
 }
 
-// JoinFlight coordinates concurrent computation of the cell addressed by k
-// — the in-flight counterpart of the finished-cell dedup Lookup provides.
-// It returns (rec, false) when a committed record exists, possibly after
-// blocking while another goroutine (the flight leader) computed it; and
-// (nil, true) when the caller has become the leader and must compute the
-// cell, then call LeaveFlight — via defer, so even a panicking computation
-// releases the waiters. A leader that resolves without committing a record
-// (failed or cancelled cell) promotes one waiter to leader, so the work is
-// retried, never lost. A nil ctx waits indefinitely; a ctx that fires
-// mid-wait returns (nil, false) — the caller computes on its own, losing
-// only the dedup.
+// JoinFlight reads the cell addressed by k and coordinates its concurrent
+// computation: it is the experiment grid's one store read per labelled
+// cell. It returns (rec, false) when a committed record exists, possibly
+// after blocking while another goroutine (the flight leader) computed it;
+// and (nil, true) when the caller has become the leader and must compute
+// the cell, then call LeaveFlight — via defer, so even a panicking
+// computation releases the waiters. A leader that resolves without
+// committing a record (failed or cancelled cell) promotes one waiter to
+// leader, so the work is retried, never lost. A nil ctx waits indefinitely;
+// a ctx that fires mid-wait returns (nil, false) — the caller computes on
+// its own, losing only the dedup. Each call counts one hit when it returns
+// a record (and a DedupHit too when it waited for it), else one miss.
 func (s *Store) JoinFlight(ctx context.Context, k Key) (*Record, bool) {
 	waited := false
 	for {
 		s.mu.Lock()
 		if rec, ok := s.recs[k]; ok {
 			s.mu.Unlock()
+			s.hits.Add(1)
 			if waited {
 				s.dedupHits.Add(1)
 			}
@@ -363,6 +366,7 @@ func (s *Store) JoinFlight(ctx context.Context, k Key) (*Record, bool) {
 		if !inflight {
 			s.flights[k] = make(chan struct{})
 			s.mu.Unlock()
+			s.misses.Add(1)
 			return nil, true
 		}
 		s.mu.Unlock()
@@ -377,6 +381,7 @@ func (s *Store) JoinFlight(ctx context.Context, k Key) (*Record, bool) {
 		select {
 		case <-ch:
 		case <-ctx.Done():
+			s.misses.Add(1)
 			return nil, false
 		}
 	}

@@ -11,7 +11,9 @@ import (
 // case: several concurrent runs of the same experiment share one checkpoint
 // store. The single-flight table must make them compute every cell exactly
 // once store-wide (Stores == distinct cells) while each run's rendered
-// output stays byte-identical to an isolated baseline.
+// output stays byte-identical to an isolated baseline. Each run reads each
+// cell from the store exactly once, and only the reads that found no record
+// computed a cell (Misses == Stores).
 func TestSingleFlightDedupAcrossConcurrentRuns(t *testing.T) {
 	e, ok := Lookup("table1")
 	if !ok {
@@ -55,6 +57,12 @@ func TestSingleFlightDedupAcrossConcurrentRuns(t *testing.T) {
 	st := shared.Stats()
 	if st.Stores != int64(cells) {
 		t.Errorf("%d Puts for %d distinct cells — single-flight failed to dedup concurrent computation", st.Stores, cells)
+	}
+	if st.Misses != st.Stores {
+		t.Errorf("misses=%d stores=%d — a read that found no record must be the read whose run computed the cell", st.Misses, st.Stores)
+	}
+	if got, want := st.Hits+st.Misses, int64(runs*cells); got != want {
+		t.Errorf("hits+misses = %d, want %d (each of %d runs reads each of %d cells once)", got, want, runs, cells)
 	}
 	if shared.Hash() != wantHash {
 		t.Error("shared store hash diverged from solo baseline")

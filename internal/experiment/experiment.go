@@ -23,11 +23,11 @@ type Options struct {
 	Seeds int
 	// Quick shrinks sizes for unit tests and smoke benches.
 	Quick bool
-	// Workers caps how many grid cells execute concurrently. Zero defaults
-	// to runtime.NumCPU(); 1 runs every cell sequentially in the calling
-	// goroutine (the historical behaviour). Results are byte-identical for
-	// every value — each cell is a pure function of its seeds and the merge
-	// order is fixed (see grid.go).
+	// Workers caps how many grid cells execute concurrently: the size of
+	// the grid's worker pool. Zero defaults to runtime.NumCPU(); 1 is a pool
+	// of one, which runs the cells one at a time in declaration order.
+	// Results are byte-identical for every value — each cell is a pure
+	// function of its seeds and the merge order is fixed (see grid.go).
 	Workers int
 	// CellTimeout is the per-cell deadline; a cell that overruns it is
 	// cancelled (abandoned) and marked FAILED instead of hanging the run.
@@ -51,11 +51,6 @@ type Options struct {
 	// byte-identical across Workers counts — pinned by
 	// TestMetricsWorkersDeterminism.
 	Metrics *metrics.Registry
-	// IndexMetrics opts the simulator's "sim/index/*" spatial-index and
-	// "sim/field/*" field-engine work counters into Metrics. Off by
-	// default: the counters are absent from the pinned snapshot goldens,
-	// and registering them only on request keeps those goldens stable.
-	IndexMetrics bool
 	// Observer, when non-nil, receives every simulator slot event of every
 	// grid cell (runners thread it through o.sim alongside Metrics). Cells
 	// run on concurrent worker goroutines, so callbacks may arrive
@@ -69,12 +64,12 @@ type Options struct {
 	// on worker goroutines and must be fast.
 	Progress func(Progress)
 	// Checkpoint, when non-nil, attaches a content-addressed cell-result
-	// store: the grid consults it before scheduling each labelled cell
-	// (hits replay the stored value, metrics snapshot and attempt count
-	// instead of running the cell) and appends every freshly computed cell
-	// as it completes. Results and manifests are byte-identical with or
-	// without a store, and across any interrupt/resume pattern — see
-	// grid.go and internal/checkpoint. FAILED cells are never stored.
+	// store: the grid reads it once for each labelled cell (hits replay the
+	// stored value, metrics snapshot and attempt count instead of running
+	// the cell) and appends every freshly computed cell as it completes.
+	// Results and manifests are byte-identical with or without a store, and
+	// across any interrupt/resume pattern — see grid.go and
+	// internal/checkpoint. FAILED cells are never stored.
 	Checkpoint *checkpoint.Store
 	// Context, when non-nil, scopes the whole grid run: once it is
 	// cancelled the scheduler stops dispatching new cells, lets (or, with
@@ -112,7 +107,6 @@ type Progress struct {
 // construct reports into the shared registry.
 func (o Options) sim(so udwn.SimOptions) udwn.SimOptions {
 	so.Metrics = o.Metrics
-	so.IndexMetrics = o.IndexMetrics
 	so.Observer = o.Observer
 	if o.Context != nil {
 		ctx := o.Context

@@ -16,7 +16,6 @@ import (
 	"udwn/internal/checkpoint"
 	"udwn/internal/metrics"
 	"udwn/internal/sim"
-	"udwn/internal/trace"
 )
 
 // This file is the parallel execution engine of the experiment suite.
@@ -25,8 +24,9 @@ import (
 // of their captured parameters — DESIGN.md §4 makes each simulation run a
 // pure function of (topology seed, run seed) — so the grid can be evaluated
 // in any order, on any number of workers, and still merge into the exact
-// same table or plot. Runners declare their cells in report order, the
-// scheduler fans them out, and Run returns the results indexed by
+// same table or plot. Runners declare their cells in report order, one
+// dispatch loop fans them out to a pool of worker goroutines (a pool of one
+// when Options.Workers is 1), and Run returns the results indexed by
 // declaration order regardless of completion order. Aggregation then happens
 // sequentially in the runner, so floating-point accumulation order (and
 // therefore the rendered output) is byte-identical for every worker count.
@@ -45,18 +45,20 @@ import (
 // the (row, seed) grid coordinates — retried within Options.Retries, and
 // finally recorded in the RunReport while every other cell completes. The
 // rendered output marks degraded cells as explicit FAILED(...) lines.
-// Without a Report, Run keeps the historical behaviour: it panics with the
-// lowest failing cell index, so even failures are deterministic.
+// Without a Report, Run keeps the historical behaviour: it starts no cell
+// above one that already failed and panics with the lowest failing cell
+// index, so even failures are deterministic.
 //
 // With Options.Checkpoint set the scheduler is additionally resumable: the
-// purity of cells makes their results perfectly cacheable, so before
-// scheduling a labelled cell the grid consults the content-addressed store
-// (key: experiment id, grid label, and a schema string covering the result
-// type shape and the options that scale cell values). A hit replays the
-// stored result, the cell's metrics snapshot and its original attempt
-// count — through the same declaration-order merge slots a live run uses —
-// and a miss runs the cell and appends it to the store the moment it
-// completes, so an interrupted sweep loses at most the cells in flight.
+// purity of cells makes their results perfectly cacheable, so the worker
+// that takes a labelled cell first reads the content-addressed store (key:
+// experiment id, grid label, and a schema string covering the result type
+// shape and the options that scale cell values). A hit replays the stored
+// result, the cell's metrics snapshot and its original attempt count into
+// the cell's declaration-order slot — registry merges are commutative, so
+// which worker replays a cell, and when, is unobservable — and a miss runs
+// the cell and appends it to the store the moment it completes, so an
+// interrupted sweep loses at most the cells in flight.
 // To attribute per-cell metrics exactly (a prerequisite for replay), each
 // checkpointed attempt runs against a private registry that is merged into
 // the shared one only on success; FAILED cells are never stored, keeping
@@ -134,13 +136,13 @@ func (f Failure) String() string {
 type RunReport struct {
 	mu       sync.Mutex
 	failures []Failure
-	counters *trace.Counters
+	counters *metrics.Counters
 	timings  []metrics.CellTiming
 }
 
 // NewRunReport returns an empty report.
 func NewRunReport() *RunReport {
-	return &RunReport{counters: trace.NewCounters()}
+	return &RunReport{counters: metrics.NewCounters()}
 }
 
 func (r *RunReport) add(f Failure) {
@@ -170,7 +172,7 @@ func (r *RunReport) Failures() []Failure {
 
 // Counters exposes the failure counters ("cell-panics", "cell-timeouts",
 // "cell-retries", "cell-recovered").
-func (r *RunReport) Counters() *trace.Counters { return r.counters }
+func (r *RunReport) Counters() *metrics.Counters { return r.counters }
 
 func (r *RunReport) addTiming(ct metrics.CellTiming) {
 	r.mu.Lock()
@@ -280,14 +282,14 @@ type cellCache struct {
 // everything besides (experiment, label) that determines a cell's value or
 // its stored instrumentation: the structural shape of T (stale shapes must
 // miss, not mis-decode), Quick (which rescales every cell), and whether
-// metrics — and the optional index counters — are being collected (which
-// changes what a record's snapshot must replay).
+// metrics are being collected (which changes what a record's snapshot must
+// replay).
 func newCellCache[T any](o Options) *cellCache {
 	if o.Checkpoint == nil {
 		return nil
 	}
-	schema := fmt.Sprintf("v1|quick=%t|metrics=%t|idx=%t|%s",
-		o.Quick, o.Metrics != nil, o.IndexMetrics,
+	schema := fmt.Sprintf("v1|quick=%t|metrics=%t|%s",
+		o.Quick, o.Metrics != nil,
 		checkpoint.SchemaOf(reflect.TypeOf((*T)(nil)).Elem()))
 	return &cellCache{store: o.Checkpoint, schema: schema}
 }
@@ -306,27 +308,17 @@ func recoverFail(p any) *cellFail {
 	return &cellFail{reason: firstLine(p), stack: string(debug.Stack())}
 }
 
-// attempt runs cell i once against co. With no deadline it runs inline;
-// with one, it runs in a goroutine raced against a timer. A cell that
-// overruns its deadline is cancelled from the scheduler's point of view —
-// the worker stops waiting and moves on — and, because co.Context carries
-// the same deadline, the cell's simulation panics sim.Cancelled at its next
-// tick, so the goroutine terminates instead of leaking. Its parked result
-// goes to a buffered channel nobody reads, so a late completion can never
-// race the merged results; cells that never consult the context (plain
-// closures) are merely abandoned, exactly the historical behaviour.
+// attempt runs cell i once against co, in its own goroutine raced against a
+// deadline timer; with no deadline the timer channel is nil and the worker
+// simply waits for the cell. A cell that overruns its deadline is cancelled
+// from the scheduler's point of view — the worker stops waiting and moves
+// on — and, because co.Context carries the same deadline, the cell's
+// simulation panics sim.Cancelled at its next tick, so the goroutine
+// terminates instead of leaking. Its parked result goes to a buffered
+// channel nobody reads, so a late completion can never race the merged
+// results; cells that never consult the context (plain closures) are merely
+// abandoned, exactly the historical behaviour.
 func (g *Grid[T]) attempt(i int, co Options, deadline time.Duration) (val T, fail *cellFail) {
-	if deadline <= 0 {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					fail = recoverFail(p)
-				}
-			}()
-			val = g.cells[i](co)
-		}()
-		return val, fail
-	}
 	type res struct {
 		val  T
 		fail *cellFail
@@ -342,12 +334,16 @@ func (g *Grid[T]) attempt(i int, co Options, deadline time.Duration) (val T, fai
 		}()
 		r.val = g.cells[i](co)
 	}()
-	t := time.NewTimer(deadline)
-	defer t.Stop()
+	var timeout <-chan time.Time
+	if deadline > 0 {
+		t := time.NewTimer(deadline)
+		defer t.Stop()
+		timeout = t.C
+	}
 	select {
 	case r := <-ch:
 		return r.val, r.fail
-	case <-t.C:
+	case <-timeout:
 		return val, &cellFail{
 			reason:  fmt.Sprintf("cell deadline %s exceeded", deadline),
 			timeout: true,
@@ -374,16 +370,18 @@ func heapAllocBytes() int64 {
 // budget is exhausted, nil on success. With a Report or Metrics configured
 // the cell's total cost (wall clock across all attempts, heap allocation
 // delta when a registry is attached) is recorded as a CellTiming and into
-// the "grid/cell" timer. With cc non-nil a successful labelled cell is
-// appended to the checkpoint store together with its private metrics
-// snapshot and attempt count.
+// the "grid/cell" timer. With cc non-nil a labelled cell is first served
+// from the checkpoint store when it holds the cell's record, and a
+// successfully computed one is appended to it together with its private
+// metrics snapshot and attempt count.
 func (g *Grid[T]) runCell(i int, o Options, cc *cellCache, out []T) *Failure {
 	if cc != nil && g.labels[i] != "" {
-		// Single-flight: when another goroutine — typically another job
-		// sharing the daemon's store — is computing this exact cell, wait
-		// for its committed record instead of duplicating the work. The
-		// leader computes below and resolves the flight on every exit path
-		// (deferred, so a panicking cell still releases its waiters); a
+		// The grid's only store read. A committed record — already in the
+		// store, or committed by another goroutine (typically another job
+		// sharing the daemon's store) that was computing this exact cell
+		// while we waited — is replayed. Otherwise this goroutine leads the
+		// flight: it computes below and resolves the flight on every exit
+		// path (deferred, so a panicking cell still releases its waiters); a
 		// leader that fails or is cancelled commits nothing, which promotes
 		// one waiter to recompute. A waiter whose run context fires during
 		// the wait falls through and computes on its own.
@@ -607,27 +605,24 @@ func (g *Grid[T]) runCellAttempts(i int, o Options, cc *cellCache, out []T) (*Fa
 	}, attempts, nil
 }
 
-// Run evaluates every cell on up to o.workers() concurrent workers and
-// returns the results in declaration order. With one worker the cells run
-// in the calling goroutine in declaration order — exactly the historical
-// sequential behaviour.
+// Run evaluates every cell and returns the results in declaration order.
+// One dispatch loop hands the cells, in declaration order, to a pool of
+// min(o.workers(), cells) worker goroutines — one worker is simply a pool
+// of one.
 //
 // With o.Report set the run is self-healing (see the file comment): failed
 // cells leave the zero T in their slot and are recorded in the report.
 // Without it, a failing cell panics Run with the cell index and the
 // original message; when several cells fail, the lowest index wins, so
-// even failures are deterministic.
+// even failures are deterministic, and no cell above a failed one starts.
 //
-// With o.Checkpoint set, labelled cells already present in the store are
-// replayed instead of scheduled (see the file comment) and fresh results
-// are appended as they complete; the merged output is byte-identical
-// either way.
+// With o.Checkpoint set, the worker that takes a labelled cell replays it
+// when the store holds its record (see the file comment) and otherwise
+// computes it and appends the result as it completes; the merged output is
+// byte-identical either way.
 func (g *Grid[T]) Run(o Options) []T {
 	out := make([]T, len(g.cells))
-	workers := o.workers()
-	if workers > len(g.cells) {
-		workers = len(g.cells)
-	}
+	workers := min(o.workers(), len(g.cells))
 	heal := o.Report != nil
 	cc := newCellCache[T](o)
 
@@ -648,13 +643,10 @@ func (g *Grid[T]) Run(o Options) []T {
 		progMu.Unlock()
 	}
 
-	// stopped reports run-level cancellation; once it fires the scheduler
-	// dispatches no further cells and Run ends in a Cancelled panic after
-	// the in-flight ones drain.
+	// stopped reports run-level cancellation; once it fires no further cell
+	// starts and Run ends in a Cancelled panic after the in-flight ones
+	// drain.
 	stopped := func() bool { return o.Context != nil && o.Context.Err() != nil }
-	raiseCancelled := func() {
-		panic(Cancelled{Experiment: o.Name, Done: done, Total: len(g.cells)})
-	}
 
 	// committed implements the test-only crash hook: cells that completed —
 	// run, replayed, or recorded as FAILED — count toward the abort
@@ -666,64 +658,35 @@ func (g *Grid[T]) Run(o Options) []T {
 			committed.Add(1) >= int64(o.abortAfterCells)
 	}
 
-	// fromStore consults the checkpoint for cell i, replaying it into its
-	// merge slot on a hit.
-	fromStore := func(i int) bool {
-		if cc == nil || g.labels[i] == "" {
-			return false
-		}
-		rec, ok := cc.store.Lookup(cc.key(o.Name, g.labels[i]))
-		return ok && g.replayCell(i, o, rec, out)
-	}
-
-	if workers <= 1 {
-		for i := range g.cells {
-			if stopped() {
-				raiseCancelled()
-			}
-			if fromStore(i) {
-				notify(false)
-				if abort() {
-					panic(gridAbort{committed: int(committed.Load())})
-				}
-				continue
-			}
-			f := g.runCell(i, o, cc, out)
-			if f != nil && f.cancelled {
-				raiseCancelled()
-			}
-			notify(f != nil)
-			if f != nil {
-				if !heal {
-					panic(fmt.Sprintf("experiment: grid cell %d: %s\n%s",
-						f.Cell, f.Reason, f.Stack))
-				}
-				o.Report.add(*f)
-			}
-			if abort() {
-				panic(gridAbort{committed: int(committed.Load())})
-			}
-		}
-		return out
-	}
-
 	var (
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		firstPan *Failure
 		aborted  atomic.Bool
 	)
+	// afterFailure reports whether cell i lies above a cell that already
+	// failed. Only a run without a Report records failures here, and only
+	// the lowest failing index decides its panic, so such a cell is skipped.
+	afterFailure := func(i int) bool {
+		panicMu.Lock()
+		defer panicMu.Unlock()
+		return firstPan != nil && i > firstPan.Cell
+	}
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
+				if aborted.Load() || stopped() || afterFailure(i) {
+					// The run stopped, or a lower cell already failed: the
+					// rest of the grid drains unstarted.
+					continue
+				}
 				f := g.runCell(i, o, cc, out)
 				if f != nil && f.cancelled {
-					// Run-level cancellation: the dispatcher observes the
-					// context and stops feeding idx; this cell simply
-					// produced nothing.
+					// Run-level cancellation: this cell simply produced
+					// nothing.
 					continue
 				}
 				notify(f != nil)
@@ -745,24 +708,8 @@ func (g *Grid[T]) Run(o Options) []T {
 			}
 		}()
 	}
-	dispatched := 0
 	for i := range g.cells {
-		if aborted.Load() || stopped() {
-			break
-		}
-		// Store hits are replayed on the dispatcher, serialising their
-		// registry merges and progress callbacks in declaration order;
-		// only genuine misses are fanned out.
-		if fromStore(i) {
-			dispatched++
-			notify(false)
-			if abort() {
-				aborted.Store(true)
-			}
-			continue
-		}
 		idx <- i
-		dispatched++
 	}
 	close(idx)
 	wg.Wait()
@@ -773,10 +720,10 @@ func (g *Grid[T]) Run(o Options) []T {
 	if aborted.Load() {
 		panic(gridAbort{committed: int(committed.Load())})
 	}
-	// A context that fired only after every cell was dispatched and
-	// completed interrupts nothing: the run is whole, return it.
-	if stopped() && (dispatched < len(g.cells) || done < len(g.cells)) {
-		raiseCancelled()
+	// A context that fired only after every cell completed interrupts
+	// nothing: the run is whole, return it.
+	if stopped() && done < len(g.cells) {
+		panic(Cancelled{Experiment: o.Name, Done: done, Total: len(g.cells)})
 	}
 	return out
 }

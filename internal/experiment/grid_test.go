@@ -82,13 +82,16 @@ func TestGridEmptyAndSingle(t *testing.T) {
 }
 
 // A panicking cell must panic Run with the lowest failing cell index, so
-// failures are deterministic regardless of scheduling.
+// failures are deterministic regardless of scheduling, and a pool of one
+// starts no cell after the first failure.
 func TestGridPanicPropagation(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var g Grid[int]
+		var ran atomic.Int64
 		for i := 0; i < 16; i++ {
 			i := i
 			g.Add(func(Options) int {
+				ran.Add(1)
 				if i == 3 || i == 12 {
 					panic("boom")
 				}
@@ -104,6 +107,11 @@ func TestGridPanicPropagation(t *testing.T) {
 				msg, ok := r.(string)
 				if !ok || !strings.Contains(msg, "grid cell 3: boom") {
 					t.Fatalf("workers=%d: wrong panic: %v", workers, r)
+				}
+				// One worker takes the cells in order, so nothing above
+				// the first failure starts.
+				if n := ran.Load(); workers == 1 && n != 4 {
+					t.Fatalf("workers=1: %d cells ran, want 4", n)
 				}
 			}()
 			g.Run(Options{Workers: workers})

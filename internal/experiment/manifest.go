@@ -21,7 +21,6 @@ func BuildManifest(ids []string, o Options, report *RunReport, wall time.Duratio
 	m.SetConfig("workers", o.Workers)
 	m.SetConfig("retries", o.Retries)
 	m.SetConfig("cell-timeout", o.CellTimeout)
-	m.SetConfig("index-metrics", o.IndexMetrics)
 	m.WallNs = int64(wall)
 	if o.Metrics != nil {
 		m.Metrics = o.Metrics.Snapshot()

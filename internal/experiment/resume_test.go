@@ -168,17 +168,19 @@ func TestCheckpointParallelWriters(t *testing.T) {
 // Property: cache hits never reorder the declaration-order merge. Random
 // subsets of a grid are pre-stored with the exact content addresses a live
 // run would use; the mixed hit/miss run must still return every cell in its
-// declared slot, with the store serving exactly the prefilled cells.
+// declared slot, with the store serving exactly the prefilled cells. Trials
+// alternate one worker and eight, so replays on a pool of one are pinned
+// too.
 func TestCacheHitsPreserveDeclarationOrder(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		store, err := checkpoint.Create(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := Options{
-			Workers:    8,
+			Workers:    []int{1, 8}[trial%2],
 			Name:       "order",
 			Metrics:    metrics.NewRegistry(),
 			Report:     NewRunReport(),

@@ -26,8 +26,8 @@ type Config struct {
 	Dir string
 	// Workers is the number of jobs executing concurrently (default 2).
 	Workers int
-	// GridWorkers caps concurrent cells inside each job's grid (default 1;
-	// job-level parallelism already fills the pool).
+	// GridWorkers sizes the worker pool inside each job's grid (default 1,
+	// one cell at a time; job-level parallelism already fills the pool).
 	GridWorkers int
 	// QueueDepth bounds the number of jobs waiting for a worker; beyond
 	// it submissions shed with ErrBusy (default 64).

@@ -10,9 +10,8 @@ import (
 // Names order counters alphabetically, so rendered counter lines are
 // deterministic regardless of registration (and hence scheduling) order.
 //
-// It is a thin view over a Registry — the historical trace.Counters type is
-// now an alias of this one, so fault-engine counts, grid failure counters
-// and CLI run manifests all share one metrics spine.
+// It is a thin view over a Registry, so fault-engine counts, grid failure
+// counters and CLI run manifests all share one metrics spine.
 type Counters struct {
 	r *Registry
 }

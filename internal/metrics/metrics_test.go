@@ -149,8 +149,7 @@ func TestTimerTime(t *testing.T) {
 }
 
 func TestCountersCompat(t *testing.T) {
-	// The legacy Counters surface (now backing trace.Counters) keeps its
-	// historical rendering contract.
+	// The Counters surface keeps its historical rendering contract.
 	c := NewCounters()
 	if c.String() != "" {
 		t.Fatalf("empty set renders %q, want \"\"", c.String())

@@ -51,7 +51,7 @@ func BenchmarkStepUninstrumented(b *testing.B) {
 
 func BenchmarkStepInstrumented(b *testing.B) {
 	s := benchSim(b, 1024, 1.0/256, CD|ACK)
-	s.met = newStepMetrics(metrics.NewRegistry(), false)
+	s.met = newStepMetrics(metrics.NewRegistry())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()

@@ -37,8 +37,8 @@ import "math"
 const idleDelta = 1e-6
 
 // FieldStats counts the interference engine's per-slot outcomes, for run
-// diagnostics and the opt-in "sim/field/*" metrics. All zeros when the run
-// never builds a field.
+// diagnostics and the "sim/field/*" metrics. All zeros when the run never
+// builds a field.
 type FieldStats struct {
 	// RebuildSlots counts slots that summed every receiver.
 	RebuildSlots int64

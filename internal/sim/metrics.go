@@ -14,10 +14,8 @@ type stepMetrics struct {
 	txPerSlot                         *metrics.Histogram
 	contention                        *metrics.Histogram
 
-	// Spatial-index work counters; nil unless Config.IndexMetrics opted in.
-	idxTx, idxCand, idxNbr *metrics.Counter
-	// Interference-engine work counters; nil unless Config.IndexMetrics
-	// opted in.
+	// Spatial-index and interference-engine work counters.
+	idxTx, idxCand, idxNbr           *metrics.Counter
 	fldRebuild, fldSubset, fldSummed *metrics.Counter
 }
 
@@ -31,8 +29,8 @@ var (
 	contentionBounds = []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32, 64}
 )
 
-func newStepMetrics(r *metrics.Registry, indexMetrics bool) *stepMetrics {
-	m := &stepMetrics{
+func newStepMetrics(r *metrics.Registry) *stepMetrics {
+	return &stepMetrics{
 		slots:      r.Counter("sim/slots"),
 		tx:         r.Counter("sim/tx"),
 		decodes:    r.Counter("sim/decodes"),
@@ -44,25 +42,19 @@ func newStepMetrics(r *metrics.Registry, indexMetrics bool) *stepMetrics {
 		ntd:        r.Counter("sim/ntd"),
 		txPerSlot:  r.Histogram("sim/tx_per_slot", txPerSlotBounds...),
 		contention: r.Histogram("sim/contention", contentionBounds...),
+		idxTx:      r.Counter("sim/index/tx_queries"),
+		idxCand:    r.Counter("sim/index/candidates"),
+		idxNbr:     r.Counter("sim/index/neighbor_queries"),
+		fldRebuild: r.Counter("sim/field/rebuild_slots"),
+		fldSubset:  r.Counter("sim/field/subset_slots"),
+		fldSummed:  r.Counter("sim/field/summed"),
 	}
-	if indexMetrics {
-		m.idxTx = r.Counter("sim/index/tx_queries")
-		m.idxCand = r.Counter("sim/index/candidates")
-		m.idxNbr = r.Counter("sim/index/neighbor_queries")
-		m.fldRebuild = r.Counter("sim/field/rebuild_slots")
-		m.fldSubset = r.Counter("sim/field/subset_slots")
-		m.fldSummed = r.Counter("sim/field/summed")
-	}
-	return m
 }
 
 // flushIndexStats exports the spatial-index counter deltas accumulated since
-// the last flush; no-op unless Config.IndexMetrics registered the handles.
+// the last flush. Only instrumented slots call it.
 func (s *Sim) flushIndexStats() {
 	m := s.met
-	if m == nil || m.idxTx == nil {
-		return
-	}
 	cur, prev := s.idx, s.idxFlushed
 	m.idxTx.Add(cur.TxQueries - prev.TxQueries)
 	m.idxCand.Add(cur.Candidates - prev.Candidates)
@@ -71,13 +63,9 @@ func (s *Sim) flushIndexStats() {
 }
 
 // flushFieldStats exports the interference-engine counter deltas accumulated
-// since the last flush; no-op unless Config.IndexMetrics registered the
-// handles.
+// since the last flush. Only instrumented slots call it.
 func (s *Sim) flushFieldStats() {
 	m := s.met
-	if m == nil || m.fldRebuild == nil {
-		return
-	}
 	f, fp := s.fstat, s.fstatFlushed
 	m.fldRebuild.Add(f.RebuildSlots - fp.RebuildSlots)
 	m.fldSubset.Add(f.SubsetSlots - fp.SubsetSlots)

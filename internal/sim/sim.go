@@ -91,18 +91,13 @@ type Config struct {
 	// tick loop (crash schedules, jammers, message drops, sensing
 	// corruption; see the Injector interface and internal/faults).
 	Injector Injector
-	// IndexMetrics additionally registers the "sim/index/*" spatial-index
-	// work counters (transmitter queries, candidate enumerations and
-	// neighbour queries) and the "sim/field/*" interference-engine outcome
-	// counters with Metrics. Off by default so existing registry snapshots
-	// keep their instrument set; the same numbers are always available
-	// programmatically via (*Sim).IndexStats and FieldStats.
-	IndexMetrics bool
 	// Metrics, when non-nil, receives per-slot instrumentation under the
 	// "sim/" prefix: slot/transmission/decode/mass-delivery counters, the
 	// sensing outcomes protocols observed (CD busy/idle, ACK hit/miss,
-	// NTD), and contention histograms (realised transmitters per slot and
-	// total protocol probability mass). Handles are resolved once at
+	// NTD), contention histograms (realised transmitters per slot and
+	// total protocol probability mass), and the "sim/index/*" and
+	// "sim/field/*" work counters of the spatial index and the interference
+	// engine (IndexStats and FieldStats). Handles are resolved once at
 	// construction; the uninstrumented hot path pays a nil check per slot
 	// (see BenchmarkStepInstrumented). Registries may be shared across
 	// simulations — every update is a commutative integer operation, so
@@ -236,7 +231,7 @@ type Sim struct {
 }
 
 // IndexStats counts the spatial-index work a simulation has performed, for
-// run diagnostics and the opt-in "sim/index/*" metrics.
+// run diagnostics and the "sim/index/*" metrics.
 type IndexStats struct {
 	// TxQueries is the number of transmitter-outward reception queries
 	// (one per transmitter per slot on the indexed path).
@@ -387,7 +382,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		s.buildNeighbours()
 	}
 	if cfg.Metrics != nil {
-		s.met = newStepMetrics(cfg.Metrics, cfg.IndexMetrics)
+		s.met = newStepMetrics(cfg.Metrics)
 	}
 	return s, nil
 }

@@ -243,7 +243,7 @@ func (s *Sim) Step() {
 	}
 	if s.cfg.Async {
 		for v := 0; v < s.n; v++ {
-			if !s.alive[v] || len(s.recvBuf[v]) == 0 || s.actedThisTick(v) || s.seizedBuf[v] {
+			if !s.alive[v] || len(s.recvBuf[v]) == 0 || s.actsThisTick(v) || s.seizedBuf[v] {
 				continue
 			}
 			if h, ok := s.protos[v].(Hearer); ok {
@@ -410,8 +410,6 @@ func (s *Sim) actsThisTick(v int) bool {
 	}
 	return (s.tick-s.phase[v])%s.period[v] == 0 && s.tick >= s.phase[v]
 }
-
-func (s *Sim) actedThisTick(v int) bool { return s.actsThisTick(v) }
 
 // Run advances the simulation by ticks ticks.
 func (s *Sim) Run(ticks int) {

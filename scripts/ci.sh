@@ -2,8 +2,10 @@
 # Tier-1 gate: build, vet, full test suite, then the same suite under the
 # race detector (the parallel experiment engine makes -race meaningful —
 # see internal/experiment/grid.go and TestParallelRace), plus short live
-# fuzzing of the journal decoder and the spatial index, and a statement
-# coverage gate over the packages whose tests are load-bearing.
+# fuzzing of the journal decoder and the spatial index, a statement
+# coverage gate over the packages whose tests are load-bearing, and a line
+# ledger gate that keeps each package's non-test Go lines at or below its
+# committed count.
 #
 # Every go test carries an explicit -timeout: a stuck grid cell or a hung
 # deadline test must fail the gate with a goroutine dump, not wedge CI at
@@ -16,6 +18,10 @@
 #                     absorbing scheduling-dependent branches) instead of
 #                     failing on a drop. Commit the result with the tests
 #                     that moved it.
+#
+# The line ledger gate has no update flag: after an intentional growth,
+# rewrite its baseline with `scripts/loc.sh > scripts/loc_baseline.txt` and
+# commit it with the code that moved it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +35,38 @@ done
 
 go build ./...
 go vet ./...
+
+# Line ledger gate: every package's non-test Go lines (scripts/loc.sh) must
+# stay at or below its count in scripts/loc_baseline.txt, and a package
+# missing from the file fails too. Lines a change deletes stay deleted
+# unless a later change raises the baseline in its own diff.
+loc_baseline=scripts/loc_baseline.txt
+loc_fix="scripts/loc.sh > $loc_baseline"
+if [ ! -f "$loc_baseline" ]; then
+  echo "loc gate: $loc_baseline missing; run $loc_fix" >&2
+  exit 1
+fi
+scripts/loc.sh | grep -v ' total$' | awk -v base="$loc_baseline" '
+  BEGIN {
+    while ((getline line < base) > 0) {
+      if (line ~ /^#/) continue
+      split(line, f, " ")
+      if (f[2] != "") ceiling[f[2]] = f[1]
+    }
+  }
+  !($2 in ceiling) {
+    printf "loc gate: %s (%d lines) is missing from %s\n", $2, $1, base > "/dev/stderr"
+    bad = 1
+    next
+  }
+  $1 + 0 > ceiling[$2] + 0 {
+    printf "loc gate: %s has %d lines, above its committed %d\n", $2, $1, ceiling[$2] > "/dev/stderr"
+    bad = 1
+  }
+  END { exit bad }
+' || { echo "loc gate: run $loc_fix to accept the new counts" >&2; exit 1; }
+echo "loc gate: ok"
+
 go vet ./internal/metrics
 go test -timeout 10m ./...
 go test -race -timeout 20m ./...

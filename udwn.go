@@ -209,10 +209,6 @@ type SimOptions struct {
 	// under the "sim/" name prefix. One registry may be shared across runs;
 	// its commutative counters merge deterministically.
 	Metrics *metrics.Registry
-	// IndexMetrics additionally registers the "sim/index/*" spatial-index
-	// and "sim/field/*" field-engine work counters with Metrics (off
-	// by default to keep existing snapshot instrument sets stable).
-	IndexMetrics bool
 	// Cancel, when non-nil, is polled at the top of every simulation step;
 	// once it reports true the step panics with a sim.Cancelled sentinel,
 	// cooperatively stopping the run (the experiment grid installs this
@@ -243,7 +239,6 @@ func (nw *Network) NewSim(factory sim.ProtocolFactory, o SimOptions) (*sim.Sim, 
 		Observer:      o.Observer,
 		Injector:      o.Injector,
 		Metrics:       o.Metrics,
-		IndexMetrics:  o.IndexMetrics,
 		Cancel:        o.Cancel,
 	}
 	s, err := sim.New(cfg, factory)
