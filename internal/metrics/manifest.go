@@ -32,7 +32,7 @@ type CellTiming struct {
 // encoding is byte-stable modulo the timing fields — struct field order is
 // fixed, map keys marshal sorted, and snapshot sections are sorted — so
 // manifests can be golden-tested and diffed across runs by trajectory
-// tooling (scripts/bench.sh seeds the same format for benchmarks).
+// tooling.
 type Manifest struct {
 	Tool    string `json:"tool"`
 	Version string `json:"version"`

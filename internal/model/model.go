@@ -58,6 +58,19 @@ type FieldOblivious interface {
 }
 
 // Model is a concrete communication model plugged into the simulator.
+//
+// One frame per listener: Decodes is true for at most one same-channel
+// transmitter per listener and slot, and every constructor rejects the
+// parameters that would break this. In UDG, UBG and KHop (k ≥ 1), QUDG
+// (interference reaches outerR, past every edge), Protocol (interfR ≥
+// commR) and BIG (k ≥ 1 hops), a second decodable transmitter lies inside
+// the first decode's interference radius. SINR and Rayleigh SINR need β ≥ 1
+// and N > 0: a decoded signal exceeds β·(every other term + N), so two
+// decodes would need s₁ > s₂ and s₂ > s₁. Rayleigh sums its interference
+// directly, so this holds bit for bit in floats; for SINR at β = 1 a double
+// decode would need the field sum's rounding error to exceed N. The
+// simulator keeps a listener's first frame in ascending transmitter order,
+// so every run stays well defined even then.
 type Model interface {
 	// Name identifies the model in reports.
 	Name() string
@@ -110,10 +123,11 @@ type SINR struct {
 var _ Model = (*SINR)(nil)
 
 // NewSINR builds a SINR model from physical parameters. eps is the precision
-// parameter used to derive I_c. It panics on non-positive parameters.
+// parameter used to derive I_c. It panics unless p, noise and zeta are
+// positive and beta >= 1 (the one-frame contract of Model), NaN included.
 func NewSINR(p, beta, noise, zeta, eps float64) *SINR {
-	if p <= 0 || beta <= 0 || noise <= 0 || zeta <= 0 {
-		panic("model: SINR parameters must be positive")
+	if !(p > 0) || !(beta >= 1) || !(noise > 0) || !(zeta > 0) {
+		panic("model: SINR needs p, noise, zeta > 0 and beta >= 1")
 	}
 	return &SINR{
 		beta:  beta,
@@ -238,9 +252,9 @@ type QUDG struct {
 var _ Model = (*QUDG)(nil)
 
 // NewQUDG returns a QUDG model. greyEdge may be nil for the pessimistic
-// adversary. It panics unless 0 < innerR <= outerR.
+// adversary. It panics unless 0 < innerR <= outerR, NaN radii included.
 func NewQUDG(innerR, outerR float64, greyEdge func(dist float64) bool) *QUDG {
-	if innerR <= 0 || outerR < innerR {
+	if !(innerR > 0) || !(outerR >= innerR) {
 		panic("model: QUDG needs 0 < innerR <= outerR")
 	}
 	return &QUDG{innerR: innerR, outerR: outerR, greyEdge: greyEdge}
@@ -296,9 +310,9 @@ type Protocol struct {
 var _ Model = (*Protocol)(nil)
 
 // NewProtocol returns a protocol model. It panics unless
-// 0 < commR <= interfR.
+// 0 < commR <= interfR, NaN radii included.
 func NewProtocol(commR, interfR float64) *Protocol {
-	if commR <= 0 || interfR < commR {
+	if !(commR > 0) || !(interfR >= commR) {
 		panic("model: Protocol needs 0 < commR <= interfR")
 	}
 	return &Protocol{commR: commR, interfR: interfR}

@@ -244,20 +244,30 @@ func TestBIGModel(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"sinr p=0":         func() { NewSINR(0, 1, 1, 3, 0.1) },
-		"qudg inner=0":     func() { NewQUDG(0, 1, nil) },
-		"qudg outer<inner": func() { NewQUDG(2, 1, nil) },
-		"protocol bad":     func() { NewProtocol(2, 1) },
-		"big k=0":          func() { NewBIG(0) },
-		"udg r=0":          func() { NewUDG(0) },
-		"udg r<0":          func() { NewUDG(-1) },
-		"udg r=NaN":        func() { NewUDG(math.NaN()) },
-		"ubg r=0":          func() { NewUBG(0) },
-		"ubg r=NaN":        func() { NewUBG(math.NaN()) },
-		"khop r=0":         func() { NewKHop(0, 2) },
-		"khop r=NaN":       func() { NewKHop(math.NaN(), 2) },
-		"khop k<1":         func() { NewKHop(10, 0.5) },
-		"khop k=NaN":       func() { NewKHop(10, math.NaN()) },
+		"sinr p=0":            func() { NewSINR(0, 1, 1, 3, 0.1) },
+		"sinr p=NaN":          func() { NewSINR(math.NaN(), 1, 1, 3, 0.1) },
+		"sinr beta<1":         func() { NewSINR(8, 0.5, 1, 3, 0.1) },
+		"sinr beta=NaN":       func() { NewSINR(8, math.NaN(), 1, 3, 0.1) },
+		"sinr noise=NaN":      func() { NewSINR(8, 1, math.NaN(), 3, 0.1) },
+		"sinr zeta=NaN":       func() { NewSINR(8, 1, 1, math.NaN(), 0.1) },
+		"rayleigh beta<1":     func() { NewRayleighSINR(8, 0.5, 1, 3, 0.1, 1, func() int { return 0 }) },
+		"qudg inner=0":        func() { NewQUDG(0, 1, nil) },
+		"qudg inner=NaN":      func() { NewQUDG(math.NaN(), 2, nil) },
+		"qudg outer<inner":    func() { NewQUDG(2, 1, nil) },
+		"qudg outer=NaN":      func() { NewQUDG(1, math.NaN(), nil) },
+		"protocol bad":        func() { NewProtocol(2, 1) },
+		"protocol comm=NaN":   func() { NewProtocol(math.NaN(), 2) },
+		"protocol interf=NaN": func() { NewProtocol(1, math.NaN()) },
+		"big k=0":             func() { NewBIG(0) },
+		"udg r=0":             func() { NewUDG(0) },
+		"udg r<0":             func() { NewUDG(-1) },
+		"udg r=NaN":           func() { NewUDG(math.NaN()) },
+		"ubg r=0":             func() { NewUBG(0) },
+		"ubg r=NaN":           func() { NewUBG(math.NaN()) },
+		"khop r=0":            func() { NewKHop(0, 2) },
+		"khop r=NaN":          func() { NewKHop(math.NaN(), 2) },
+		"khop k<1":            func() { NewKHop(10, 0.5) },
+		"khop k=NaN":          func() { NewKHop(10, math.NaN()) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -33,9 +33,9 @@ var _ Model = (*RayleighSINR)(nil)
 // in turn bounds the maximum decode distance (see MaxDecodeRange).
 const fadeClamp = 0.999999
 
-// NewRayleighSINR wraps the SINR parameters with Rayleigh fading. tick must
-// report the simulator's current tick so coefficients redraw every slot; it
-// is typically bound to (*sim.Sim).Tick.
+// NewRayleighSINR wraps the SINR parameters, validated as NewSINR does, with
+// Rayleigh fading. tick must report the simulator's current tick so
+// coefficients redraw every slot; it is typically bound to (*sim.Sim).Tick.
 func NewRayleighSINR(p, beta, noise, zeta, eps float64, seed uint64, tick func() int) *RayleighSINR {
 	if tick == nil {
 		panic("model: RayleighSINR needs a tick source")

@@ -97,7 +97,7 @@ func BenchmarkStepUDG(b *testing.B) {
 // indexed-vs-brute BenchmarkStep pair: 4096 nodes at mean degree 16, a
 // field-oblivious UDG model, and no sensing primitives, so the indexed run
 // exercises the transmitter-outward reception path with Phase 2 skipped.
-func sparseSim4096(b *testing.B) *Sim {
+func sparseSim4096(b testing.TB) *Sim {
 	b.Helper()
 	pts := workload.UniformDisc(4096, workload.SideForDegree(4096, 16, 10), 1)
 	s, err := New(Config{
@@ -110,6 +110,20 @@ func sparseSim4096(b *testing.B) *Sim {
 		b.Fatal(err)
 	}
 	return s
+}
+
+// TestIndexCandidatesPerQuery pins the spatial index's pruning on the
+// sparse n=4096 shape: over 200 slots each transmitter query enumerates at
+// least 200 times fewer candidate listeners than the n a listener scan pairs
+// it with (12,711 queries and 211,549 candidates, 16.6 per query: 246×).
+func TestIndexCandidatesPerQuery(t *testing.T) {
+	s := sparseSim4096(t)
+	s.Run(200)
+	st := s.IndexStats()
+	if st.TxQueries == 0 || 200*st.Candidates > int64(s.N())*st.TxQueries {
+		t.Fatalf("%d candidates over %d queries at n=%d: want at most n/200 per query",
+			st.Candidates, st.TxQueries, s.N())
+	}
 }
 
 func BenchmarkStepSparse4096Indexed(b *testing.B) {
@@ -200,12 +214,13 @@ func BenchmarkStepDense8192(b *testing.B) {
 	}
 }
 
-// BenchmarkStepStrip3200 has the shape of the end-to-end benchmark's
-// sparse-strip workload: 3200 nodes on a 3200×R_B strip (beyond the
-// pathloss cache budget), SINR with CD|ACK|NTD at the strip's sensing
-// precision, and about 2.5 transmitters per slot. The field engine sums
-// only the few receivers near each transmitter.
-func BenchmarkStepStrip3200(b *testing.B) {
+// stripSim3200 has the shape of the end-to-end benchmark's sparse-strip
+// workload: 3200 nodes on a 3200×R_B strip (beyond the pathloss cache
+// budget), SINR with CD|ACK|NTD at the strip's sensing precision, and about
+// 2.5 transmitters per slot. The field engine sums only the few receivers
+// near each transmitter.
+func stripSim3200(tb testing.TB) *Sim {
+	tb.Helper()
 	const n = 3200
 	mdl := model.NewSINR(1500, 1.5, 1, 3, 0.1)
 	pts := workload.Strip(n, n, mdl.CommRadius(0.1), 1)
@@ -218,8 +233,25 @@ func BenchmarkStepStrip3200(b *testing.B) {
 		Primitives: CD | ACK | NTD,
 	}, func(int) Protocol { return fixedProb(2.5 / n) })
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s
+}
+
+// TestStripSubsetShare pins the field engine's subset path on the strip
+// shape: at least 99% of 2,000 slots sum only their demand set (all 2,000
+// did when this was written).
+func TestStripSubsetShare(t *testing.T) {
+	s := stripSim3200(t)
+	s.Run(2000)
+	if st := s.FieldStats(); 100*st.SubsetSlots < 99*(st.SubsetSlots+st.RebuildSlots) {
+		t.Fatalf("%d subset and %d all-receiver slots: want at least 99%% subset",
+			st.SubsetSlots, st.RebuildSlots)
+	}
+}
+
+func BenchmarkStepStrip3200(b *testing.B) {
+	s := stripSim3200(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()

@@ -134,14 +134,7 @@ func bruteDelivery(s *Sim, u int, r float64) bool {
 		if v == u || !s.Alive(v) || s.Space().Dist(u, v) > r {
 			continue
 		}
-		got := false
-		for _, rc := range s.recvBuf[v] {
-			if rc.From == u {
-				got = true
-				break
-			}
-		}
-		if !got {
+		if !s.heard[v] || s.recvBuf[v].From != u {
 			return false
 		}
 	}

@@ -231,10 +231,52 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 	return log.String()
 }
 
+// checkFrames returns a runDiffWatch hook that checks every listener's frame
+// after each slot against the reception rule: an alive listener holds the
+// frame of the lowest-id same-channel transmitter inside its decodeCutoff
+// that the model decodes and the injector keeps, and no frame when there is
+// none. Decodes runs at the slot's tick, which Rayleigh fading reads. With
+// multi nil it also checks model.Model's one-frame contract, at most one
+// such decodable transmitter per listener; otherwise it counts in *multi the
+// listener-slots that offered two or more.
+func checkFrames(t *testing.T, multi *int) func(*Sim) func() {
+	return func(s *Sim) func() {
+		return func() {
+			s.tick-- // back to the slot Step just resolved
+			defer func() { s.tick++ }()
+			for v := 0; v < s.n; v++ {
+				want, decodable := -1, 0
+				vw := &s.views[s.chanBuf[v]]
+				for _, w := range vw.tx {
+					if !s.alive[v] || s.isTxBuf[v] || s.cfg.Space.Dist(w, v) > s.decodeCutoff(w) ||
+						!s.cfg.Model.Decodes(vw, w, v) {
+						continue
+					}
+					decodable++
+					if inj := s.cfg.Injector; want < 0 && (inj == nil || !inj.DropRecv(w, v, s.tick)) {
+						want = w
+					}
+				}
+				if decodable > 1 {
+					if multi == nil {
+						t.Fatalf("tick %d: listener %d can decode %d transmitters", s.tick, v, decodable)
+					}
+					*multi++
+				}
+				if got := s.recvBuf[v].From; s.heard[v] != (want >= 0) || want >= 0 && got != want {
+					t.Fatalf("tick %d: listener %d holds a frame %v from %d, want one from %d",
+						s.tick, v, s.heard[v], got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestGridScanEquivalence is the differential property test of the spatial
 // index: for every scenario the grid-backed simulation must produce the
 // byte-identical observable history — receptions, sensing outcomes, slot
 // events, RSS bits, per-node outcomes — as the brute-force scan simulation.
+// Both drivers also pass checkFrames' one-frame check after every slot.
 func TestGridScanEquivalence(t *testing.T) {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
 	scenarios := []diffScenario{
@@ -279,8 +321,8 @@ func TestGridScanEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			grid := runDiff(t, sc, false)
-			brute := runDiff(t, sc, true)
+			grid := runDiffWatch(t, sc, false, checkFrames(t, nil))
+			brute := runDiffWatch(t, sc, true, checkFrames(t, nil))
 			if grid != brute {
 				t.Fatalf("grid and brute histories diverge:\n%s", firstDiffLine(grid, brute))
 			}
@@ -315,7 +357,9 @@ func TestGridParallelRunsAgree(t *testing.T) {
 }
 
 // threeRadiusModel queries TransmittersWithin at three distinct radii per
-// decode candidate.
+// decode candidate. It breaks model.Model's one-frame contract on purpose: a
+// listener with two transmitters in the ring between 6 and 10, and none
+// nearer, decodes both.
 type threeRadiusModel struct{ model.Model }
 
 func (m threeRadiusModel) Decodes(view model.View, u, v int) bool {
@@ -330,14 +374,24 @@ func (m threeRadiusModel) Decodes(view model.View, u, v int) bool {
 
 func (m threeRadiusModel) MaxDecodeRange() float64 { return 10 }
 
-// TestThirdRadiusFallback pins that a model querying three radii gets the
-// same histories from the grid-backed and the brute-scan simulation.
+// TestThirdRadiusFallback pins the simulator's reception rule, which does not
+// rely on the one-frame contract: under a model querying three radii that
+// lets a listener decode several transmitters, and an injector dropping
+// frames, each listener keeps the frame of the lowest-id decodable
+// transmitter the injector kept, and the grid-backed and the brute-scan
+// simulation produce the same histories.
 func TestThirdRadiusFallback(t *testing.T) {
-	sc := diffScenario{n: 150, ticks: 80, seed: 31,
+	sc := diffScenario{n: 150, ticks: 80, seed: 31, inject: true,
 		model: func(func() int) model.Model { return threeRadiusModel{model.NewUDG(10)} },
 		prims: CD}
-	if grid, brute := runDiff(t, sc, false), runDiff(t, sc, true); grid != brute {
+	var multi int
+	grid := runDiffWatch(t, sc, false, checkFrames(t, &multi))
+	brute := runDiffWatch(t, sc, true, checkFrames(t, &multi))
+	if grid != brute {
 		t.Fatalf("three-radius histories diverge:\n%s", firstDiffLine(grid, brute))
+	}
+	if multi == 0 {
+		t.Fatal("vacuous: no listener could decode two transmitters")
 	}
 }
 

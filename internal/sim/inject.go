@@ -9,12 +9,12 @@ package sim
 // order, or on how many times a query method is invoked. The simulator in
 // turn guarantees a fixed call discipline — BeginTick once per tick, Seized
 // exactly once per alive node per tick in increasing node order, DropRecv
-// once per reception the model would decode, and Observation once per
-// acting node — so fault-injected runs stay pure functions of (topology
-// seed, run seed, fault seed) and replay byte-identically at any worker
-// count. DropRecv is never asked about a pair the model rejects, so its
-// side effects (fault counters) count frames lost that would have arrived,
-// whichever reception driver the slot used.
+// once per pair the model decodes while the listener holds no frame, and
+// Observation once per acting node — so fault-injected runs stay pure
+// functions of (topology seed, run seed, fault seed) and replay
+// byte-identically at any worker count. DropRecv is never asked about a
+// pair the model rejects, so its side effects (fault counters) count frames
+// lost that would have arrived, whichever reception driver the slot used.
 type Injector interface {
 	// BeginTick runs before the tick's actions are collected. The injector
 	// may mutate the network through the public dynamics surface (Kill,

@@ -12,9 +12,8 @@ import (
 
 // recorder wraps fixedProb and keeps every observation for invariant checks.
 type recorder struct {
-	p    float64
-	obs  []Observation
-	hear int
+	p   float64
+	obs []Observation
 }
 
 func (r *recorder) Act(n *Node, slot int) Action {
@@ -26,8 +25,6 @@ func (r *recorder) Observe(n *Node, slot int, obs *Observation) {
 	cp.Received = append([]Recv(nil), obs.Received...)
 	r.obs = append(r.obs, cp)
 }
-
-func (r *recorder) Hear(n *Node, recv []Recv) { r.hear += len(recv) }
 
 // TestSimInvariants drives random configurations and checks structural
 // invariants of every slot:

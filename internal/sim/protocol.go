@@ -56,8 +56,9 @@ type Observation struct {
 	Slot int
 	// Transmitted reports whether this node transmitted in the slot.
 	Transmitted bool
-	// Received lists the messages this node decoded (always empty for
-	// transmitters: nodes are half-duplex).
+	// Received holds the frame this node decoded: at most one (see
+	// model.Model), and none for transmitters, which are half-duplex. It
+	// aliases simulator scratch; do not keep the slice past Observe.
 	Received []Recv
 	// Busy is the CD outcome: total sensed interference at or above the
 	// busy threshold. Valid only when the CD primitive is enabled.
@@ -89,13 +90,6 @@ type Protocol interface {
 	// Observe is invoked after a slot in which the node acted, with the
 	// slot's outcome.
 	Observe(n *Node, slot int, obs *Observation)
-}
-
-// Hearer is an optional interface for protocols that want passive receipts:
-// in locally-synchronous (async) mode a node can decode messages in ticks
-// between its own round boundaries; such receipts are delivered via Hear.
-type Hearer interface {
-	Hear(n *Node, recv []Recv)
 }
 
 // ProtocolFactory creates the protocol instance for node id. It is called
@@ -135,7 +129,8 @@ type SlotEvent struct {
 	Slot int `json:"slot"`
 	// Transmitters lists the nodes that transmitted.
 	Transmitters []int `json:"tx"`
-	// Decodes is the total number of successful receptions.
+	// Decodes is the total number of successful receptions. A listener
+	// keeps at most one frame per slot, so it equals len(Decoders).
 	Decodes int `json:"decodes"`
 	// MassDeliverers lists transmitters whose message reached their whole
 	// alive neighbourhood this slot.
@@ -150,8 +145,8 @@ type SlotEvent struct {
 	Acks int `json:"acks,omitempty"`
 	// NTDs counts listeners that observed a near-transmission this slot.
 	NTDs int `json:"ntds,omitempty"`
-	// Decoders lists the nodes that decoded at least one message this slot,
-	// in ascending id order. Streaming analytics derive per-node latency
+	// Decoders lists the nodes that decoded a message this slot, in
+	// ascending id order. Streaming analytics derive per-node latency
 	// (first-decode tick) from it without replaying the run.
 	Decoders []int `json:"decoders,omitempty"`
 	// Seized counts transmitters whose action was seized by the fault

@@ -8,9 +8,11 @@
 // primitives (CD/ACK/NTD) are computed from the slot's received signal
 // strengths per Appendix B. Local synchrony — clocks running at rates within
 // a factor two of each other with no global alignment — is modelled by
-// per-node round periods of 2-4 ticks with random phases. Dynamics (churn
-// and mobility) are driven externally through the Kill/Revive/Move mutators
-// between Step calls.
+// per-node round periods of 2-4 ticks with random phases; a node that
+// decodes in a tick where it does not act counts as ground truth (first
+// decode, mass delivery, coverage) but the frame is not delivered to its
+// protocol. Dynamics (churn and mobility) are driven externally through the
+// Kill/Revive/Move mutators between Step calls.
 package sim
 
 import (
@@ -215,7 +217,9 @@ type Sim struct {
 	txBuf       []int
 	actedBuf    []int
 	totalPower  []float64
-	recvBuf     [][]Recv
+	recvBuf     []Recv // v's frame this slot; valid where heard[v]
+	heard       []bool
+	decoders    []int // the listeners with heard set, in decode order
 	massBuf     []bool
 	massAckBuf  []bool
 	scaleBuf    []float64
@@ -312,7 +316,8 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		massCount:   make([]int32, n),
 		totalPower:  make([]float64, n),
 		demand:      make([]bool, n),
-		recvBuf:     make([][]Recv, n),
+		recvBuf:     make([]Recv, n),
+		heard:       make([]bool, n),
 		massBuf:     make([]bool, n),
 		massAckBuf:  make([]bool, n),
 		scaleBuf:    make([]float64, n),

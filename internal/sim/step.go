@@ -107,50 +107,7 @@ func (s *Sim) Step() {
 		s.views[c].tx = s.chanTx[c]
 	}
 
-	// Phase 3: receptions and delivery flags. Two equivalent drivers
-	// enumerate the same candidate pairs and apply the same reception rule:
-	//
-	// Indexed (indexedWalk): each transmitter pushes to the listeners the
-	// spatial index finds inside its decodeCutoff. Beyond the cutoff Decodes
-	// is guaranteed false, so skipping those pairs changes nothing — not even
-	// injector calls, which only happen for pairs that decode. Ascending
-	// transmitter order keeps every recvBuf[v] in the listener scan's order.
-	//
-	// Scan (listener-oriented): every alive non-transmitting listener
-	// checks every same-channel transmitter. Used only when there is no
-	// index or no declared cutoff (see indexedRecv).
-	for v := 0; v < s.n; v++ {
-		s.recvBuf[v] = s.recvBuf[v][:0]
-	}
-	if s.indexedRecv() {
-		for _, u := range s.txBuf {
-			s.indexedWalk(u)
-		}
-	} else {
-		for v := 0; v < s.n; v++ {
-			if !s.alive[v] || s.isTxBuf[v] {
-				continue // half-duplex
-			}
-			vw := &s.views[s.chanBuf[v]]
-			for _, u := range vw.tx {
-				s.recv(vw, u, v)
-			}
-		}
-	}
-	// First-decode and coverage bookkeeping, in ascending listener order and
-	// ascending transmitter order within each listener — the same sequence
-	// for both reception drivers.
-	for v := 0; v < s.n; v++ {
-		if len(s.recvBuf[v]) == 0 {
-			continue
-		}
-		if s.firstDecode[v] < 0 {
-			s.firstDecode[v] = int32(s.tick)
-		}
-		for _, rc := range s.recvBuf[v] {
-			s.recordCoverage(rc.From, v)
-		}
-	}
+	s.receive() // Phase 3
 
 	// Phase 4: delivery tally per transmitter. Its ground-truth flags, at
 	// the measurement radius R_B(Eps) and the ACK radius R_B(SenseEps), come
@@ -174,8 +131,8 @@ func (s *Sim) Step() {
 		}
 	}
 
-	// Phase 5: observations for acting nodes, passive receipts for others.
-	// Sensing outcomes are tallied (post-corruption, i.e. what the
+	// Phase 5: observations for acting nodes; a passive decode reaches no
+	// protocol. Sensing outcomes are tallied (post-corruption, i.e. what the
 	// protocols actually observed) only when a trace observer or a metrics
 	// registry is attached, so the uninstrumented path pays one branch per
 	// observation. The Observation is a reused scratch value: it and its
@@ -194,8 +151,9 @@ func (s *Sim) Step() {
 			Slot:        slot,
 			Transmitted: isTx,
 		}
-		if !isTx {
-			obs.Received = s.recvBuf[v]
+		if s.heard[v] {
+			// Capped, so a protocol that appends cannot overwrite v+1's frame.
+			obs.Received = s.recvBuf[v : v+1 : v+1]
 		}
 		if prim.Has(CD) {
 			// A receiver outside the demand set is certified idle.
@@ -209,13 +167,8 @@ func (s *Sim) Step() {
 				obs.Acked = s.ackOutcome(v)
 			}
 		}
-		if prim.Has(NTD) && !isTx {
-			for _, rc := range obs.Received {
-				if s.th.Near(rc.RSS) {
-					obs.NTD = true
-					break
-				}
-			}
+		if prim.Has(NTD) && s.heard[v] {
+			obs.NTD = s.th.Near(s.recvBuf[v].RSS)
 		}
 		if inj != nil {
 			inj.Observation(v, s.tick, obs)
@@ -241,22 +194,9 @@ func (s *Sim) Step() {
 		}
 		s.protos[v].Observe(&s.nodes[v], slot, obs)
 	}
-	if s.cfg.Async {
-		for v := 0; v < s.n; v++ {
-			if !s.alive[v] || len(s.recvBuf[v]) == 0 || s.actsThisTick(v) || s.seizedBuf[v] {
-				continue
-			}
-			if h, ok := s.protos[v].(Hearer); ok {
-				h.Hear(&s.nodes[v], s.recvBuf[v])
-			}
-		}
-	}
 
 	if tally {
-		decodes, mass := 0, 0
-		for v := 0; v < s.n; v++ {
-			decodes += len(s.recvBuf[v])
-		}
+		decodes, mass := len(s.decoders), 0
 		for _, u := range s.txBuf {
 			if s.massBuf[u] {
 				mass++
@@ -275,7 +215,7 @@ func (s *Sim) Step() {
 			}
 			s.decodersBuf = s.decodersBuf[:0]
 			for v := 0; v < s.n; v++ {
-				if len(s.recvBuf[v]) > 0 {
+				if s.heard[v] {
 					s.decodersBuf = append(s.decodersBuf, v)
 				}
 			}
@@ -307,13 +247,58 @@ func (s *Sim) Step() {
 	s.tick++
 }
 
+// receive is Phase 3: receptions and delivery flags. Two drivers enumerate
+// the same candidate pairs in ascending transmitter order and apply recv,
+// and neither asks a listener again once it holds a frame, so each listener
+// keeps the lowest-id transmitter it decodes whose frame the injector keeps
+// (under model.Model's one-frame contract, its only decodable one):
+//
+//   - indexed (indexedWalk): each transmitter pushes to the listeners the
+//     spatial index finds inside its decodeCutoff, beyond which Decodes is
+//     guaranteed false, so skipping those pairs changes nothing, not even
+//     injector calls;
+//   - scan: every alive non-transmitting listener checks its channel's
+//     transmitters, when there is no index or no cutoff (see indexedRecv).
+//
+// First-decode and coverage bookkeeping then walk the slot's decoders. They
+// only set marks to the slot's tick, so decode order does not show.
+func (s *Sim) receive() {
+	for _, v := range s.decoders {
+		s.heard[v] = false
+	}
+	s.decoders = s.decoders[:0]
+	if s.indexedRecv() {
+		for _, u := range s.txBuf {
+			s.indexedWalk(u)
+		}
+	} else {
+		for v := 0; v < s.n; v++ {
+			if !s.alive[v] || s.isTxBuf[v] {
+				continue // half-duplex
+			}
+			vw := &s.views[s.chanBuf[v]]
+			for _, u := range vw.tx {
+				if s.recv(vw, u, v) {
+					break
+				}
+			}
+		}
+	}
+	for _, v := range s.decoders {
+		if s.firstDecode[v] < 0 {
+			s.firstDecode[v] = int32(s.tick)
+		}
+		s.recordCoverage(s.recvBuf[v].From, v)
+	}
+}
+
 // recv applies the reception rule to listener v of same-channel transmitter
 // u: a power-scaled transmission is decodable only within the reduced range
 // scale^{1/ζ}·R (exact for SINR, and the defining cutoff for models without
 // a power notion); otherwise the model decides, and a frame that would
 // decode may still be lost to the injector. The loss is ground truth: the
 // frame never reaches v's protocol, so u's mass delivery and coverage miss v
-// this slot too. It reports whether v decoded u.
+// this slot too. It reports whether v decoded u, which becomes v's frame.
 func (s *Sim) recv(vw *slotView, u, v int) bool {
 	sc := s.scaleBuf[u]
 	if sc < 1 && s.cfg.Space.Dist(u, v) > math.Pow(sc, 1/s.cfg.Zeta)*s.cfg.Model.R() {
@@ -325,16 +310,15 @@ func (s *Sim) recv(vw *slotView, u, v int) bool {
 	if inj := s.cfg.Injector; inj != nil && inj.DropRecv(u, v, s.tick) {
 		return false
 	}
-	s.recvBuf[v] = append(s.recvBuf[v], Recv{
-		From: u,
-		Msg:  s.msgBuf[u],
-		RSS:  s.field.Power(u, v) * sc,
-	})
+	s.recvBuf[v] = Recv{From: u, Msg: s.msgBuf[u], RSS: s.field.Power(u, v) * sc}
+	s.heard[v] = true
+	s.decoders = append(s.decoders, v)
 	return true
 }
 
-// indexedWalk is the indexed driver's Phase 3 for transmitter u. Its walk is
-// at least rNeigh wide, so it also sets u's delivery flags: each alive
+// indexedWalk is the indexed driver's Phase 3 for transmitter u. A listener
+// that already holds a frame goes straight to the delivery check. The walk
+// is at least rNeigh wide, so it also sets u's delivery flags: each alive
 // neighbour that did not decode u may clear them (missed).
 func (s *Sim) indexedWalk(u int) {
 	cutoff := s.decodeCutoff(u)
@@ -354,7 +338,7 @@ func (s *Sim) indexedWalk(u int) {
 		d2 := it.Dist2()
 		if d2 <= c2 {
 			s.idx.Candidates++
-			if v != u && !s.isTxBuf[v] && s.chanBuf[v] == uc && s.alive[v] && s.recv(vw, u, v) {
+			if v != u && !s.isTxBuf[v] && s.chanBuf[v] == uc && s.alive[v] && !s.heard[v] && s.recv(vw, u, v) {
 				continue
 			}
 		}
@@ -378,16 +362,13 @@ func (s *Sim) missed(u, v int) bool {
 }
 
 // scanDelivery sets u's delivery flags on the scan driver, in one walk of
-// u's neighbourhood at rNeigh for neighbours whose receipts lack u.
+// u's neighbourhood at rNeigh for neighbours whose frame is not u's.
 func (s *Sim) scanDelivery(u int) {
 	s.massBuf[u], s.massAckBuf[u] = true, true
 	s.forEachNeighbor(u, s.rNeigh, func(v int) {
-		for _, rc := range s.recvBuf[v] {
-			if rc.From == u {
-				return
-			}
+		if !s.heard[v] || s.recvBuf[v].From != u {
+			s.missed(u, v)
 		}
-		s.missed(u, v)
 	})
 }
 

@@ -24,6 +24,30 @@ func denseEvents() []sim.SlotEvent {
 	return events
 }
 
+// TestBinarySizeRatio pins the size claim of the binary trace format: on
+// denseEvents it takes at most 1/2.5 of JSONL's bytes (353,201 against
+// 907,662 bytes for the 2,000 events when this was written: 2.57×).
+func TestBinarySizeRatio(t *testing.T) {
+	size := func(format Format) int {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range denseEvents() {
+			w.Record(ev)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	jsonl, binary := size(FormatJSONL), size(FormatBinary)
+	if 2*jsonl < 5*binary {
+		t.Fatalf("binary %d bytes against JSONL %d: want JSONL at least 2.5× larger", binary, jsonl)
+	}
+}
+
 // benchWrite reports encode throughput (events/s, MB/s) and size
 // (bytes/event) for one trace writer over the dense scenario. The JSONL and
 // binary results side by side are the format comparison of the trace layer:

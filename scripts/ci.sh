@@ -69,6 +69,10 @@ echo "loc gate: ok"
 
 go vet ./internal/metrics
 go test -timeout 10m ./...
+# The end-to-end benchmark is its own module (bench/go.mod), so ./... skips
+# its tests; run them (about 3 s) so a library change that breaks the
+# benchmark's tiny-size output checks fails the gate.
+(cd bench && go test -timeout 5m .)
 go test -race -timeout 20m ./...
 # The fault engine feeds the sim tick loop from grid workers; exercise that
 # seam under the race detector explicitly even when the suites above shard.
@@ -81,9 +85,12 @@ go test -race -timeout 5m ./internal/metrics
 go test -short -timeout 5m -run 'Progress|Manifest|Metrics' ./internal/experiment ./internal/metrics
 # The spatial-index hot path must be byte-identical to the brute-force scan
 # under every topology/model/fault mix (fault-injected runs use the index
-# too), including across goroutines; run the differential property tests
-# under the race detector explicitly so a shard of the suites above can
-# never silently skip them.
+# too), including across goroutines, and after every slot each listener's
+# frame must match the one-frame contract on both drivers (at most one
+# decodable transmitter per listener, and the frame from it unless the
+# injector dropped it); run the differential property tests under the race
+# detector explicitly so a shard of the suites above can never silently
+# skip them.
 go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgree' ./internal/sim
 # The interference field carries the same exactness bar: raced short-mode
 # runs of the differential suite, which checks the engine's demand contract
