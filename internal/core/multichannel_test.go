@@ -25,13 +25,22 @@ func TestMCLocalBcastChannelSpread(t *testing.T) {
 	}
 }
 
+// TestMCLocalBcastSingleChannel pins that one channel is plain LocalBcast:
+// the same actions from the same coin flips, with no channel draw.
 func TestMCLocalBcastSingleChannel(t *testing.T) {
-	m := NewMCLocalBcast(64, 1, 1)
-	n := &sim.Node{ID: 0, RNG: rng.New(2)}
+	m, l := NewMCLocalBcast(64, 1, 1), NewLocalBcast(64, 1)
+	nm, nl := &sim.Node{ID: 0, RNG: rng.New(2)}, &sim.Node{ID: 0, RNG: rng.New(2)}
 	for i := 0; i < 100; i++ {
-		if m.Act(n, 0).Channel != 0 {
+		am, al := m.Act(nm, 0), l.Act(nl, 0)
+		if am.Channel != 0 {
 			t.Fatal("single-channel variant must stay on channel 0")
 		}
+		if am != al {
+			t.Fatalf("act %d: single-channel variant %+v, LocalBcast %+v", i, am, al)
+		}
+		obs := &sim.Observation{Busy: i%3 == 0}
+		m.Observe(nm, 0, obs)
+		l.Observe(nl, 0, obs)
 	}
 }
 

@@ -36,13 +36,13 @@ func Table8Fading(o Options) fmt.Stringer {
 
 	type channel struct {
 		name string
-		mk   func(ts uint64) (*udwn.Network, *udwn.TickSource)
+		mk   func(ts uint64) *udwn.Network
 	}
 	channels := []channel{
-		{"deterministic SINR", func(ts uint64) (*udwn.Network, *udwn.TickSource) {
-			return udwn.NewSINRNetwork(workload.UniformDisc(n, side, ts), phy), nil
+		{"deterministic SINR", func(ts uint64) *udwn.Network {
+			return udwn.NewSINRNetwork(workload.UniformDisc(n, side, ts), phy)
 		}},
-		{"rayleigh fading", func(ts uint64) (*udwn.Network, *udwn.TickSource) {
+		{"rayleigh fading", func(ts uint64) *udwn.Network {
 			return udwn.NewRayleighNetwork(workload.UniformDisc(n, side, ts), phy, ts^0xfade)
 		}},
 	}
@@ -53,8 +53,7 @@ func Table8Fading(o Options) fmt.Stringer {
 		Atomic float64
 	}
 	grid := runSeedGrid(o, len(channels), func(o Options, row, seed int) result {
-		nw, tick := channels[row].mk(uint64(12000 + seed))
-		s := coverageSim(nw, n, uint64(seed+1), tick, o)
+		s := coverageSim(channels[row].mk(uint64(12000+seed)), n, uint64(seed+1), o)
 		s.RunUntil(func(s *sim.Sim) bool {
 			for v := 0; v < n; v++ {
 				if s.FirstFullCoverage(v) < 0 {
@@ -92,12 +91,8 @@ func Table8Fading(o Options) fmt.Stringer {
 }
 
 // coverageSim builds the LocalBcast simulator with coverage tracking enabled.
-func coverageSim(nw *udwn.Network, n int, seed uint64, tick *udwn.TickSource, o Options) *sim.Sim {
-	s := mustSim(nw, func(id int) sim.Protocol {
+func coverageSim(nw *udwn.Network, n int, seed uint64, o Options) *sim.Sim {
+	return mustSim(nw, func(id int) sim.Protocol {
 		return core.NewLocalBcast(n, int64(id))
 	}, o.sim(udwn.SimOptions{Seed: seed, Primitives: sim.CD | sim.ACK, TrackCoverage: true}))
-	if tick != nil {
-		tick.Bind(s)
-	}
-	return s
 }

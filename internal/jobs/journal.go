@@ -58,15 +58,6 @@ type jobJournal struct {
 	j *checkpoint.Journal
 }
 
-// createJobJournal starts a fresh ledger in dir.
-func createJobJournal(dir string) (*jobJournal, error) {
-	j, err := checkpoint.CreateJournal(filepath.Join(dir, journalName))
-	if err != nil {
-		return nil, fmt.Errorf("jobs: %w", err)
-	}
-	return &jobJournal{j: j}, nil
-}
-
 // resumeJobJournal recovers the ledger in dir, passing every valid event to
 // replay in append order. A frame that is not a well-formed event ends the
 // valid prefix and is truncated away with everything after it, exactly like

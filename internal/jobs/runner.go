@@ -9,22 +9,18 @@ import (
 
 	"udwn/internal/checkpoint"
 	"udwn/internal/experiment"
-	"udwn/internal/metrics"
 	"udwn/internal/trace"
 )
 
 // RunContext carries the per-attempt environment the server hands a Runner:
-// the shared checkpoint store (the cross-job result cache), a fresh metrics
-// registry for the attempt, and the progress sink feeding the job's event
-// stream.
+// the shared checkpoint store (the cross-job result cache), the progress
+// sink feeding the job's event stream, and the trace path.
 type RunContext struct {
 	// Attempt is the 1-based supervisor attempt.
 	Attempt int
 	// Checkpoint is the daemon-wide content-addressed cell store; nil when
 	// the server runs without one (tests).
 	Checkpoint *checkpoint.Store
-	// Metrics is a registry private to this attempt.
-	Metrics *metrics.Registry
 	// Progress receives grid progress; may be nil.
 	Progress func(experiment.Progress)
 	// TracePath, when non-empty, asks the runner to record the attempt's
@@ -48,6 +44,10 @@ type Runner func(ctx context.Context, spec Spec, rc RunContext) (string, error)
 // The grid runs with HardCancel: when ctx fires (deadline, drain past
 // grace, client cancel) in-flight simulations stop at their next tick,
 // completed cells stay checkpointed, and the attempt returns ctx's error.
+// The grid runs without a metrics registry: nothing reads a job's simulator
+// counters (/metricsz and /statusz read the server's own registry), so
+// simulations skip their per-slot instrumentation and checkpoint records
+// carry no metrics snapshot.
 //
 // Output is the same rendered text cmd/experiments prints for the same
 // options, and — because every grid cell is a pure function of its
@@ -61,7 +61,6 @@ func ExperimentRunner(gridWorkers int, cellTimeout time.Duration, cellRetries in
 			CellTimeout: cellTimeout,
 			Retries:     cellRetries,
 			Report:      experiment.NewRunReport(),
-			Metrics:     rc.Metrics,
 			Checkpoint:  rc.Checkpoint,
 			Progress:    rc.Progress,
 			Context:     ctx,

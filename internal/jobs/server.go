@@ -913,7 +913,6 @@ func (s *Server) runOnce(j *job, attempt int) (string, error) {
 	rc := RunContext{
 		Attempt:    attempt,
 		Checkpoint: s.store,
-		Metrics:    metrics.NewRegistry(),
 		Progress: func(p experiment.Progress) {
 			s.progress(j, attempt, p)
 		},

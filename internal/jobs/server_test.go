@@ -452,7 +452,7 @@ func TestExperimentRunnerCancellation(t *testing.T) {
 	r := ExperimentRunner(1, 0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r(ctx, Spec{Experiments: []string{"table1"}, Quick: true}, RunContext{Metrics: metrics.NewRegistry()})
+	_, err := r(ctx, Spec{Experiments: []string{"table1"}, Quick: true}, RunContext{})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -466,7 +466,7 @@ func TestExperimentRunnerProducesOutput(t *testing.T) {
 	}
 	r := ExperimentRunner(2, 0, 1)
 	out, err := r(context.Background(), Spec{Experiments: []string{"table1"}, Quick: true, Seeds: 1},
-		RunContext{Metrics: metrics.NewRegistry()})
+		RunContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

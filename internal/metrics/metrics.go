@@ -95,10 +95,6 @@ func (h *Histogram) Count() int64 {
 	return t
 }
 
-// Bounds returns the declared bucket upper bounds (aliasing the internal
-// slice; treat as read-only).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Timer accumulates wall-clock and allocation cost of repeated operations.
 // The invocation count is deterministic; the nanosecond and byte totals are
 // inherently machine- and schedule-dependent, and land in snapshot fields

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"udwn/internal/geom"
 	"udwn/internal/metric"
 	"udwn/internal/rng"
 )
@@ -16,11 +15,10 @@ import (
 // transmitters inside its decode cutoff, so the check is not vacuous.
 func TestOneDecodePerListener(t *testing.T) {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
-	tick := func() int { return 3 }
 	models := []Model{
 		NewSINR(1500, 1, 1, 3, 0.1),
 		NewSINR(1500, 1.5, 1, 3, 0.1),
-		NewRayleighSINR(1500, 1, 1, 3, 0.1, 7, tick),
+		NewRayleighSINR(1500, 1, 1, 3, 0.1, 7),
 		NewUDG(10), NewUBG(10), NewKHop(10, 1.5),
 		NewQUDG(6, 10, nil), NewQUDG(6, 10, grey),
 		NewProtocol(9, 13),
@@ -33,31 +31,17 @@ func TestOneDecodePerListener(t *testing.T) {
 			const n = 40
 			var space metric.Space
 			if m.Name() == "big" {
-				adj := make([][]int, n)
-				for u := 0; u < n; u++ {
-					for v := u + 1; v < n; v++ {
-						if r.Bernoulli(0.08) {
-							adj[u] = append(adj[u], v)
-							adj[v] = append(adj[v], u)
-						}
-					}
-				}
-				space = metric.NewGraph(adj)
+				space = randomGraph(r, n, 0.08)
 			} else {
-				pts := make([]geom.Point, n)
-				for v := range pts {
-					pts[v] = geom.Point{X: r.Range(0, 40), Y: r.Range(0, 40)}
-				}
-				space = metric.NewEuclidean(pts)
+				space = randomPlane(r, n, 40)
 			}
-			var tx []int
+			tx := randomTransmitters(r, n, 0.2)
 			isTx := make([]bool, n)
-			for v := 0; v < n; v++ {
-				if r.Bernoulli(0.2) {
-					tx, isTx[v] = append(tx, v), true
-				}
+			for _, v := range tx {
+				isTx[v] = true
 			}
 			view := newFakeView(space, 1500, 3, tx)
+			view.tick = 3
 			for v := 0; v < n; v++ {
 				if isTx[v] {
 					continue

@@ -49,7 +49,7 @@ func TestModelMetadata(t *testing.T) {
 }
 
 func TestRayleighParams(t *testing.T) {
-	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 1, func() int { return 0 })
+	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 1)
 	det := NewSINR(8, 1, 1, 3, 0.1)
 	if m.Params() != det.Params() {
 		t.Fatal("Rayleigh must inherit SINR SuccClear parameters")

@@ -1,6 +1,7 @@
 // Package model implements the paper's unified communication model and the
-// concrete models it captures: SINR, UDG/UBG, Quasi-UDG, the Protocol model,
-// bounded-independence graphs (BIG), and k-hop variants.
+// concrete models it captures: SINR, with or without Rayleigh fading, and one
+// collision rule whose radii give UDG/UBG, k-hop, Quasi-UDG, the Protocol
+// model and bounded-independence graphs (BIG).
 //
 // The unified rule is SuccClear (Def. 1): a transmission from u is guaranteed
 // to reach all of u's neighbours when no other node transmits within the
@@ -35,6 +36,9 @@ type View interface {
 	// TransmittersWithin returns the number of transmitters w != excluding
 	// with d(w, v) <= r. Pass excluding = -1 to count all.
 	TransmittersWithin(v int, r float64, excluding int) int
+	// Tick returns the simulator tick of the slot being decoded, from which
+	// Rayleigh fading draws its coefficients.
+	Tick() int
 }
 
 // SuccClear holds the clear-channel parameters of a model.
@@ -61,12 +65,11 @@ type FieldOblivious interface {
 //
 // One frame per listener: Decodes is true for at most one same-channel
 // transmitter per listener and slot, and every constructor rejects the
-// parameters that would break this. In UDG, UBG and KHop (k ≥ 1), QUDG
-// (interference reaches outerR, past every edge), Protocol (interfR ≥
-// commR) and BIG (k ≥ 1 hops), a second decodable transmitter lies inside
-// the first decode's interference radius. SINR and Rayleigh SINR need β ≥ 1
-// and N > 0: a decoded signal exceeds β·(every other term + N), so two
-// decodes would need s₁ > s₂ and s₂ > s₁. Rayleigh sums its interference
+// parameters that would break this. Collision's interference reaches
+// interfR, at least as far as every edge, so a second decodable transmitter
+// lies inside the first decode's interference radius. SINR and Rayleigh SINR
+// need β ≥ 1 and N > 0: a decoded signal exceeds β·(every other term + N), so
+// two decodes would need s₁ > s₂ and s₂ > s₁. Rayleigh sums its interference
 // directly, so this holds bit for bit in floats; for SINR at β = 1 a double
 // decode would need the field sum's rounding error to exceed N. The
 // simulator keeps a listener's first frame in ascending transmitter order,
@@ -172,224 +175,105 @@ func (s *SINR) Decodes(view View, u, v int) bool {
 	return sig > s.beta*(interference+s.noise)
 }
 
-// UDG is the unit-disc / unit-ball graph radio model: v decodes u iff
-// d(u,v) <= R and no other transmitter is within the interference radius of
-// v. With interference radius R this is the classical radio-network rule;
-// over a non-Euclidean space the same type serves as the UBG model.
-type UDG struct {
+// Collision is the unified collision rule of the graph-based models (App.
+// B): v decodes u iff u→v is an edge — d(u,v) <= commR, or a grey edge up to
+// interfR — and no other transmitter lies within interfR of v. The models
+// differ only in their radii and the space they run over:
+//
+//   - UDG and UBG: commR = interfR = R, over a Euclidean or any other space;
+//   - k-hop: interfR = k·R;
+//   - quasi-UDG: commR = innerR and interfR = outerR, where pairs in the
+//     grey zone between them are connected by an adversarially fixed
+//     (here: deterministic per distance) rule, and interfere either way;
+//   - the Protocol model of Gupta–Kumar: commR = R and interfR = R_I;
+//   - BIG: commR = 1 and interfR = k over the hop metric of a
+//     bounded-independence graph, which is (1, λ)-bounded independent.
+type Collision struct {
 	name    string
 	commR   float64
 	interfR float64
-}
-
-var _ Model = (*UDG)(nil)
-
-// NewUDG returns a UDG model with communication and interference radius r.
-// It panics unless r > 0.
-func NewUDG(r float64) *UDG { return newUDG("udg", r, 1) }
-
-// NewUBG returns the unit-ball-graph variant (identical rule, reported under
-// its own name; the difference is the space it is used over). It panics
-// unless r > 0.
-func NewUBG(r float64) *UDG { return newUDG("ubg", r, 1) }
-
-// NewKHop returns a k-hop interference variant: communication radius r,
-// interference radius k·r (k > 1 extends ρ_c as in App. B). It panics
-// unless r > 0 and k >= 1: a smaller interference radius would let one
-// listener decode two transmitters in one slot.
-func NewKHop(r float64, k float64) *UDG { return newUDG("khop", r, k) }
-
-// newUDG panics on r ≤ 0, on a NaN r, under which Decodes would accept any
-// distance, and on a NaN k or k < 1.
-func newUDG(name string, r, k float64) *UDG {
-	if !(r > 0) || !(k >= 1) {
-		panic("model: " + name + " needs r > 0 and k >= 1")
-	}
-	return &UDG{name: name, commR: r, interfR: k * r}
-}
-
-// Name returns the model name.
-func (m *UDG) Name() string { return m.name }
-
-// R returns the communication radius.
-func (m *UDG) R() float64 { return m.commR }
-
-// Params returns ρ_c = (R + R_I)/R and I_c = ∞ per App. B.
-func (m *UDG) Params() SuccClear {
-	return SuccClear{RhoC: (m.commR + m.interfR) / m.commR, Ic: math.Inf(1)}
-}
-
-// CommRadius returns R: graph neighbourhoods are exact.
-func (m *UDG) CommRadius(float64) float64 { return m.commR }
-
-// MaxDecodeRange returns the communication radius: Decodes rejects any pair
-// beyond it outright.
-func (m *UDG) MaxDecodeRange() float64 { return m.commR }
-
-// FieldOblivious reports true: the collision rule never reads TotalPower.
-func (m *UDG) FieldOblivious() bool { return true }
-
-// Decodes applies the collision rule.
-func (m *UDG) Decodes(view View, u, v int) bool {
-	if view.Dist(u, v) > m.commR {
-		return false
-	}
-	return view.TransmittersWithin(v, m.interfR, u) == 0
-}
-
-// QUDG is the quasi-unit-disc model: pairs within innerR are always
-// connected, pairs beyond outerR never, and the grey zone in between is
-// decided by an adversarially fixed (here: deterministic per pair) rule.
-// Grey-zone nodes always cause interference regardless of connectivity.
-type QUDG struct {
-	innerR float64
-	outerR float64
-	// greyEdge decides connectivity of a grey-zone pair; nil means the
-	// pessimistic adversary (no grey edges).
+	// greyEdge decides connectivity of a pair in (commR, interfR]; nil means
+	// the pessimistic adversary (no grey edges).
 	greyEdge func(dist float64) bool
 }
 
-var _ Model = (*QUDG)(nil)
+var _ Model = (*Collision)(nil)
 
-// NewQUDG returns a QUDG model. greyEdge may be nil for the pessimistic
-// adversary. It panics unless 0 < innerR <= outerR, NaN radii included.
-func NewQUDG(innerR, outerR float64, greyEdge func(dist float64) bool) *QUDG {
-	if !(innerR > 0) || !(outerR >= innerR) {
-		panic("model: QUDG needs 0 < innerR <= outerR")
-	}
-	return &QUDG{innerR: innerR, outerR: outerR, greyEdge: greyEdge}
+// NewUDG returns the unit-disc-graph model with communication and
+// interference radius r. It panics unless r > 0.
+func NewUDG(r float64) *Collision { return newCollision("udg", r, r, nil) }
+
+// NewUBG returns the unit-ball-graph variant: the UDG rule reported under its
+// own name, for use over a non-Euclidean space. It panics unless r > 0.
+func NewUBG(r float64) *Collision { return newCollision("ubg", r, r, nil) }
+
+// NewKHop returns a k-hop interference variant: communication radius r,
+// interference radius k·r (k > 1 extends ρ_c as in App. B). It panics
+// unless r > 0 and k >= 1.
+func NewKHop(r float64, k float64) *Collision { return newCollision("khop", r, k*r, nil) }
+
+// NewQUDG returns the quasi-unit-disc model: pairs within innerR are always
+// connected, pairs beyond outerR never, and greyEdge decides the grey zone in
+// between (nil for the pessimistic adversary). It panics unless
+// 0 < innerR <= outerR.
+func NewQUDG(innerR, outerR float64, greyEdge func(dist float64) bool) *Collision {
+	return newCollision("qudg", innerR, outerR, greyEdge)
 }
 
-// Name returns "qudg".
-func (m *QUDG) Name() string { return "qudg" }
-
-// R returns the inner (guaranteed) radius — the clear-channel communication
-// distance of the unified model.
-func (m *QUDG) R() float64 { return m.innerR }
-
-// Params returns ρ_c = (R + R')/R over the inner radius, I_c = ∞.
-func (m *QUDG) Params() SuccClear {
-	return SuccClear{RhoC: (m.innerR + m.outerR) / m.innerR, Ic: math.Inf(1)}
+// NewProtocol returns the protocol model with communication radius commR and
+// interference radius interfR. It panics unless 0 < commR <= interfR.
+func NewProtocol(commR, interfR float64) *Collision {
+	return newCollision("protocol", commR, interfR, nil)
 }
 
-// CommRadius returns the inner radius: guaranteed edges are exact.
-func (m *QUDG) CommRadius(float64) float64 { return m.innerR }
+// NewBIG returns the bounded-independence-graph model: communication along
+// graph edges (distance 1), interference reaching k hops. It panics unless
+// k >= 1.
+func NewBIG(k int) *Collision { return newCollision("big", 1, float64(k), nil) }
 
-// MaxDecodeRange returns the largest distance at which an edge can exist:
-// outerR when a grey-zone rule may connect pairs beyond the inner radius,
-// innerR under the pessimistic (no grey edges) adversary.
-func (m *QUDG) MaxDecodeRange() float64 {
-	if m.greyEdge != nil {
-		return m.outerR
-	}
-	return m.innerR
-}
-
-// FieldOblivious reports true: the collision rule never reads TotalPower.
-func (m *QUDG) FieldOblivious() bool { return true }
-
-// Decodes applies the collision rule over the (possibly grey) edge set,
-// with interference out to outerR.
-func (m *QUDG) Decodes(view View, u, v int) bool {
-	d := view.Dist(u, v)
-	connected := d <= m.innerR || (d <= m.outerR && m.greyEdge != nil && m.greyEdge(d))
-	if !connected {
-		return false
-	}
-	return view.TransmittersWithin(v, m.outerR, u) == 0
-}
-
-// Protocol is the protocol model of Gupta–Kumar: communication radius R and
-// a larger interference radius R_I; v decodes u iff d(u,v) <= R and no other
-// transmitter w has d(w,v) <= R_I.
-type Protocol struct {
-	commR   float64
-	interfR float64
-}
-
-var _ Model = (*Protocol)(nil)
-
-// NewProtocol returns a protocol model. It panics unless
-// 0 < commR <= interfR, NaN radii included.
-func NewProtocol(commR, interfR float64) *Protocol {
+// newCollision panics unless 0 < commR <= interfR, NaN radii included: a NaN
+// radius would accept any distance, and interfR < commR would let one
+// listener decode two transmitters in one slot.
+func newCollision(name string, commR, interfR float64, greyEdge func(float64) bool) *Collision {
 	if !(commR > 0) || !(interfR >= commR) {
-		panic("model: Protocol needs 0 < commR <= interfR")
+		panic("model: " + name + " needs 0 < communication radius <= interference radius")
 	}
-	return &Protocol{commR: commR, interfR: interfR}
+	return &Collision{name: name, commR: commR, interfR: interfR, greyEdge: greyEdge}
 }
 
-// Name returns "protocol".
-func (m *Protocol) Name() string { return "protocol" }
+// Name returns the model name.
+func (m *Collision) Name() string { return m.name }
 
-// R returns the communication radius.
-func (m *Protocol) R() float64 { return m.commR }
+// R returns the communication radius, the clear-channel communication
+// distance of the unified model.
+func (m *Collision) R() float64 { return m.commR }
 
-// Params returns ρ_c = (R + R_I)/R, I_c = ∞ per App. B.
-func (m *Protocol) Params() SuccClear {
+// Params returns ρ_c = (R + R_I)/R and I_c = ∞ per App. B.
+func (m *Collision) Params() SuccClear {
 	return SuccClear{RhoC: (m.commR + m.interfR) / m.commR, Ic: math.Inf(1)}
 }
 
-// CommRadius returns R: graph neighbourhoods are exact.
-func (m *Protocol) CommRadius(float64) float64 { return m.commR }
+// CommRadius returns the communication radius: guaranteed edges are exact.
+func (m *Collision) CommRadius(float64) float64 { return m.commR }
 
-// MaxDecodeRange returns the communication radius: Decodes rejects any pair
-// beyond it outright.
-func (m *Protocol) MaxDecodeRange() float64 { return m.commR }
+// MaxDecodeRange returns the largest distance at which an edge can exist:
+// interfR when a grey-zone rule may connect pairs beyond commR, commR
+// otherwise.
+func (m *Collision) MaxDecodeRange() float64 {
+	if m.greyEdge != nil {
+		return m.interfR
+	}
+	return m.commR
+}
 
-// FieldOblivious reports true: the protocol rule never reads TotalPower.
-func (m *Protocol) FieldOblivious() bool { return true }
+// FieldOblivious reports true: the collision rule never reads TotalPower.
+func (m *Collision) FieldOblivious() bool { return true }
 
-// Decodes applies the protocol-model rule.
-func (m *Protocol) Decodes(view View, u, v int) bool {
-	if view.Dist(u, v) > m.commR {
+// Decodes applies the collision rule.
+func (m *Collision) Decodes(view View, u, v int) bool {
+	d := view.Dist(u, v)
+	if !(d <= m.commR || d <= m.interfR && m.greyEdge != nil && m.greyEdge(d)) {
 		return false
 	}
 	return view.TransmittersWithin(v, m.interfR, u) == 0
-}
-
-// BIG is the bounded-independence-graph model: the space is a graph hop
-// metric, communication is along edges (distance 1), and interference
-// reaches k hops. Its shortest-path metric is (1, λ)-bounded independent by
-// the BIG property.
-type BIG struct {
-	interfHops float64
-}
-
-var _ Model = (*BIG)(nil)
-
-// NewBIG returns a BIG model with interference reach k hops (k >= 1).
-func NewBIG(k int) *BIG {
-	if k < 1 {
-		panic("model: BIG interference hops must be >= 1")
-	}
-	return &BIG{interfHops: float64(k)}
-}
-
-// Name returns "big".
-func (m *BIG) Name() string { return "big" }
-
-// R returns 1: communication is along graph edges.
-func (m *BIG) R() float64 { return 1 }
-
-// Params returns ρ_c = k + 1 (exclusion covers the interference reach),
-// I_c = ∞.
-func (m *BIG) Params() SuccClear {
-	return SuccClear{RhoC: m.interfHops + 1, Ic: math.Inf(1)}
-}
-
-// CommRadius returns 1: adjacency is exact.
-func (m *BIG) CommRadius(float64) float64 { return 1 }
-
-// MaxDecodeRange returns 1: communication is along graph edges only.
-func (m *BIG) MaxDecodeRange() float64 { return 1 }
-
-// FieldOblivious reports true: the radio rule never reads TotalPower.
-func (m *BIG) FieldOblivious() bool { return true }
-
-// Decodes applies the radio rule with k-hop interference.
-func (m *BIG) Decodes(view View, u, v int) bool {
-	if view.Dist(u, v) > 1 {
-		return false
-	}
-	return view.TransmittersWithin(v, m.interfHops, u) == 0
 }

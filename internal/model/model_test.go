@@ -8,11 +8,13 @@ import (
 	"udwn/internal/pathloss"
 )
 
-// fakeView implements View over an explicit space and transmitter set.
+// fakeView implements View over an explicit space and transmitter set, at
+// slot tick.
 type fakeView struct {
 	space metric.Space
 	field *pathloss.Field
 	tx    []int
+	tick  int
 }
 
 func newFakeView(space metric.Space, p, zeta float64, tx []int) *fakeView {
@@ -26,6 +28,7 @@ func newFakeView(space metric.Space, p, zeta float64, tx []int) *fakeView {
 func (f *fakeView) Transmitters() []int    { return f.tx }
 func (f *fakeView) Power(w, v int) float64 { return f.field.Power(w, v) }
 func (f *fakeView) Dist(u, v int) float64  { return f.space.Dist(u, v) }
+func (f *fakeView) Tick() int              { return f.tick }
 func (f *fakeView) TotalPower(v int) float64 {
 	total := 0.0
 	for _, w := range f.tx {
@@ -250,7 +253,7 @@ func TestConstructorPanics(t *testing.T) {
 		"sinr beta=NaN":       func() { NewSINR(8, math.NaN(), 1, 3, 0.1) },
 		"sinr noise=NaN":      func() { NewSINR(8, 1, math.NaN(), 3, 0.1) },
 		"sinr zeta=NaN":       func() { NewSINR(8, 1, 1, math.NaN(), 0.1) },
-		"rayleigh beta<1":     func() { NewRayleighSINR(8, 0.5, 1, 3, 0.1, 1, func() int { return 0 }) },
+		"rayleigh beta<1":     func() { NewRayleighSINR(8, 0.5, 1, 3, 0.1, 1) },
 		"qudg inner=0":        func() { NewQUDG(0, 1, nil) },
 		"qudg inner=NaN":      func() { NewQUDG(math.NaN(), 2, nil) },
 		"qudg outer<inner":    func() { NewQUDG(2, 1, nil) },

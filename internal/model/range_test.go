@@ -32,8 +32,7 @@ func TestMaxDecodeRangeValues(t *testing.T) {
 	if got := NewBIG(2).MaxDecodeRange(); got != 1 {
 		t.Fatalf("BIG MaxDecodeRange = %v, want 1", got)
 	}
-	tick := func() int { return 0 }
-	ray := NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7, tick)
+	ray := NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7)
 	wantRay := ray.R() * math.Pow(-math.Log(1-fadeClamp), 1.0/3)
 	if got := ray.MaxDecodeRange(); math.Abs(got-wantRay) > 1e-12 {
 		t.Fatalf("Rayleigh MaxDecodeRange = %v, want %v", got, wantRay)
@@ -58,8 +57,6 @@ func TestMaxDecodeRangeValues(t *testing.T) {
 // the declared cutoff Decodes must be false, which is what licenses the
 // simulator to skip those pairs entirely on the indexed reception path.
 func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
-	var tickVal int
-	tick := func() int { return tickVal }
 	grey := func(d float64) bool { return math.Sin(d*31.4) > -0.5 }
 	models := []Model{
 		NewSINR(1500, 1.5, 1, 3, 0.1),
@@ -67,7 +64,7 @@ func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
 		NewQUDG(4, 9, nil),
 		NewQUDG(4, 9, grey),
 		NewProtocol(5, 11),
-		NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7, tick),
+		NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7),
 	}
 	for _, m := range models {
 		cutoff := m.MaxDecodeRange()
@@ -77,10 +74,10 @@ func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
 			view := newFakeView(e, 1500, 3, []int{0})
 			// Rayleigh redraws fading per tick; sweep many slots so a lucky
 			// coefficient would be caught.
-			for tickVal = 0; tickVal < 500; tickVal++ {
+			for view.tick = 0; view.tick < 500; view.tick++ {
 				if m.Decodes(view, 0, 1) {
 					t.Fatalf("%s decodes at %.6g×MaxDecodeRange (tick %d)",
-						m.Name(), factor, tickVal)
+						m.Name(), factor, view.tick)
 				}
 			}
 		}
@@ -100,7 +97,7 @@ func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
 		e := metric.NewEuclidean([]geom.Point{{X: 0, Y: 0}, {X: d, Y: 0}})
 		view := newFakeView(e, 1500, 3, []int{0})
 		decoded := false
-		for tickVal = 0; tickVal < 500 && !decoded; tickVal++ {
+		for view.tick = 0; view.tick < 500 && !decoded; view.tick++ {
 			decoded = m.Decodes(view, 0, 1)
 		}
 		if !decoded {
@@ -113,11 +110,10 @@ func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
 // field: graph-style rules and Rayleigh (which sums its own faded per-pair
 // powers) never read View.TotalPower; SINR does.
 func TestFieldObliviousDeclarations(t *testing.T) {
-	tick := func() int { return 0 }
 	oblivious := []Model{
 		NewUDG(7), NewUBG(7), NewKHop(7, 2), NewQUDG(4, 9, nil),
 		NewProtocol(5, 11), NewBIG(2),
-		NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7, tick),
+		NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7),
 	}
 	for _, m := range oblivious {
 		fo, ok := m.(FieldOblivious)

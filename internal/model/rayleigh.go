@@ -22,7 +22,6 @@ import (
 type RayleighSINR struct {
 	base *SINR
 	seed uint64
-	tick func() int
 	zeta float64
 }
 
@@ -34,13 +33,10 @@ var _ Model = (*RayleighSINR)(nil)
 const fadeClamp = 0.999999
 
 // NewRayleighSINR wraps the SINR parameters, validated as NewSINR does, with
-// Rayleigh fading. tick must report the simulator's current tick so
-// coefficients redraw every slot; it is typically bound to (*sim.Sim).Tick.
-func NewRayleighSINR(p, beta, noise, zeta, eps float64, seed uint64, tick func() int) *RayleighSINR {
-	if tick == nil {
-		panic("model: RayleighSINR needs a tick source")
-	}
-	return &RayleighSINR{base: NewSINR(p, beta, noise, zeta, eps), seed: seed, tick: tick, zeta: zeta}
+// Rayleigh fading keyed by seed. Coefficients redraw every slot: Decodes
+// reads the slot's tick from its View.
+func NewRayleighSINR(p, beta, noise, zeta, eps float64, seed uint64) *RayleighSINR {
+	return &RayleighSINR{base: NewSINR(p, beta, noise, zeta, eps), seed: seed, zeta: zeta}
 }
 
 // Name returns "rayleigh".
@@ -82,7 +78,7 @@ func (m *RayleighSINR) fade(tick, w, v int) float64 {
 
 // Decodes applies the SINR inequality with faded signal and interference.
 func (m *RayleighSINR) Decodes(view View, u, v int) bool {
-	tick := m.tick()
+	tick := view.Tick()
 	sig := view.Power(u, v) * m.fade(tick, u, v)
 	if sig <= 0 {
 		return false

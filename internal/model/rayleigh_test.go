@@ -8,8 +8,7 @@ import (
 )
 
 func TestRayleighDeterministicPerTick(t *testing.T) {
-	tick := 0
-	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 7, func() int { return tick })
+	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 7)
 	space := metric.NewMatrix(2, 1.5)
 	v := newFakeView(space, 8, 3, []int{0})
 	a := m.Decodes(v, 0, 1)
@@ -22,13 +21,12 @@ func TestRayleighDeterministicPerTick(t *testing.T) {
 func TestRayleighVariesAcrossTicks(t *testing.T) {
 	// At a distance near R, the faded decode outcome must vary over ticks:
 	// sometimes up-fade succeeds, sometimes down-fade fails.
-	tick := 0
-	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 7, func() int { return tick })
+	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 7)
 	space := metric.NewMatrix(2, 1.9)
 	v := newFakeView(space, 8, 3, []int{0})
 	succ := 0
 	const trials = 400
-	for tick = 0; tick < trials; tick++ {
+	for v.tick = 0; v.tick < trials; v.tick++ {
 		if m.Decodes(v, 0, 1) {
 			succ++
 		}
@@ -41,12 +39,11 @@ func TestRayleighVariesAcrossTicks(t *testing.T) {
 func TestRayleighUpFadeBeyondMeanRange(t *testing.T) {
 	// Beyond the mean-field range R, up-fades occasionally deliver — unlike
 	// deterministic SINR. This is the edge-dynamics the model injects.
-	tick := 0
-	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 9, func() int { return tick })
+	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 9)
 	space := metric.NewMatrix(2, 2.3)
 	v := newFakeView(space, 8, 3, []int{0})
 	succ := 0
-	for tick = 0; tick < 2000; tick++ {
+	for v.tick = 0; v.tick < 2000; v.tick++ {
 		if m.Decodes(v, 0, 1) {
 			succ++
 		}
@@ -61,7 +58,7 @@ func TestRayleighUpFadeBeyondMeanRange(t *testing.T) {
 }
 
 func TestRayleighFadeUnitMean(t *testing.T) {
-	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 11, func() int { return 0 })
+	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 11)
 	sum := 0.0
 	const k = 50000
 	for i := 0; i < k; i++ {
@@ -73,7 +70,7 @@ func TestRayleighFadeUnitMean(t *testing.T) {
 }
 
 func TestRayleighMetadata(t *testing.T) {
-	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 1, func() int { return 0 })
+	m := NewRayleighSINR(8, 1, 1, 3, 0.1, 1)
 	if m.Name() != "rayleigh" {
 		t.Fatal("name")
 	}
@@ -83,13 +80,4 @@ func TestRayleighMetadata(t *testing.T) {
 	if m.CommRadius(0.1) >= m.R() {
 		t.Fatal("CommRadius must shrink")
 	}
-}
-
-func TestRayleighPanicsWithoutTick(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRayleighSINR(8, 1, 1, 3, 0.1, 1, nil)
 }

@@ -44,12 +44,12 @@ type Options struct {
 }
 
 // NewField returns a power field with transmit power p over space, using
-// exponent zeta. It panics if p <= 0 or zeta <= 0 (programming errors).
+// exponent zeta. It panics unless p > 0 and zeta > 0 (programming errors).
 func NewField(space metric.Space, p, zeta float64, opts Options) *Field {
-	if p <= 0 {
+	if !(p > 0) {
 		panic("pathloss: power must be positive")
 	}
-	if zeta <= 0 {
+	if !(zeta > 0) {
 		panic("pathloss: zeta must be positive")
 	}
 	f := &Field{

@@ -60,16 +60,9 @@ func TestCoverageUnderRayleigh(t *testing.T) {
 	// cumulative coverage completes quickly — the metric the fading
 	// experiment relies on.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 1.2, Y: 0}, {X: -1.2, Y: 0}}
-	var s *Sim
-	mdl := model.NewRayleighSINR(8, 1, 1, 3, 0.1, 5, func() int {
-		if s == nil {
-			return 0
-		}
-		return s.Tick()
-	})
 	cfg := Config{
 		Space: metric.NewEuclidean(pts),
-		Model: mdl,
+		Model: model.NewRayleighSINR(8, 1, 1, 3, 0.1, 5),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
 		Seed:          1,
 		TrackCoverage: true,
@@ -78,8 +71,7 @@ func TestCoverageUnderRayleigh(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		always[i] = true
 	}
-	var err error
-	s, err = New(cfg, func(id int) Protocol {
+	s, err := New(cfg, func(id int) Protocol {
 		if id == 0 {
 			return &scriptProto{transmitAt: always}
 		}

@@ -120,7 +120,7 @@ type diffScenario struct {
 	n        int
 	ticks    int
 	seed     uint64
-	model    func(tick func() int) model.Model
+	model    model.Model
 	channels int
 	scales   bool
 	dynamic  bool
@@ -149,10 +149,9 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 	var log strings.Builder
 	side := workload.SideForDegree(sc.n, 12, 10)
 	pts := workload.UniformDisc(sc.n, side, sc.seed)
-	var sp *Sim
 	cfg := Config{
 		Space: metric.NewEuclidean(pts),
-		Model: sc.model(func() int { return sp.Tick() }),
+		Model: sc.model,
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
 		Seed:          sc.seed,
 		Primitives:    sc.prims,
@@ -174,7 +173,6 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp = s
 	if disableGrid {
 		s.grid = nil
 	}
@@ -281,42 +279,40 @@ func TestGridScanEquivalence(t *testing.T) {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
 	scenarios := []diffScenario{
 		{name: "udg", n: 220, ticks: 120, seed: 1,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK | NTD},
 		{name: "sinr", n: 220, ticks: 120, seed: 2,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK},
 		{name: "qudg-grey", n: 220, ticks: 120, seed: 3,
-			model: func(func() int) model.Model { return model.NewQUDG(7, 11, grey) },
+			model: model.NewQUDG(7, 11, grey),
 			prims: CD},
 		{name: "protocol", n: 220, ticks: 120, seed: 4,
-			model: func(func() int) model.Model { return model.NewProtocol(9, 13) },
+			model: model.NewProtocol(9, 13),
 			prims: FreeAck},
 		{name: "rayleigh", n: 180, ticks: 100, seed: 5,
-			model: func(tick func() int) model.Model {
-				return model.NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 5, tick)
-			},
+			model: model.NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 5),
 			prims: CD | ACK},
 		{name: "channels-3", n: 220, ticks: 120, seed: 6, channels: 3,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD},
 		{name: "power-scales", n: 220, ticks: 120, seed: 7, scales: true,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK},
 		{name: "churn", n: 220, ticks: 150, seed: 8, churn: true,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK},
 		{name: "mobility", n: 220, ticks: 150, seed: 9, dynamic: true,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK},
 		{name: "mobility-sinr-scales", n: 180, ticks: 120, seed: 10, dynamic: true, scales: true,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK | NTD},
 		{name: "faults", n: 220, ticks: 150, seed: 11, inject: true, dynamic: true,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK},
 		{name: "faults-sinr-scales", n: 180, ticks: 120, seed: 12, inject: true, scales: true,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK | NTD},
 	}
 	for _, sc := range scenarios {
@@ -335,7 +331,7 @@ func TestGridScanEquivalence(t *testing.T) {
 // independent simulations must not interfere (run under -race in CI).
 func TestGridParallelRunsAgree(t *testing.T) {
 	sc := diffScenario{name: "par", n: 200, ticks: 100, seed: 21, churn: true,
-		model: func(func() int) model.Model { return model.NewUDG(10) },
+		model: model.NewUDG(10),
 		prims: CD | ACK}
 	want := runDiff(t, sc, false)
 	const workers = 8
@@ -382,7 +378,7 @@ func (m threeRadiusModel) MaxDecodeRange() float64 { return 10 }
 // simulation produce the same histories.
 func TestThirdRadiusFallback(t *testing.T) {
 	sc := diffScenario{n: 150, ticks: 80, seed: 31, inject: true,
-		model: func(func() int) model.Model { return threeRadiusModel{model.NewUDG(10)} },
+		model: threeRadiusModel{model.NewUDG(10)},
 		prims: CD}
 	var multi int
 	grid := runDiffWatch(t, sc, false, checkFrames(t, &multi))

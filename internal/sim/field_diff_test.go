@@ -78,48 +78,46 @@ func fieldDiffScenarios() []diffScenario {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
 	return []diffScenario{
 		{name: "udg", n: 200, ticks: 140, seed: 41,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK | NTD},
 		{name: "sinr", n: 200, ticks: 140, seed: 42,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK},
 		{name: "sinr-lazy", n: 200, ticks: 140, seed: 43,
 			// ACK without CD: only transmitters and SINR decode checks read
 			// the field.
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: ACK},
 		{name: "qudg-grey", n: 200, ticks: 140, seed: 44,
-			model: func(func() int) model.Model { return model.NewQUDG(7, 11, grey) },
+			model: model.NewQUDG(7, 11, grey),
 			prims: CD},
 		{name: "rayleigh", n: 160, ticks: 100, seed: 45,
-			model: func(tick func() int) model.Model {
-				return model.NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 5, tick)
-			},
+			model: model.NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 5),
 			prims: CD | ACK},
 		{name: "channels-3", n: 200, ticks: 140, seed: 46, channels: 3,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD},
 		{name: "channels-3-sinr-lazy", n: 200, ticks: 140, seed: 47, channels: 3,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: ACK},
 		{name: "power-scales", n: 200, ticks: 140, seed: 48, scales: true,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK},
 		{name: "churn", n: 200, ticks: 160, seed: 49, churn: true,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK},
 		{name: "mobility", n: 200, ticks: 160, seed: 50, dynamic: true,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK},
 		{name: "mobility-sinr-scales", n: 160, ticks: 120, seed: 51, dynamic: true, scales: true,
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK | NTD},
 		{name: "faults", n: 200, ticks: 160, seed: 52, inject: true, dynamic: true,
-			model: func(func() int) model.Model { return model.NewUDG(10) },
+			model: model.NewUDG(10),
 			prims: CD | ACK},
 		{name: "sinr-freeack", n: 200, ticks: 140, seed: 53, channels: 2, scales: true,
 			// FreeAck: only SINR decode checks read the field.
-			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: FreeAck},
 	}
 }

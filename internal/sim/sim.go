@@ -260,16 +260,16 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 	if factory == nil {
 		return nil, errors.New("sim: protocol factory is required")
 	}
-	if cfg.P <= 0 || cfg.Zeta <= 0 {
+	if !(cfg.P > 0) || !(cfg.Zeta > 0) {
 		return nil, fmt.Errorf("sim: P and Zeta must be positive (got %v, %v)", cfg.P, cfg.Zeta)
 	}
-	if cfg.Eps <= 0 || cfg.Eps >= 1 {
+	if !(cfg.Eps > 0 && cfg.Eps < 1) {
 		return nil, fmt.Errorf("sim: Eps must be in (0,1), got %v", cfg.Eps)
 	}
 	if cfg.SenseEps == 0 {
 		cfg.SenseEps = cfg.Eps
 	}
-	if cfg.SenseEps <= 0 || cfg.SenseEps >= 1 {
+	if !(cfg.SenseEps > 0 && cfg.SenseEps < 1) {
 		return nil, fmt.Errorf("sim: SenseEps must be in (0,1), got %v", cfg.SenseEps)
 	}
 	if cfg.Slots == 0 {

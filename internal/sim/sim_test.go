@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"udwn/internal/geom"
@@ -324,6 +325,10 @@ func TestConfigValidation(t *testing.T) {
 		"async 2-slot":  func(c Config) Config { c.Async = true; c.Slots = 2; return c },
 		"bad P":         func(c Config) Config { c.P = 0; return c },
 		"bad sense eps": func(c Config) Config { c.SenseEps = 2; return c },
+		"P NaN":         func(c Config) Config { c.P = math.NaN(); return c },
+		"Zeta NaN":      func(c Config) Config { c.Zeta = math.NaN(); return c },
+		"Eps NaN":       func(c Config) Config { c.Eps = math.NaN(); return c },
+		"SenseEps NaN":  func(c Config) Config { c.SenseEps = math.NaN(); return c },
 	}
 	for name, mod := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -15,6 +15,7 @@ func (vw *slotView) Power(w, v int) float64 {
 }
 func (vw *slotView) Dist(u, v int) float64    { return vw.s.cfg.Space.Dist(u, v) }
 func (vw *slotView) TotalPower(v int) float64 { return vw.s.fieldAt(v) }
+func (vw *slotView) Tick() int                { return vw.s.tick }
 
 // TransmittersWithin counts the channel's transmitters w ∉ {v, excluding}
 // with d(w, v) ≤ r. One pass over tx is the whole cost: the graph-based

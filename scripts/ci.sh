@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, vet, full test suite, then the same suite under the
-# race detector (the parallel experiment engine makes -race meaningful —
-# see internal/experiment/grid.go and TestParallelRace), plus short live
-# fuzzing of the journal decoder and the spatial index, a statement
-# coverage gate over the packages whose tests are load-bearing, and a line
-# ledger gate that keeps each package's non-test Go lines at or below its
-# committed count.
+# Tier-1 gate: build, vet, a gofmt check, full test suite, then the same
+# suite under the race detector (the parallel experiment engine makes -race
+# meaningful — see internal/experiment/grid.go and TestParallelRace), plus
+# short live fuzzing of the journal decoder and the spatial index, a
+# statement coverage gate over the packages whose tests are load-bearing,
+# and a line ledger gate that keeps each package's non-test Go lines at or
+# below its committed count.
 #
 # Every go test carries an explicit -timeout: a stuck grid cell or a hung
 # deadline test must fail the gate with a goroutine dump, not wedge CI at
@@ -35,6 +35,15 @@ done
 
 go build ./...
 go vet ./...
+
+# Format gate: every tracked Go file must be gofmt-clean.
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+  echo "gofmt gate: run gofmt -w on:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+echo "gofmt gate: ok"
 
 # Line ledger gate: every package's non-test Go lines (scripts/loc.sh) must
 # stay at or below its count in scripts/loc_baseline.txt, and a package

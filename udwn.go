@@ -7,8 +7,8 @@
 // parameters into a Network, and constructs simulators over it. The
 // algorithms live in internal/core (Try&Adjust, LocalBcast, Bcast, Bcast*,
 // spontaneous dominating-set broadcast), the models in internal/model
-// (SINR, UDG, UBG, QUDG, Protocol, BIG, k-hop) and the experiment harness in
-// internal/experiment.
+// (SINR, Rayleigh SINR, and the collision rule behind UDG, UBG, QUDG,
+// Protocol, BIG and k-hop) and the experiment harness in internal/experiment.
 //
 // A minimal local-broadcast run:
 //
@@ -98,40 +98,14 @@ func NewSINRSpace(space metric.Space, phy PHY) *Network {
 	}
 }
 
-// TickSource supplies the current simulator tick to models that redraw
-// per-slot state (Rayleigh fading). Bind it to the simulator after
-// construction.
-type TickSource struct {
-	s *sim.Sim
-}
-
-// Bind attaches the source to a simulator.
-func (t *TickSource) Bind(s *sim.Sim) { t.s = s }
-
-// Tick returns the simulator's current tick, or 0 before binding.
-func (t *TickSource) Tick() int {
-	if t.s == nil {
-		return 0
-	}
-	return t.s.Tick()
-}
-
-// NewRayleighNetwork builds an SINR network with per-slot Rayleigh fading.
-// After constructing the simulator, bind the returned TickSource to it so
-// fading coefficients redraw every slot:
-//
-//	nw, ts := udwn.NewRayleighNetwork(pts, phy, 7)
-//	s, _ := nw.NewSim(factory, opts)
-//	ts.Bind(s)
-func NewRayleighNetwork(pts []geom.Point, phy PHY, seed uint64) (*Network, *TickSource) {
-	ts := &TickSource{}
-	nw := &Network{
+// NewRayleighNetwork builds an SINR network with per-slot Rayleigh fading
+// keyed by seed; the fading coefficients redraw every slot.
+func NewRayleighNetwork(pts []geom.Point, phy PHY, seed uint64) *Network {
+	return &Network{
 		Space: metric.NewEuclidean(pts),
-		Model: model.NewRayleighSINR(phy.Power(), phy.Beta, phy.Noise, phy.Alpha, phy.Eps,
-			seed, ts.Tick),
-		PHY: phy,
+		Model: model.NewRayleighSINR(phy.Power(), phy.Beta, phy.Noise, phy.Alpha, phy.Eps, seed),
+		PHY:   phy,
 	}
-	return nw, ts
 }
 
 // NewUDGNetwork builds a unit-disc-graph network over Euclidean points with

@@ -6,6 +6,7 @@ import (
 
 	"udwn"
 	"udwn/internal/core"
+	"udwn/internal/geom"
 	"udwn/internal/sim"
 	"udwn/internal/workload"
 )
@@ -91,26 +92,38 @@ func TestNTDThreshold(t *testing.T) {
 	}
 }
 
-func TestRayleighNetworkBinding(t *testing.T) {
+// beacon transmits in every slot when true and only listens otherwise.
+type beacon bool
+
+func (b beacon) Act(*sim.Node, int) sim.Action          { return sim.Action{Transmit: bool(b)} }
+func (beacon) Observe(*sim.Node, int, *sim.Observation) {}
+
+// TestRayleighNetworkFadesEverySlot builds a simulator straight from
+// NewRayleighNetwork, with no binding step: the fading redraws every slot, so
+// a lone transmitter at 0.95·R reaches its listener in some slots but not
+// all.
+func TestRayleighNetworkFadesEverySlot(t *testing.T) {
 	phy := udwn.DefaultPHY()
-	pts := workload.UniformDisc(8, 15, 5)
-	nw, ts := udwn.NewRayleighNetwork(pts, phy, 99)
-	if ts.Tick() != 0 {
-		t.Fatal("unbound tick source must report 0")
+	nw := udwn.NewRayleighNetwork([]geom.Point{{X: 0, Y: 0}, {X: 0.95 * phy.Range, Y: 0}}, phy, 99)
+	if nw.Model.Name() != "rayleigh" {
+		t.Fatal("wrong model")
 	}
-	s, err := nw.NewSim(func(id int) sim.Protocol {
-		return core.NewLocalBcastSpontaneous(0.25, int64(id))
-	}, udwn.SimOptions{Seed: 1, Primitives: sim.CD | sim.ACK})
+	const slots = 400
+	decoded := 0
+	s, err := nw.NewSim(func(id int) sim.Protocol { return beacon(id == 0) }, udwn.SimOptions{
+		Seed: 1,
+		Observer: func(ev sim.SlotEvent) {
+			if ev.Decodes > 0 {
+				decoded++
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.Bind(s)
-	s.Run(10)
-	if ts.Tick() != 10 {
-		t.Fatalf("bound tick source reports %d, want 10", ts.Tick())
-	}
-	if nw.Model.Name() != "rayleigh" {
-		t.Fatal("wrong model")
+	s.Run(slots)
+	if decoded == 0 || decoded == slots {
+		t.Fatalf("listener decoded in %d of %d slots; fading must make it some but not all", decoded, slots)
 	}
 }
 
