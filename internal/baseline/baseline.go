@@ -49,12 +49,15 @@ func NewDecay(n int, data int64) *Decay {
 	return &Decay{cycleLen: int(math.Ceil(math.Log2(float64(n)))), data: data}
 }
 
+// decayProb is decay step k's probability 2^{-(k+1)}, an exact power of two.
+func decayProb(k int) float64 { return math.Ldexp(1, -(k + 1)) }
+
 // Act transmits with the current decay probability.
 func (d *Decay) Act(n *sim.Node, slot int) sim.Action {
 	if d.done {
 		return sim.Action{}
 	}
-	p := math.Pow(2, -float64(d.step%d.cycleLen+1))
+	p := decayProb(d.step % d.cycleLen)
 	d.step++
 	return sim.Action{
 		Transmit: n.RNG.Bernoulli(p),
@@ -77,7 +80,7 @@ func (d *Decay) TransmitProb() float64 {
 	if d.done {
 		return 0
 	}
-	return math.Pow(2, -float64(d.step%d.cycleLen+1))
+	return decayProb(d.step % d.cycleLen)
 }
 
 // FixedProb transmits forever with probability c/Δ, the classical strategy
@@ -200,7 +203,7 @@ func (d *DecayBcast) Act(n *sim.Node, slot int) sim.Action {
 	if !d.informed {
 		return sim.Action{}
 	}
-	p := math.Pow(2, -float64(d.step%d.cycleLen+1))
+	p := decayProb(d.step % d.cycleLen)
 	d.step++
 	return sim.Action{
 		Transmit: n.RNG.Bernoulli(p),
@@ -223,5 +226,5 @@ func (d *DecayBcast) TransmitProb() float64 {
 	if !d.informed {
 		return 0
 	}
-	return math.Pow(2, -float64(d.step%d.cycleLen+1))
+	return decayProb(d.step % d.cycleLen)
 }

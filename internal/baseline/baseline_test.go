@@ -26,6 +26,21 @@ func TestDecayCyclesProbabilities(t *testing.T) {
 	}
 }
 
+// TestDecayProbExact pins decayProb bit for bit to math.Pow(2, -(k+1)) at
+// every cycle step k a decay protocol can reach: the longest cycle,
+// ⌈log₂ n⌉ for the largest n, has 63 steps.
+func TestDecayProbExact(t *testing.T) {
+	if c := NewDecay(math.MaxInt, 0).cycleLen; c != 63 {
+		t.Fatalf("longest decay cycle has %d steps, want 63", c)
+	}
+	for k := 0; k < 63; k++ {
+		got, want := decayProb(k), math.Pow(2, -float64(k+1))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decayProb(%d) = %v, want math.Pow's %v", k, got, want)
+		}
+	}
+}
+
 func TestDecayStopsOnAck(t *testing.T) {
 	d := NewDecay(16, 1)
 	d.Observe(node(0, 1), 0, &sim.Observation{Transmitted: true, Acked: true})

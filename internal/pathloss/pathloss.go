@@ -27,6 +27,10 @@ type Field struct {
 	n     int
 
 	intZeta int // ζ as an integer exponent, 0 if ζ is not integral
+
+	// euclid is the space as a *metric.Euclidean when ζ = 3, for the inline
+	// row kernel (fillRow); nil otherwise.
+	euclid *metric.Euclidean
 }
 
 // dMin clamps distances from below to avoid infinite near-field power.
@@ -61,23 +65,47 @@ func NewField(space metric.Space, p, zeta float64, opts Options) *Field {
 	if iz := int(zeta); float64(iz) == zeta && iz >= 1 && iz <= 8 {
 		f.intZeta = iz
 	}
+	if e, ok := space.(*metric.Euclidean); ok && f.intZeta == 3 {
+		f.euclid = e
+	}
 	if !opts.Dynamic && f.n <= maxCacheNodes {
-		f.buildCache()
+		f.cache = make([]float64, f.n*f.n)
+		for u := 0; u < f.n; u++ {
+			f.fillRow(u, f.cache[u*f.n:(u+1)*f.n])
+		}
 	}
 	return f
 }
 
-func (f *Field) buildCache() {
-	f.cache = make([]float64, f.n*f.n)
-	for u := 0; u < f.n; u++ {
-		row := f.cache[u*f.n : (u+1)*f.n]
-		for v := 0; v < f.n; v++ {
-			if u == v {
-				continue
-			}
+// fillRow is the row kernel: it writes Power(u, v) into row[v] for every v,
+// the zero diagonal included. Over a Euclidean space with ζ = 3, the
+// default exponent, it evaluates compute's expression — the distance, the
+// dMin clamp, the product d·d·d — in the loop body, so each entry is
+// bit-identical to compute(u, v) without an interface call per term. It
+// skips compute's unreachable test: a Euclidean distance at or past
+// metric.Unreachable can only be +Inf (a finite one stays below
+// √MaxFloat64), and p/+Inf is already 0. The power law stays inline,
+// because the same loop through a per-term helper call ran no faster than
+// compute. Any other space or exponent calls compute per term.
+func (f *Field) fillRow(u int, row []float64) {
+	e := f.euclid
+	if e == nil {
+		for v := range row {
 			row[v] = f.compute(u, v)
 		}
+		row[u] = 0
+		return
 	}
+	p := f.p
+	pu := e.Point(u)
+	for v := range row {
+		d := pu.Dist(e.Point(v))
+		if d < dMin {
+			d = dMin
+		}
+		row[v] = p / (d * d * d)
+	}
+	row[u] = 0
 }
 
 func (f *Field) compute(u, v int) float64 {
@@ -128,15 +156,18 @@ func (f *Field) Power(u, v int) float64 {
 	return f.compute(u, v)
 }
 
-// Row returns transmitter u's cached power row — Row(u)[v] == Power(u, v)
-// for every v, including the zero diagonal — or nil when the field computes
-// powers on the fly (dynamic spaces and deployments beyond the cache bound).
-// The slice aliases the internal cache and must not be modified.
-func (f *Field) Row(u int) []float64 {
-	if f.cache == nil {
-		return nil
+// Row returns transmitter u's power row: Row(u, buf)[v] == Power(u, v) for
+// every v, including the zero diagonal. A cached field returns its cached
+// row, which must not be modified, and leaves buf alone. A field that
+// computes powers on the fly (dynamic spaces and deployments beyond the
+// cache bound) computes the row into buf[:Len()] and returns it.
+func (f *Field) Row(u int, buf []float64) []float64 {
+	if f.cache != nil {
+		return f.cache[u*f.n : (u+1)*f.n]
 	}
-	return f.cache[u*f.n : (u+1)*f.n]
+	buf = buf[:f.n]
+	f.fillRow(u, buf)
+	return buf
 }
 
 // PowerAtDist returns the power received at quasi-distance d.

@@ -1,6 +1,7 @@
 package pathloss
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -47,21 +48,67 @@ func TestPowerUnreachable(t *testing.T) {
 	}
 }
 
+// TestCacheMatchesCompute pins every power row — the row kernel's and the
+// cache it builds — bit for bit to the per-term compute path: for ζ = 3,
+// which the kernel evaluates inline over a Euclidean space, and for other
+// integral and fractional ζ (9 is past powN's integral range), the dMin
+// clamp (node 1 coincides with node 0, node 2 lies inside dMin of it), far
+// pairs (the last two nodes' distance overflows past metric.Unreachable),
+// dynamic Euclidean fields before and after a move, and non-Euclidean spaces
+// including an unreachable pair. The engine's field oracle reads the same
+// cache, so this is the test that catches a kernel that rounds differently.
 func TestCacheMatchesCompute(t *testing.T) {
+	const n = 40
 	r := rng.New(1)
-	pts := make([]geom.Point, 50)
+	pts := make([]geom.Point, n)
 	for i := range pts {
-		pts[i] = geom.Point{X: r.Range(0, 10), Y: r.Range(0, 10)}
+		side := 10.0
+		if i%4 == 3 {
+			side = 1000
+		}
+		pts[i] = geom.Point{X: r.Range(0, side), Y: r.Range(0, side)}
 	}
-	e := metric.NewEuclidean(pts)
-	cached := NewField(e, 2, 3, Options{})
-	uncached := NewField(e, 2, 3, Options{Dynamic: true}) // no cache
-	for u := 0; u < 50; u++ {
-		for v := 0; v < 50; v++ {
-			if math.Abs(cached.Power(u, v)-uncached.Power(u, v)) > 1e-12 {
-				t.Fatalf("cache mismatch at (%d,%d)", u, v)
+	pts[1] = pts[0]
+	pts[2] = geom.Point{X: pts[0].X + 6e-4, Y: pts[0].Y}
+	pts[n-2], pts[n-1] = geom.Point{X: -4e307}, geom.Point{X: 4e307}
+	mat := metric.NewMatrix(n, 1)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			mat.Set(u, v, r.Range(1e-4, 50))
+		}
+	}
+	mat.Set(2, 5, metric.Unreachable)
+
+	check := func(t *testing.T, f *Field, cached bool) {
+		t.Helper()
+		buf := make([]float64, n)
+		for u := 0; u < n; u++ {
+			row := f.Row(u, buf)
+			for v := 0; v < n; v++ {
+				want := 0.0
+				if u != v {
+					want = f.compute(u, v)
+				}
+				bits := math.Float64bits(want)
+				if math.Float64bits(row[v]) != bits || math.Float64bits(f.Power(u, v)) != bits ||
+					cached && math.Float64bits(f.cache[u*n+v]) != bits {
+					t.Fatalf("(%d,%d): row %v, power %v, want compute's %v", u, v, row[v], f.Power(u, v), want)
+				}
 			}
 		}
+	}
+	for _, zeta := range []float64{1, 2, 3, 4, 2.5, 9} {
+		t.Run(fmt.Sprint("zeta=", zeta), func(t *testing.T) {
+			e := metric.NewEuclidean(pts)
+			check(t, NewField(e, 1500, zeta, Options{}), true)
+			dyn := NewField(e, 1500, zeta, Options{Dynamic: true})
+			check(t, dyn, false)
+			e.SetPoint(3, pts[2])
+			e.SetPoint(0, geom.Point{X: 500, Y: -500})
+			check(t, dyn, false)
+			check(t, NewField(NewShadowed(metric.NewEuclidean(pts), 0.4, 7), 1500, zeta, Options{}), true)
+			check(t, NewField(mat, 1500, zeta, Options{}), true)
+		})
 	}
 }
 

@@ -33,6 +33,23 @@ func TestStepZeroAllocs(t *testing.T) {
 			}
 			return s
 		}},
+		{"sinr-uncached", func() *Sim {
+			// Dynamic disables the path-loss cache, so every all-receiver
+			// sum computes power rows into the preallocated row buffer.
+			pts := workload.UniformDisc(512, workload.SideForDegree(512, 16, 9), 1)
+			s, err := New(Config{
+				Space: metric.NewEuclidean(pts),
+				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
+				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				Seed:       1,
+				Primitives: CD | ACK,
+				Dynamic:    true,
+			}, func(int) Protocol { return fixedProb(1.0 / 64) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
 		{"udg-indexed", func() *Sim {
 			pts := workload.UniformDisc(512, workload.SideForDegree(512, 16, 10), 2)
 			s, err := New(Config{

@@ -257,3 +257,35 @@ func BenchmarkStepStrip3200(b *testing.B) {
 		s.Step()
 	}
 }
+
+// BenchmarkFieldSumAll times the all-receiver field sum alone, per summed
+// term (64 transmitters × 1,024 receivers), over power rows read from the
+// path-loss cache and computed by the row kernel (a dynamic field).
+func BenchmarkFieldSumAll(b *testing.B) {
+	for _, dynamic := range []bool{false, true} {
+		name := "cached"
+		if dynamic {
+			name = "uncached"
+		}
+		b.Run(name, func(b *testing.B) {
+			pts := workload.UniformDisc(1024, workload.SideForDegree(1024, 16, 9), 1)
+			s, err := New(Config{
+				Space: metric.NewEuclidean(pts),
+				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
+				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				Seed: 1, Primitives: CD | ACK, Dynamic: dynamic,
+			}, func(int) Protocol { return fixedProb(0.1) })
+			if err != nil {
+				b.Fatal(err)
+			}
+			for w := 0; w < 1024; w += 16 {
+				s.txBuf = append(s.txBuf, w)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.fieldSumAll()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.txBuf)*s.n), "ns/term")
+		})
+	}
+}

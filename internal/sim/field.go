@@ -124,26 +124,30 @@ func (s *Sim) markDemand(v int) {
 }
 
 // fieldSumAll runs the canonical sum at every receiver, transmitter-major
-// so cached power rows stream in order.
+// over power rows (pathloss.Field.Row): each transmitter's row streams in
+// order into one accumulation loop. A single-channel run skips the channel
+// test, which every receiver passes there (chanBuf is all zero).
 func (s *Sim) fieldSumAll() {
-	for v := range s.totalPower {
-		s.totalPower[v] = 0
+	tp := s.totalPower
+	for v := range tp {
+		tp[v] = 0
 	}
+	ch := s.chanBuf[:len(tp)]
+	multi := s.cfg.Channels > 1
 	for _, w := range s.txBuf {
+		row := s.field.Row(w, s.rowBuf)[:len(tp)]
 		sc := s.scaleBuf[w]
-		wc := s.chanBuf[w]
-		if row := s.field.Row(w); row != nil {
+		if multi {
+			wc := ch[w]
 			for v, p := range row {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += p * sc
+				if ch[v] == wc {
+					tp[v] += p * sc
 				}
 			}
-		} else {
-			for v := 0; v < s.n; v++ {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += s.field.Power(w, v) * sc
-				}
-			}
+			continue
+		}
+		for v, p := range row {
+			tp[v] += p * sc
 		}
 	}
 	s.fstat.RebuildSlots++

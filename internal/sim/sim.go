@@ -182,11 +182,13 @@ type Sim struct {
 	// Interference field (see field.go). demand[v] marks receiver v as
 	// summed this slot, demandList lists the marked receivers, and fieldAll
 	// reports a slot that summed every receiver. radBuf holds each
-	// transmitter's demand radius, parallel to txBuf.
+	// transmitter's demand radius, parallel to txBuf. rowBuf takes the
+	// power rows fieldSumAll reads from a field without a cache.
 	demand       []bool
 	demandList   []int
 	fieldAll     bool
 	radBuf       []float64
+	rowBuf       []float64
 	fstat        FieldStats
 	fstatFlushed FieldStats
 
@@ -315,6 +317,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		txCount:     make([]int32, n),
 		massCount:   make([]int32, n),
 		totalPower:  make([]float64, n),
+		rowBuf:      make([]float64, n),
 		demand:      make([]bool, n),
 		recvBuf:     make([]Recv, n),
 		heard:       make([]bool, n),

@@ -8,7 +8,9 @@
 #
 #   With no argument, counts the working tree. With a git revision, counts
 #   the files committed at that revision, e.g. `scripts/loc.sh HEAD~1`.
-#   Prints "<lines> <package dir>" sorted by directory, then "<lines> total".
+#   Prints three "#" header lines, then "<lines> <package dir>" sorted by
+#   directory, then "<lines> total": the whole of scripts/loc_baseline.txt,
+#   so `scripts/loc.sh > scripts/loc_baseline.txt` regenerates that file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,5 +48,8 @@ per_pkg=$(list | while read -r f; do
   printf '%s %d\n' "$(dirname "$f")" "$(lines "$f")"
 done | awk '{sum[$1] += $2} END {for (p in sum) printf "%7d %s\n", sum[p], p}' | sort -k2)
 
+echo '# Non-test Go lines per package (scripts/loc.sh), the ceilings of'
+echo '# the line ledger gate in scripts/ci.sh.'
+echo '# Regenerate with: scripts/loc.sh > scripts/loc_baseline.txt'
 echo "$per_pkg"
 echo "$per_pkg" | awk '{t += $1} END {printf "%7d total\n", t}'
