@@ -24,7 +24,7 @@ func TestSingleFlightDedupAcrossConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := runCheckpointed(t, e, 4, solo, 0)
+	want, _ := runCheckpointed(t, e, 4, solo)
 	cells := solo.Len()
 	wantHash := solo.Hash()
 	solo.Close()
@@ -44,7 +44,7 @@ func TestSingleFlightDedupAcrossConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			outs[r], _, _ = runCheckpointed(t, e, 4, shared, 0)
+			outs[r], _ = runCheckpointed(t, e, 4, shared)
 		}(r)
 	}
 	wg.Wait()

@@ -36,20 +36,22 @@ type Options struct {
 	CellTimeout time.Duration
 	// Retries is the per-cell retry budget after a panic or timeout.
 	Retries int
-	// Report, when non-nil, switches grids to self-healing mode: failing
-	// cells are recorded here with their (experiment, cell, seed) identity
-	// and the remaining cells complete. Runs through All() always get one.
+	// Report receives every failing cell with its (experiment, cell, seed)
+	// identity, the failure counters and every cell's timing; the remaining
+	// cells complete either way. With a nil Report the grid keeps a private
+	// one and panics with the lowest failing cell once every cell has run.
+	// Runs through All() always get one.
 	Report *RunReport
 	// Name attributes failures to an experiment id; set by the registry
 	// wrapper, runners need not touch it.
 	Name string
-	// Metrics, when non-nil, is the run-level registry: the grid times
+	// Metrics, when non-nil, is the run-level registry. The grid times
 	// every cell into it ("grid/cell" timer, "grid/cells" counter) and
-	// runners thread it into their simulations via o.sim(...), so per-slot
-	// sim instrumentation from every cell aggregates here. All metric
-	// updates are commutative, so snapshots (modulo timing fields) are
-	// byte-identical across Workers counts — pinned by
-	// TestMetricsWorkersDeterminism.
+	// gives each cell attempt a private registry, which runners thread into
+	// their simulations via o.sim(...) and which merges here when the
+	// attempt succeeds. All metric updates are commutative, so snapshots
+	// (modulo timing fields) are byte-identical across Workers counts —
+	// pinned by TestMetricsWorkersDeterminism.
 	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every simulator slot event of every
 	// grid cell (runners thread it through o.sim alongside Metrics). Cells
@@ -86,11 +88,6 @@ type Options struct {
 	// job deadlines and post-grace drain use this; cmd/experiments'
 	// SIGINT path leaves it false so in-flight cells finish and commit.
 	HardCancel bool
-	// abortAfterCells is a test-only crash hook: when positive, the grid
-	// panics with a gridAbort sentinel once that many cells have committed,
-	// simulating a run killed mid-sweep (the checkpoint store keeps what
-	// had finished). Zero disables the hook.
-	abortAfterCells int
 }
 
 // Progress is one live progress update of a grid run.

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"udwn/internal/checkpoint"
@@ -39,15 +38,20 @@ import (
 // interface assertions only), so cells built this way are data-race free by
 // construction. TestParallelRace and the -race tier-1 gate enforce this.
 //
-// The scheduler is self-healing: with Options.Report set, a panicking or
-// deadline-overrunning cell no longer aborts the run. The failure is
-// attributed to its (experiment, cell index, label) identity — labels carry
-// the (row, seed) grid coordinates — retried within Options.Retries, and
-// finally recorded in the RunReport while every other cell completes. The
-// rendered output marks degraded cells as explicit FAILED(...) lines.
-// Without a Report, Run keeps the historical behaviour: it starts no cell
-// above one that already failed and panics with the lowest failing cell
-// index, so even failures are deterministic.
+// The scheduler is self-healing: a panicking or deadline-overrunning cell
+// never aborts the run. The failure is attributed to its (experiment, cell
+// index, label) identity — labels carry the (row, seed) grid coordinates —
+// retried within Options.Retries, and finally recorded in a RunReport while
+// every other cell completes. The report is the caller's Options.Report,
+// whose failures the rendered output marks as explicit FAILED(...) lines;
+// without one, Run keeps a private report and, once every cell has run,
+// panics with the lowest failing cell index, so even failures are
+// deterministic.
+//
+// Every attempt records into a private metrics registry, merged into
+// Options.Metrics only when the attempt succeeds: a failed attempt's
+// partial instrumentation never reaches the run totals, and each cell's
+// own snapshot is exact, which is what a checkpoint record stores.
 //
 // With Options.Checkpoint set the scheduler is additionally resumable: the
 // purity of cells makes their results perfectly cacheable, so the worker
@@ -58,17 +62,14 @@ import (
 // the cell's declaration-order slot — registry merges are commutative, so
 // which worker replays a cell, and when, is unobservable — and a miss runs
 // the cell and appends it to the store the moment it completes, so an
-// interrupted sweep loses at most the cells in flight.
-// To attribute per-cell metrics exactly (a prerequisite for replay), each
-// checkpointed attempt runs against a private registry that is merged into
-// the shared one only on success; FAILED cells are never stored, keeping
-// the self-healing retry path live across resumes.
+// interrupted sweep loses at most the cells in flight. FAILED cells are
+// never stored, keeping the self-healing retry path live across resumes.
 
 // Cell is one independent unit of an experiment grid: a closure returning
 // the typed measurements of a single (cell, seed) entry. The scheduler
 // passes in the Options the cell must thread into its simulations (via
-// Options.sim) — under checkpointing they carry a private metrics registry
-// so the cell's instrumentation can be stored and replayed.
+// Options.sim); they carry the attempt's private metrics registry, so the
+// cell's instrumentation can be merged, stored and replayed on its own.
 type Cell[T any] func(o Options) T
 
 // Grid is an ordered collection of cells. The zero value is ready to use.
@@ -96,7 +97,8 @@ func (g *Grid[T]) Len() int { return len(g.cells) }
 // Failure identifies one grid cell that produced no result: which
 // experiment, which cell (declaration index plus the runner's label, which
 // encodes the (row, seed) coordinates), how many attempts were made, and
-// why the last one died.
+// why the last one died. An attempt reports its outcome as a Failure too,
+// before the retry loop fills in the identity.
 type Failure struct {
 	Experiment string
 	Cell       int
@@ -109,9 +111,14 @@ type Failure struct {
 	// for timeouts. It is kept out of rendered output (stacks are not
 	// byte-stable) but available for debugging.
 	Stack string
-	// cancelled marks a cell stopped by run-level cancellation
-	// (Options.Context): it is neither recorded as FAILED nor retried —
-	// Run raises a Cancelled panic once in-flight cells have drained.
+	// timeout marks a deadline overrun; it counts as a cell-timeout rather
+	// than a cell-panic.
+	timeout bool
+	// cancelled marks an attempt that ended on a sim.Cancelled panic. When
+	// the run's Options.Context fired, the cell is neither recorded as
+	// FAILED nor retried — Run raises a Cancelled panic once in-flight cells
+	// have drained; otherwise the cell's own deadline stopped it, and the
+	// retry loop turns it into a timeout.
 	cancelled bool
 }
 
@@ -216,18 +223,6 @@ func (r *RunReport) render(exp string) string {
 // String renders every recorded failure, one FAILED line each.
 func (r *RunReport) String() string { return r.render("") }
 
-// cellFail is the outcome of one failed attempt.
-type cellFail struct {
-	reason  string
-	stack   string
-	timeout bool
-	// cancelled marks an attempt that ended on a sim.Cancelled panic: the
-	// cell's context fired and the simulation stopped cooperatively. The
-	// retry loop maps it to a deadline failure when the cell's own timeout
-	// caused it, and to a run-level cancellation when Options.Context did.
-	cancelled bool
-}
-
 // Cancelled is the panic value Grid.Run raises when Options.Context is
 // cancelled mid-run: dispatch has stopped, in-flight cells have drained
 // (finished normally, or stopped at their next tick under HardCancel), and
@@ -260,52 +255,28 @@ func firstLine(v any) string {
 	return s
 }
 
-// gridAbort is the sentinel value the test-only crash hook panics with once
-// Options.abortAfterCells cells have committed. Tests recover it to
-// simulate a run killed mid-sweep without tearing down the process.
-type gridAbort struct{ committed int }
-
-func (a gridAbort) String() string {
-	return fmt.Sprintf("experiment: grid aborted by test hook after %d committed cell(s)", a.committed)
-}
-
-// cellCache binds a grid run to its checkpoint store: the store handle plus
-// the schema string that — together with the experiment id and each cell's
-// label — forms the content address of every record this run reads or
-// writes.
-type cellCache struct {
-	store  *checkpoint.Store
-	schema string
-}
-
-// newCellCache derives the run's cache binding. The schema string captures
-// everything besides (experiment, label) that determines a cell's value or
-// its stored instrumentation: the structural shape of T (stale shapes must
-// miss, not mis-decode), Quick (which rescales every cell), and whether
-// metrics are being collected (which changes what a record's snapshot must
-// replay).
-func newCellCache[T any](o Options) *cellCache {
-	if o.Checkpoint == nil {
-		return nil
-	}
-	schema := fmt.Sprintf("v1|quick=%t|metrics=%t|%s",
+// cellSchema is the schema string of a grid run's checkpoint records: with
+// the experiment id and each cell's label it forms the content address of
+// every record the run reads or writes. It captures everything else that
+// determines a cell's value or its stored instrumentation: the structural
+// shape of T (stale shapes must miss, not mis-decode), Quick (which
+// rescales every cell), and whether metrics are being collected (which
+// changes what a record's snapshot must replay).
+func cellSchema[T any](o Options) string {
+	return fmt.Sprintf("v1|quick=%t|metrics=%t|%s",
 		o.Quick, o.Metrics != nil,
 		checkpoint.SchemaOf(reflect.TypeOf((*T)(nil)).Elem()))
-	return &cellCache{store: o.Checkpoint, schema: schema}
 }
 
-func (c *cellCache) key(experiment, label string) checkpoint.Key {
-	return checkpoint.KeyOf(experiment, label, c.schema)
-}
-
-// recoverFail maps a recovered panic value to a cellFail: a sim.Cancelled
-// sentinel becomes a cancellation outcome (no stack — it is an expected
-// control transfer, not a bug), anything else a genuine cell panic.
-func recoverFail(p any) *cellFail {
+// recoverFail maps a recovered panic value to an attempt's Failure: a
+// sim.Cancelled sentinel becomes a cancellation outcome (no stack — it is
+// an expected control transfer, not a bug), anything else a genuine cell
+// panic.
+func recoverFail(p any) *Failure {
 	if c, ok := p.(sim.Cancelled); ok {
-		return &cellFail{reason: c.String(), cancelled: true}
+		return &Failure{Reason: c.String(), cancelled: true}
 	}
-	return &cellFail{reason: firstLine(p), stack: string(debug.Stack())}
+	return &Failure{Reason: firstLine(p), Stack: string(debug.Stack())}
 }
 
 // attempt runs cell i once against co, in its own goroutine raced against a
@@ -318,10 +289,10 @@ func recoverFail(p any) *cellFail {
 // channel nobody reads, so a late completion can never race the merged
 // results; cells that never consult the context (plain closures) are merely
 // abandoned, exactly the historical behaviour.
-func (g *Grid[T]) attempt(i int, co Options, deadline time.Duration) (val T, fail *cellFail) {
+func (g *Grid[T]) attempt(i int, co Options, deadline time.Duration) (val T, fail *Failure) {
 	type res struct {
 		val  T
-		fail *cellFail
+		fail *Failure
 	}
 	ch := make(chan res, 1)
 	go func() {
@@ -344,8 +315,8 @@ func (g *Grid[T]) attempt(i int, co Options, deadline time.Duration) (val T, fai
 	case r := <-ch:
 		return r.val, r.fail
 	case <-timeout:
-		return val, &cellFail{
-			reason:  fmt.Sprintf("cell deadline %s exceeded", deadline),
+		return val, &Failure{
+			Reason:  fmt.Sprintf("cell deadline %s exceeded", deadline),
 			timeout: true,
 		}
 	}
@@ -367,15 +338,13 @@ func heapAllocBytes() int64 {
 
 // runCell evaluates cell i with o's deadline and retry budget, storing the
 // result into out on success. It returns the attributed failure once the
-// budget is exhausted, nil on success. With a Report or Metrics configured
-// the cell's total cost (wall clock across all attempts, heap allocation
-// delta when a registry is attached) is recorded as a CellTiming and into
-// the "grid/cell" timer. With cc non-nil a labelled cell is first served
-// from the checkpoint store when it holds the cell's record, and a
-// successfully computed one is appended to it together with its private
-// metrics snapshot and attempt count.
-func (g *Grid[T]) runCell(i int, o Options, cc *cellCache, out []T) *Failure {
-	if cc != nil && g.labels[i] != "" {
+// budget is exhausted, nil on success. Under a checkpoint store a labelled
+// cell is first served from the store when it holds the cell's record, and
+// a successfully computed one is appended to it together with its metrics
+// snapshot and attempt count.
+func (g *Grid[T]) runCell(i int, o Options, schema string, out []T) *Failure {
+	stored := o.Checkpoint != nil && g.labels[i] != ""
+	if stored {
 		// The grid's only store read. A committed record — already in the
 		// store, or committed by another goroutine (typically another job
 		// sharing the daemon's store) that was computing this exact cell
@@ -385,66 +354,66 @@ func (g *Grid[T]) runCell(i int, o Options, cc *cellCache, out []T) *Failure {
 		// leader that fails or is cancelled commits nothing, which promotes
 		// one waiter to recompute. A waiter whose run context fires during
 		// the wait falls through and computes on its own.
-		key := cc.key(o.Name, g.labels[i])
-		rec, leader := cc.store.JoinFlight(o.Context, key)
+		key := checkpoint.KeyOf(o.Name, g.labels[i], schema)
+		rec, leader := o.Checkpoint.JoinFlight(o.Context, key)
 		if !leader && rec != nil && g.replayCell(i, o, rec, out) {
 			return nil
 		}
 		if leader {
-			defer cc.store.LeaveFlight(key)
+			defer o.Checkpoint.LeaveFlight(key)
 		}
 	}
-	instr := o.Metrics != nil
-	record := instr || o.Report != nil
-	var start time.Time
+	start := time.Now()
 	var alloc0 int64
-	if record {
-		start = time.Now()
-		if instr {
-			alloc0 = heapAllocBytes()
-		}
+	if o.Metrics != nil {
+		alloc0 = heapAllocBytes()
 	}
-	f, attempts, cellReg := g.runCellAttempts(i, o, cc, out)
+	f, attempts, cellReg := g.runCellAttempts(i, o, out)
 	if f != nil && f.cancelled {
 		// A run-cancelled cell neither completed nor failed: it leaves no
 		// timing record, no FAILED marker and no checkpoint entry, and is
 		// recomputed by the resumed run.
 		return f
 	}
-	if record {
-		wall := time.Since(start)
-		var allocs int64
-		if instr {
-			allocs = heapAllocBytes() - alloc0
-			o.Metrics.Counter("grid/cells").Inc()
-			o.Metrics.Timer("grid/cell").Observe(wall, allocs)
-		}
-		if o.Report != nil {
-			o.Report.addTiming(metrics.CellTiming{
-				Experiment: o.Name,
-				Cell:       i,
-				Label:      g.labels[i],
-				Attempts:   attempts,
-				Failed:     f != nil,
-				WallNs:     int64(wall),
-				AllocBytes: allocs,
-			})
-		}
+	wall := time.Since(start)
+	var allocs int64
+	if o.Metrics != nil {
+		allocs = heapAllocBytes() - alloc0
 	}
-	if f == nil && cc != nil && g.labels[i] != "" {
-		g.storeCell(i, o, cc, cellReg, attempts, out)
+	g.account(i, o, metrics.CellTiming{
+		Attempts:   attempts,
+		Failed:     f != nil,
+		WallNs:     int64(wall),
+		AllocBytes: allocs,
+	})
+	if f == nil && stored {
+		g.storeCell(i, o, schema, cellReg, attempts, out)
 	}
 	return f
+}
+
+// account emits the bookkeeping of a completed cell i — the "grid/cells"
+// counter and the "grid/cell" timer when a registry is attached, and ct,
+// under the cell's identity, in the report. Computed and replayed cells
+// both go through it, so a resumed run's manifest matches an uninterrupted
+// one byte for byte (modulo the timing fields ZeroTimings clears).
+func (g *Grid[T]) account(i int, o Options, ct metrics.CellTiming) {
+	if o.Metrics != nil {
+		o.Metrics.Counter("grid/cells").Inc()
+		o.Metrics.Timer("grid/cell").Observe(time.Duration(ct.WallNs), ct.AllocBytes)
+	}
+	ct.Experiment, ct.Cell, ct.Label = o.Name, i, g.labels[i]
+	o.Report.addTiming(ct)
 }
 
 // storeCell appends cell i's freshly computed result to the checkpoint
 // store. Storage failures are counted in the store's session stats and
 // otherwise ignored: the run already holds the correct value, the cell is
 // simply not cached.
-func (g *Grid[T]) storeCell(i int, o Options, cc *cellCache, cellReg *metrics.Registry, attempts int, out []T) {
+func (g *Grid[T]) storeCell(i int, o Options, schema string, cellReg *metrics.Registry, attempts int, out []T) {
 	value, err := checkpoint.EncodeValue(&out[i])
 	if err != nil {
-		cc.store.NoteError()
+		o.Checkpoint.NoteError()
 		return
 	}
 	var snap []byte
@@ -454,15 +423,15 @@ func (g *Grid[T]) storeCell(i int, o Options, cc *cellCache, cellReg *metrics.Re
 		// coordinates.
 		snap, err = json.Marshal(cellReg.Snapshot().ZeroTimings())
 		if err != nil {
-			cc.store.NoteError()
+			o.Checkpoint.NoteError()
 			return
 		}
 	}
 	// Put's error path already counted the failure; nothing else to do.
-	_ = cc.store.Put(checkpoint.Record{
+	_ = o.Checkpoint.Put(checkpoint.Record{
 		Experiment: o.Name,
 		Label:      g.labels[i],
-		Schema:     cc.schema,
+		Schema:     schema,
 		Attempts:   attempts,
 		Value:      value,
 		Metrics:    snap,
@@ -471,12 +440,9 @@ func (g *Grid[T]) storeCell(i int, o Options, cc *cellCache, cellReg *metrics.Re
 
 // replayCell serves cell i from its checkpoint record: the stored value
 // lands in the cell's declaration-order slot, the stored metrics snapshot
-// merges into the run registry, and the bookkeeping a live run would emit —
-// "grid/cells", the "grid/cell" timer, the CellTiming with the cell's
-// original attempt count — is emitted identically, so a resumed run's
-// manifest matches an uninterrupted one byte for byte (modulo the timing
-// fields ZeroTimings clears). A decode failure reports false and the cell
-// runs fresh.
+// merges into the run registry, and the cell is accounted with its original
+// attempt count, exactly as a live run would account it. A decode failure
+// reports false and the cell runs fresh.
 func (g *Grid[T]) replayCell(i int, o Options, rec *checkpoint.Record, out []T) bool {
 	var val T
 	if err := checkpoint.DecodeValue(rec.Value, &val); err != nil {
@@ -492,18 +458,7 @@ func (g *Grid[T]) replayCell(i int, o Options, rec *checkpoint.Record, out []T) 
 		o.Metrics.MergeSnapshot(&snap)
 	}
 	out[i] = val
-	if o.Metrics != nil {
-		o.Metrics.Counter("grid/cells").Inc()
-		o.Metrics.Timer("grid/cell").Observe(0, 0)
-	}
-	if o.Report != nil {
-		o.Report.addTiming(metrics.CellTiming{
-			Experiment: o.Name,
-			Cell:       i,
-			Label:      g.labels[i],
-			Attempts:   rec.Attempts,
-		})
-	}
+	g.account(i, o, metrics.CellTiming{Attempts: rec.Attempts})
 	return true
 }
 
@@ -526,83 +481,62 @@ func cellContext(o Options) (context.Context, context.CancelFunc) {
 }
 
 // runCellAttempts is runCell's retry loop, returning the final failure (nil
-// on success), the number of attempts actually made, and — under
-// checkpointing — the private registry the successful attempt recorded
-// into. Each checkpointed attempt gets a fresh registry merged into the
-// shared one only on success, so a panicking attempt's partial
-// instrumentation never leaks into the run totals or the store.
+// on success), the number of attempts actually made, and the private
+// registry the successful attempt recorded into (nil without o.Metrics).
+// Each attempt gets a fresh registry merged into the shared one only on
+// success, so a failed attempt's partial instrumentation never leaks into
+// the run totals or the store.
 //
 // Each attempt runs under its own context (see cellContext): a deadline
 // overrun stops the simulation cooperatively and is retried like any
 // timeout, while a run-level cancellation under HardCancel ends the loop
 // immediately with a cancelled failure that Run translates into a Cancelled
 // panic rather than a FAILED record.
-func (g *Grid[T]) runCellAttempts(i int, o Options, cc *cellCache, out []T) (*Failure, int, *metrics.Registry) {
-	attempts := 1 + o.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	isolate := cc != nil && o.Metrics != nil
-	var last *cellFail
+func (g *Grid[T]) runCellAttempts(i int, o Options, out []T) (*Failure, int, *metrics.Registry) {
+	attempts := max(1+o.Retries, 1)
+	var f *Failure
 	for a := 1; a <= attempts; a++ {
 		co := o
-		var cellReg *metrics.Registry
-		if isolate {
-			cellReg = metrics.NewRegistry()
-			co.Metrics = cellReg
+		if o.Metrics != nil {
+			co.Metrics = metrics.NewRegistry()
 		}
 		ctx, cancel := cellContext(o)
 		co.Context = ctx
-		val, fail := g.attempt(i, co, o.CellTimeout)
+		var val T
+		val, f = g.attempt(i, co, o.CellTimeout)
 		if cancel != nil {
 			cancel()
 		}
-		if fail != nil && fail.cancelled {
+		if f == nil {
+			out[i] = val
+			if o.Metrics != nil {
+				o.Metrics.MergeSnapshot(co.Metrics.Snapshot())
+			}
+			if a > 1 {
+				o.Report.counters.Add("cell-recovered", 1)
+			}
+			return nil, a, co.Metrics
+		}
+		f.Experiment, f.Cell, f.Label, f.Attempts = o.Name, i, g.labels[i], a
+		if f.cancelled {
 			if o.Context != nil && o.Context.Err() != nil {
 				// The run itself was cancelled; surface that, untallied.
-				return &Failure{
-					Experiment: o.Name,
-					Cell:       i,
-					Label:      g.labels[i],
-					Attempts:   a,
-					Reason:     fail.reason,
-					cancelled:  true,
-				}, a, nil
+				return f, a, nil
 			}
 			// The cell's own deadline stopped the simulation before the
 			// scheduler's timer fired; treat it exactly like a timeout.
-			fail.timeout = true
+			f.cancelled, f.timeout = false, true
 		}
-		if fail == nil {
-			out[i] = val
-			if isolate {
-				o.Metrics.MergeSnapshot(cellReg.Snapshot())
-			}
-			if a > 1 && o.Report != nil {
-				o.Report.counters.Add("cell-recovered", 1)
-			}
-			return nil, a, cellReg
+		if f.timeout {
+			o.Report.counters.Add("cell-timeouts", 1)
+		} else {
+			o.Report.counters.Add("cell-panics", 1)
 		}
-		last = fail
-		if o.Report != nil {
-			if fail.timeout {
-				o.Report.counters.Add("cell-timeouts", 1)
-			} else {
-				o.Report.counters.Add("cell-panics", 1)
-			}
-			if a < attempts {
-				o.Report.counters.Add("cell-retries", 1)
-			}
+		if a < attempts {
+			o.Report.counters.Add("cell-retries", 1)
 		}
 	}
-	return &Failure{
-		Experiment: o.Name,
-		Cell:       i,
-		Label:      g.labels[i],
-		Attempts:   attempts,
-		Reason:     last.reason,
-		Stack:      last.stack,
-	}, attempts, nil
+	return f, attempts, nil
 }
 
 // Run evaluates every cell and returns the results in declaration order.
@@ -610,11 +544,10 @@ func (g *Grid[T]) runCellAttempts(i int, o Options, cc *cellCache, out []T) (*Fa
 // min(o.workers(), cells) worker goroutines — one worker is simply a pool
 // of one.
 //
-// With o.Report set the run is self-healing (see the file comment): failed
-// cells leave the zero T in their slot and are recorded in the report.
-// Without it, a failing cell panics Run with the cell index and the
-// original message; when several cells fail, the lowest index wins, so
-// even failures are deterministic, and no cell above a failed one starts.
+// Failed cells leave the zero T in their slot and are recorded in
+// o.Report (see the file comment). Without a Report, Run records them in a
+// private one and, once every cell has run, panics with the lowest failing
+// cell index and the original message, so even failures are deterministic.
 //
 // With o.Checkpoint set, the worker that takes a labelled cell replays it
 // when the store holds its record (see the file comment) and otherwise
@@ -623,18 +556,21 @@ func (g *Grid[T]) runCellAttempts(i int, o Options, cc *cellCache, out []T) (*Fa
 func (g *Grid[T]) Run(o Options) []T {
 	out := make([]T, len(g.cells))
 	workers := min(o.workers(), len(g.cells))
-	heal := o.Report != nil
-	cc := newCellCache[T](o)
+	private := o.Report == nil
+	if private {
+		o.Report = NewRunReport()
+	}
+	schema := cellSchema[T](o)
 
 	// notify serialises Progress callbacks across workers and keeps the
 	// done/failed tallies (also the Done payload of a Cancelled panic); the
 	// callback itself never runs concurrently.
 	var progMu sync.Mutex
 	done, failed := 0, 0
-	notify := func(cellFailed bool) {
+	notify := func(failedCell bool) {
 		progMu.Lock()
 		done++
-		if cellFailed {
+		if failedCell {
 			failed++
 		}
 		if o.Progress != nil {
@@ -648,63 +584,27 @@ func (g *Grid[T]) Run(o Options) []T {
 	// drain.
 	stopped := func() bool { return o.Context != nil && o.Context.Err() != nil }
 
-	// committed implements the test-only crash hook: cells that completed —
-	// run, replayed, or recorded as FAILED — count toward the abort
-	// threshold, and crossing it makes Run panic with a gridAbort sentinel
-	// once in-flight cells have drained.
-	var committed atomic.Int64
-	abort := func() bool {
-		return o.abortAfterCells > 0 &&
-			committed.Add(1) >= int64(o.abortAfterCells)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		firstPan *Failure
-		aborted  atomic.Bool
-	)
-	// afterFailure reports whether cell i lies above a cell that already
-	// failed. Only a run without a Report records failures here, and only
-	// the lowest failing index decides its panic, so such a cell is skipped.
-	afterFailure := func(i int) bool {
-		panicMu.Lock()
-		defer panicMu.Unlock()
-		return firstPan != nil && i > firstPan.Cell
-	}
+	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if aborted.Load() || stopped() || afterFailure(i) {
-					// The run stopped, or a lower cell already failed: the
-					// rest of the grid drains unstarted.
+				if stopped() {
+					// The rest of the grid drains unstarted.
 					continue
 				}
-				f := g.runCell(i, o, cc, out)
+				f := g.runCell(i, o, schema, out)
 				if f != nil && f.cancelled {
 					// Run-level cancellation: this cell simply produced
 					// nothing.
 					continue
 				}
 				notify(f != nil)
-				if abort() {
-					aborted.Store(true)
-				}
-				if f == nil {
-					continue
-				}
-				if heal {
+				if f != nil {
 					o.Report.add(*f)
-					continue
 				}
-				panicMu.Lock()
-				if firstPan == nil || f.Cell < firstPan.Cell {
-					firstPan = f
-				}
-				panicMu.Unlock()
 			}
 		}()
 	}
@@ -713,12 +613,11 @@ func (g *Grid[T]) Run(o Options) []T {
 	}
 	close(idx)
 	wg.Wait()
-	if firstPan != nil {
-		panic(fmt.Sprintf("experiment: grid cell %d: %s\n%s",
-			firstPan.Cell, firstPan.Reason, firstPan.Stack))
-	}
-	if aborted.Load() {
-		panic(gridAbort{committed: int(committed.Load())})
+	if private {
+		if fails := o.Report.Failures(); len(fails) > 0 {
+			f := fails[0]
+			panic(fmt.Sprintf("experiment: grid cell %d: %s\n%s", f.Cell, f.Reason, f.Stack))
+		}
 	}
 	// A context that fired only after every cell completed interrupts
 	// nothing: the run is whole, return it.

@@ -81,9 +81,9 @@ func TestGridEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// A panicking cell must panic Run with the lowest failing cell index, so
-// failures are deterministic regardless of scheduling, and a pool of one
-// starts no cell after the first failure.
+// Without a Report, a panicking cell must panic Run with the lowest
+// failing cell index, so failures are deterministic regardless of
+// scheduling, and only once every cell has run.
 func TestGridPanicPropagation(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var g Grid[int]
@@ -108,10 +108,8 @@ func TestGridPanicPropagation(t *testing.T) {
 				if !ok || !strings.Contains(msg, "grid cell 3: boom") {
 					t.Fatalf("workers=%d: wrong panic: %v", workers, r)
 				}
-				// One worker takes the cells in order, so nothing above
-				// the first failure starts.
-				if n := ran.Load(); workers == 1 && n != 4 {
-					t.Fatalf("workers=1: %d cells ran, want 4", n)
+				if n := ran.Load(); n != 16 {
+					t.Fatalf("workers=%d: %d cells ran, want 16", workers, n)
 				}
 			}()
 			g.Run(Options{Workers: workers})

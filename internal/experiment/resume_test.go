@@ -3,6 +3,10 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"udwn/internal/checkpoint"
@@ -10,58 +14,70 @@ import (
 )
 
 // runCheckpointed executes experiment e once at the given worker count,
-// writing through store when non-nil. It returns the rendered output and the
-// ZeroTimings'd manifest exactly as cmd/experiments would produce them. With
-// abortAfter > 0 the run is cut short by the grid's crash hook after that
-// many committed cells — simulating a SIGKILL mid-sweep — and aborted
-// reports that the sentinel fired.
-func runCheckpointed(t *testing.T, e Experiment, workers int, store *checkpoint.Store, abortAfter int) (out, manifest string, aborted bool) {
+// writing through store. It returns the rendered output and the
+// ZeroTimings'd manifest exactly as cmd/experiments would produce them.
+func runCheckpointed(t *testing.T, e Experiment, workers int, store *checkpoint.Store) (out, manifest string) {
 	t.Helper()
 	o := QuickOptions()
 	o.Workers = workers
 	o.Metrics = metrics.NewRegistry()
 	o.Report = NewRunReport()
 	o.Checkpoint = store
-	o.abortAfterCells = abortAfter
-
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				if _, ok := p.(gridAbort); ok {
-					aborted = true
-					return
-				}
-				panic(p)
-			}
-		}()
-		out = e.Run(o).String()
-	}()
-	if aborted {
-		return "", "", true
-	}
+	out = e.Run(o).String()
 	b, err := BuildManifest([]string{e.ID}, o, o.Report, 0).ZeroTimings().MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, string(b), false
+	return out, string(b)
+}
+
+// cutJournal copies the journal of the store in dir into a fresh directory
+// and keeps only its first k frames, cutting it through ResumeJournal's
+// accept callback. That is the state a SIGKILL leaves after k commits: the
+// store appends one frame per committed cell (cells.journal, see
+// internal/checkpoint).
+func cutJournal(t *testing.T, dir string, k int) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := t.TempDir()
+	path := filepath.Join(cut, "cells.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	j, err := checkpoint.ResumeJournal(path, func([]byte) bool {
+		frames++
+		return frames <= k
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return cut
 }
 
 // TestResumeByteIdentical is the crash/resume differential harness: for every
-// experiment, an uninterrupted checkpointed run is the baseline; then the run
-// is killed (via the grid's test-only crash hook) after k committed cells for
-// several k, resumed against the surviving store, and the resumed run's
-// rendered output, manifest and final store hash must match the baseline byte
-// for byte — under both sequential and 8-worker scheduling.
+// experiment, an uninterrupted checkpointed run is the baseline; then its
+// journal is cut after k committed cells for several k, the run resumes
+// against the cut store, and the resumed run's rendered output, manifest and
+// final store hash must match the baseline byte for byte — under both
+// sequential and 8-worker scheduling.
 func TestResumeByteIdentical(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				base, err := checkpoint.Create(t.TempDir())
+				baseDir := t.TempDir()
+				base, err := checkpoint.Create(baseDir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantOut, wantManifest, _ := runCheckpointed(t, e, workers, base, 0)
+				wantOut, wantManifest := runCheckpointed(t, e, workers, base)
 				cells := base.Len()
 				wantHash := base.Hash()
 				base.Close()
@@ -69,55 +85,41 @@ func TestResumeByteIdentical(t *testing.T) {
 					t.Fatalf("workers=%d: baseline stored no cells", workers)
 				}
 
-				aborts := []int{1, cells / 2, cells - 1}
+				cuts := []int{1, cells / 2, cells - 1}
 				if testing.Short() {
-					aborts = []int{(cells + 1) / 2}
+					cuts = []int{(cells + 1) / 2}
 				}
 				seen := map[int]bool{}
-				for _, k := range aborts {
+				for _, k := range cuts {
 					if k < 1 || k > cells || seen[k] {
 						continue
 					}
 					seen[k] = true
 
-					dir := t.TempDir()
-					st, err := checkpoint.Create(dir)
+					re, err := checkpoint.Resume(cutJournal(t, baseDir, k))
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("workers=%d cut=%d: resume: %v", workers, k, err)
 					}
-					if _, _, aborted := runCheckpointed(t, e, workers, st, k); !aborted {
-						t.Fatalf("workers=%d abort=%d: crash hook never fired", workers, k)
+					if re.Len() != k {
+						t.Fatalf("workers=%d cut=%d: cut store holds %d records", workers, k, re.Len())
 					}
-					st.Close()
-
-					re, err := checkpoint.Resume(dir)
-					if err != nil {
-						t.Fatalf("workers=%d abort=%d: resume: %v", workers, k, err)
-					}
-					if re.Len() == 0 {
-						t.Fatalf("workers=%d abort=%d: aborted run left an empty store", workers, k)
-					}
-					gotOut, gotManifest, aborted := runCheckpointed(t, e, workers, re, 0)
-					if aborted {
-						t.Fatalf("workers=%d abort=%d: resumed run aborted", workers, k)
-					}
-					stats := re.Stats()
-					if stats.Hits == 0 {
-						t.Errorf("workers=%d abort=%d: resumed run replayed nothing", workers, k)
+					gotOut, gotManifest := runCheckpointed(t, e, workers, re)
+					if hits := re.Stats().Hits; hits != int64(k) {
+						t.Errorf("workers=%d cut=%d: resumed run replayed %d cells", workers, k, hits)
 					}
 					gotHash := re.Hash()
 					re.Close()
 
 					if gotOut != wantOut {
-						t.Errorf("workers=%d abort=%d: resumed output differs\n--- baseline ---\n%s\n--- resumed ---\n%s",
+						t.Errorf("workers=%d cut=%d: resumed output differs\n--- baseline ---\n%s\n--- resumed ---\n%s",
 							workers, k, wantOut, gotOut)
 					}
 					if gotManifest != wantManifest {
-						t.Errorf("workers=%d abort=%d: resumed manifest differs\n--- baseline ---\n%s\n--- resumed ---\n%s",
+						t.Errorf("workers=%d cut=%d: resumed manifest differs\n--- baseline ---\n%s\n--- resumed ---\n%s",
 							workers, k, wantManifest, gotManifest)
 					}
 					if gotHash != wantHash {
-						t.Errorf("workers=%d abort=%d: store hash %s, want %s",
+						t.Errorf("workers=%d cut=%d: store hash %s, want %s",
 							workers, k, gotHash, wantHash)
 					}
 				}
@@ -186,7 +188,7 @@ func TestCacheHitsPreserveDeclarationOrder(t *testing.T) {
 			Report:     NewRunReport(),
 			Checkpoint: store,
 		}
-		cc := newCellCache[int](o)
+		schema := cellSchema[int](o)
 
 		prefilled := int64(0)
 		for i := 0; i < n; i++ {
@@ -201,7 +203,7 @@ func TestCacheHitsPreserveDeclarationOrder(t *testing.T) {
 			if err := store.Put(checkpoint.Record{
 				Experiment: "order",
 				Label:      fmt.Sprintf("cell=%d", i),
-				Schema:     cc.schema,
+				Schema:     schema,
 				Attempts:   1,
 				Value:      value,
 			}); err != nil {
@@ -254,5 +256,46 @@ func TestRunReportFailureOrderDeterministic(t *testing.T) {
 		if got[i].Experiment != w.exp || got[i].Cell != w.cell || got[i].Reason != w.reason {
 			t.Fatalf("failure %d = %+v, want %+v", i, got[i], w)
 		}
+	}
+}
+
+// A cell whose first attempt panics after recording and whose retry
+// succeeds must leave the same metrics with or without a checkpoint store:
+// every attempt records into its own registry, merged only on success, so
+// the failed attempt's counts never reach the run totals.
+func TestRetriedCellMetricsIndependentOfStore(t *testing.T) {
+	run := func(store *checkpoint.Store) string {
+		var calls atomic.Int64
+		var g Grid[int]
+		g.AddLabeled("row=0 seed=0", func(co Options) int {
+			co.Metrics.Counter("sim/slots").Add(10)
+			if calls.Add(1) == 1 {
+				panic("transient")
+			}
+			return 1
+		})
+		o := Options{
+			Workers:    1,
+			Retries:    1,
+			Name:       "retried",
+			Metrics:    metrics.NewRegistry(),
+			Checkpoint: store,
+		}
+		if got := g.Run(o); got[0] != 1 {
+			t.Fatalf("cell = %d, want 1 after its retry", got[0])
+		}
+		return o.Metrics.Snapshot().ZeroTimings().String()
+	}
+	store, err := checkpoint.Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	without, with := run(nil), run(store)
+	if with != without {
+		t.Errorf("metrics differ:\n--- without a store ---\n%s--- with a store ---\n%s", without, with)
+	}
+	if !strings.Contains(without, "counter sim/slots = 10\n") {
+		t.Errorf("the failed attempt's counts reached the run totals:\n%s", without)
 	}
 }

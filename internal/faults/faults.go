@@ -139,9 +139,13 @@ func New(spec Spec) *Engine {
 func (e *Engine) Counters() *metrics.Counters { return e.ctr }
 
 // at derives the pure decision stream of one fault class at (node, tick).
-func at(base *rng.Source, v, tick int) *rng.Source {
-	return base.Fork(uint64(v)).Fork(uint64(tick))
+// It returns the stream by value, so a decision allocates nothing.
+func at(base *rng.Source, v, tick int) rng.Source {
+	return *base.Fork(uint64(v)).Fork(uint64(tick))
 }
+
+// bernoulli draws one decision from a stream that at returned by value.
+func bernoulli(h rng.Source, p float64) bool { return h.Bernoulli(p) }
 
 // jammedNode reports membership in the stuck-transmitter subset — a pure
 // function of (Seed, v), independent of time.
@@ -192,14 +196,14 @@ func (e *Engine) BeginTick(s *sim.Sim, tick int) {
 			continue // down, or up only as of this tick: no new crash yet
 		}
 		if e.spec.CrashRate > 0 && !e.protect[v] && s.Alive(v) &&
-			at(e.crash, v, tick).Bernoulli(e.spec.CrashRate) {
+			bernoulli(at(e.crash, v, tick), e.spec.CrashRate) {
 			s.Kill(v)
 			e.restartAt[v] = tick + e.spec.CrashDowntime
 			e.ctr.Add("crashes", 1)
 			continue
 		}
 		if e.spec.StallRate > 0 && !e.protect[v] && tick >= e.stallEnd[v] &&
-			at(e.stall, v, tick).Bernoulli(e.spec.StallRate) {
+			bernoulli(at(e.stall, v, tick), e.spec.StallRate) {
 			e.stallEnd[v] = tick + e.spec.StallLen
 			e.ctr.Add("stalls", 1)
 		}

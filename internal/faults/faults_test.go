@@ -385,3 +385,33 @@ func TestMembershipDeterministicAndProtected(t *testing.T) {
 		}
 	}
 }
+
+// Fault decisions allocate nothing: every per-(node, tick) draw forks its
+// stream by value. A tick here is BeginTick, then Seized, DropRecv and
+// Observation at each of 64 nodes, with every class that draws per tick
+// armed; the crash rate is so small that every node draws and none dies.
+func TestDecisionsAllocateNothing(t *testing.T) {
+	const n = 64
+	eng := New(Spec{Seed: 5, CrashRate: 1e-12, StallRate: 0.01,
+		SenseRate: 0.2, JamFraction: 0.1, DropRate: 0.3})
+	s := pointSim(t, eng, workload.UniformDisc(n, 20, 1), nil)
+	tick := 0
+	var obs sim.Observation
+	allocs := testing.AllocsPerRun(50, func() {
+		eng.BeginTick(s, tick)
+		for v := 0; v < n; v++ {
+			eng.Seized(v, tick)
+			eng.DropRecv(v, (v+1)%n, tick)
+			obs = sim.Observation{Transmitted: v%2 == 0}
+			eng.Observation(v, tick, &obs)
+		}
+		tick++
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per tick, want 0", allocs)
+	}
+	if eng.Counters().Get("stalls") == 0 || eng.Counters().Get("sense-flips") == 0 ||
+		eng.Counters().Get("dropped-recv") == 0 {
+		t.Fatalf("probe drew too little to pin anything: %s", eng.Counters())
+	}
+}

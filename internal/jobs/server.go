@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -659,9 +658,7 @@ func (s *Server) List() []JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]JobView, 0, len(s.order))
-	ids := append([]string(nil), s.order...)
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range s.order {
 		out = append(out, s.jobs[id].view())
 	}
 	return out

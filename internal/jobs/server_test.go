@@ -97,6 +97,31 @@ func TestSubmitRunDone(t *testing.T) {
 	}
 }
 
+// List returns jobs in submission order. Ids are "j-%06d", so ordering them
+// as strings would put j-1000000 before j-999999.
+func TestListInSubmissionOrder(t *testing.T) {
+	s := mustOpen(t, testConfig(t, okRunner("")))
+	defer s.Close()
+	s.mu.Lock()
+	s.seq = 999998
+	s.mu.Unlock()
+	var want []string
+	for i := 0; i < 3; i++ {
+		v, err := s.Submit(spec1())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, v.ID)
+	}
+	var got []string
+	for _, v := range s.List() {
+		got = append(got, v.ID)
+	}
+	if strings.Join(got, " ") != "j-999999 j-1000000 j-1000001" {
+		t.Fatalf("List order %v, want %v", got, want)
+	}
+}
+
 func TestRetryBudgetExhaustedFails(t *testing.T) {
 	var calls atomic.Int64
 	r := func(ctx context.Context, spec Spec, rc RunContext) (string, error) {

@@ -121,11 +121,14 @@ go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgr
 # churn, mobility, power scales, two channels and dropped frames).
 go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestDeliveryRadiusOracle' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
-# race the crash/resume differential harness explicitly (short mode: one
-# abort point per experiment, still all 16 experiments × both worker counts),
-# and the hard-cancel contract of every runner (each experiment's simulators
-# poll the grid's cancel hook, so a cancelled cell stops at its next tick).
-go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestEveryRunnerHonoursHardCancel' ./internal/experiment
+# race the crash/resume differential harness explicitly (it resumes from the
+# baseline's journal cut after k commits, the state a SIGKILL leaves; short
+# mode runs one cut point per experiment, still all 16 experiments × both
+# worker counts), the retried-cell metrics contract (a failed attempt's
+# counts stay out of the run totals, with or without a store), and the
+# hard-cancel contract of every runner (each experiment's simulators poll
+# the grid's cancel hook, so a cancelled cell stops at its next tick).
+go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestRetriedCellMetricsIndependentOfStore|TestEveryRunnerHonoursHardCancel' ./internal/experiment
 # The trace layer's locked observer serializes concurrent grid workers into
 # one writer; race the whole package (includes the query/scan differential
 # suite TestQueryScanEquivalence) plus the suite-level differential tests
