@@ -39,9 +39,11 @@ func macSim(t *testing.T, k int, apps map[int]*recorderApp) *sim.Sim {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       3,
-		Primitives: sim.CD | sim.ACK,
-		AckScale:   8,
+		AckScale: 8,
+		Options: sim.Options{
+			Seed:       3,
+			Primitives: sim.CD | sim.ACK,
+		},
 	}, func(id int) sim.Protocol {
 		app, ok := apps[id]
 		if !ok {
@@ -109,9 +111,11 @@ func TestAppCanSendFromCallbacks(t *testing.T) {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       7,
-		Primitives: sim.CD | sim.ACK,
-		AckScale:   8,
+		AckScale: 8,
+		Options: sim.Options{
+			Seed:       7,
+			Primitives: sim.CD | sim.ACK,
+		},
 	}, func(id int) sim.Protocol {
 		app := &echoApp{seed: id == 0}
 		echos[id] = app

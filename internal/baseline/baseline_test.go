@@ -155,8 +155,10 @@ func TestBaselinesIntegration(t *testing.T) {
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(8, 1, 1, 3, 0.1),
 			P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-			Seed:       9,
-			Primitives: sim.FreeAck,
+			Options: sim.Options{
+				Seed:       9,
+				Primitives: sim.FreeAck,
+			},
 		}, factory)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +198,7 @@ func TestDecayBcastIntegration(t *testing.T) {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: 9,
+		Options: sim.Options{Seed: 9},
 	}, func(id int) sim.Protocol { return NewDecayBcast(k, 42, id == 0) })
 	if err != nil {
 		t.Fatal(err)

@@ -111,11 +111,14 @@ func TestBcastPCIntegrationLine(t *testing.T) {
 	s, err := sim.New(sim.Config{
 		Space: metricOfLine(pts),
 		Model: lineModel(),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1, SenseEps: 0.05,
-		Slots:      2,
-		Seed:       5,
-		Primitives: sim.CD | sim.ACK, // no NTD
-		AckScale:   8,
+		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		AckScale: 8,
+		Options: sim.Options{
+			SenseEps:   0.05,
+			Slots:      2,
+			Seed:       5,
+			Primitives: sim.CD | sim.ACK, // no NTD
+		},
 	}, func(id int) sim.Protocol {
 		return NewBcastStarPC(k, 42, id == 0, scale)
 	})

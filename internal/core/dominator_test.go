@@ -26,11 +26,14 @@ func twoSlotSim(t *testing.T, pts []geom.Point, factory sim.ProtocolFactory) *si
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1, SenseEps: 0.05,
-		Slots:      2,
-		Seed:       5,
-		Primitives: sim.CD | sim.ACK | sim.NTD,
-		AckScale:   8,
+		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		AckScale: 8,
+		Options: sim.Options{
+			SenseEps:   0.05,
+			Slots:      2,
+			Seed:       5,
+			Primitives: sim.CD | sim.ACK | sim.NTD,
+		},
 	}, factory)
 	if err != nil {
 		t.Fatal(err)

@@ -74,9 +74,11 @@ func lineNetwork(t *testing.T, k int, prims sim.Primitives, factory sim.Protocol
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       5,
-		Primitives: prims,
-		AckScale:   8,
+		AckScale: 8,
+		Options: sim.Options{
+			Seed:       5,
+			Primitives: prims,
+		},
 	}, factory)
 	if err != nil {
 		t.Fatal(err)

@@ -76,11 +76,13 @@ func TestMCLocalBcastIntegrationCoverage(t *testing.T) {
 		Space: metricOfLine(pts),
 		Model: lineModel(),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:          9,
-		Channels:      2,
-		Primitives:    sim.CD | sim.ACK,
-		AckScale:      8,
-		TrackCoverage: true,
+		AckScale: 8,
+		Options: sim.Options{
+			Seed:          9,
+			Channels:      2,
+			Primitives:    sim.CD | sim.ACK,
+			TrackCoverage: true,
+		},
 	}, func(id int) sim.Protocol {
 		return NewMCLocalBcast(k, 2, int64(id))
 	})

@@ -26,10 +26,12 @@ func TestLocalBcastVolumetric(t *testing.T) {
 		Space: space,
 		Model: model.NewSINR(p, 1.5, 1, 4, 0.1),
 		P:     p, Zeta: 4, Noise: 1, Eps: 0.1,
-		Seed:       3,
-		Primitives: sim.CD | sim.ACK,
-		BusyScale:  0.25,
-		AckScale:   8,
+		BusyScale: 0.25,
+		AckScale:  8,
+		Options: sim.Options{
+			Seed:       3,
+			Primitives: sim.CD | sim.ACK,
+		},
 	}, func(id int) sim.Protocol {
 		return NewLocalBcast(n, int64(id))
 	})

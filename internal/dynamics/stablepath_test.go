@@ -15,8 +15,10 @@ func stableSim(t *testing.T, pts []geom.Point, dynamic bool) *sim.Sim {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:    4,
-		Dynamic: dynamic,
+		Options: sim.Options{
+			Seed:    4,
+			Dynamic: dynamic,
+		},
 	}, func(int) sim.Protocol { return silent{} })
 	if err != nil {
 		t.Fatal(err)

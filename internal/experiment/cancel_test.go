@@ -139,9 +139,9 @@ func TestGridHardCancelStopsInFlightCells(t *testing.T) {
 }
 
 // TestEveryRunnerHonoursHardCancel pins that every registered experiment
-// builds its simulators through Options.sim, so they poll the grid's cancel
-// hook: with the context cancelled on the first slot, a hard-cancelled run
-// must stop its in-flight cell before any cell completes.
+// builds its simulators through Options.newSim, so they poll the grid's
+// cancel hook: with the context cancelled on the first slot, a
+// hard-cancelled run must stop its in-flight cell before any cell completes.
 func TestEveryRunnerHonoursHardCancel(t *testing.T) {
 	for _, e := range All() {
 		e := e

@@ -44,13 +44,13 @@ func TestParallelRace(t *testing.T) {
 	const n, delta, rows = 48, 8, 2
 	run := func(workers int) [][]float64 {
 		return runSeedGrid(Options{Seeds: 8, Workers: workers}, rows,
-			func(_ Options, row, seed int) float64 {
+			func(o Options, row, seed int) float64 {
 				nw := uniformNetwork(n, delta, udwn.DefaultPHY(),
 					uint64(100*row+seed))
-				all, _, _ := localRun(nw, n, func(id int) sim.Protocol {
+				all, _, _ := localRun(o.newSim(nw, func(id int) sim.Protocol {
 					return core.NewLocalBcast(n, int64(id))
 				}, udwn.SimOptions{Seed: uint64(seed + 1),
-					Primitives: sim.CD | sim.ACK}, 4000)
+					Primitives: sim.CD | sim.ACK}), n, 4000)
 				return all
 			})
 	}
@@ -78,9 +78,9 @@ func (silentProto) Observe(*sim.Node, int, *sim.Observation) {}
 func TestLocalRunTimeout(t *testing.T) {
 	const n, maxTicks = 16, 50
 	nw := uniformNetwork(n, 4, udwn.DefaultPHY(), 1)
-	all, mean, done := localRun(nw, n, func(int) sim.Protocol {
+	all, mean, done := localRun(Options{}.newSim(nw, func(int) sim.Protocol {
 		return silentProto{}
-	}, udwn.SimOptions{Seed: 1, Primitives: sim.CD | sim.ACK}, maxTicks)
+	}, udwn.SimOptions{Seed: 1, Primitives: sim.CD | sim.ACK}), n, maxTicks)
 	if done {
 		t.Fatal("run with zero completions must not report done")
 	}

@@ -47,18 +47,17 @@ type Options struct {
 	Name string
 	// Metrics, when non-nil, is the run-level registry. The grid times
 	// every cell into it ("grid/cell" timer, "grid/cells" counter) and
-	// gives each cell attempt a private registry, which runners thread into
-	// their simulations via o.sim(...) and which merges here when the
-	// attempt succeeds. All metric updates are commutative, so snapshots
+	// gives each cell attempt a private registry, which every simulator a
+	// runner builds with o.newSim reports into and which merges here when
+	// the attempt succeeds. All metric updates are commutative, so snapshots
 	// (modulo timing fields) are byte-identical across Workers counts —
 	// pinned by TestMetricsWorkersDeterminism.
 	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every simulator slot event of every
-	// grid cell (runners thread it through o.sim alongside Metrics). Cells
-	// run on concurrent worker goroutines, so callbacks may arrive
-	// interleaved and concurrently; wrap trace recorders with
-	// trace.LockedObserver. Events alias simulator scratch buffers and are
-	// only valid during the call.
+	// grid cell (o.newSim threads it alongside Metrics). Cells run on
+	// concurrent worker goroutines, so callbacks may arrive interleaved and
+	// concurrently; wrap trace recorders with trace.LockedObserver. Events
+	// alias simulator scratch buffers and are only valid during the call.
 	Observer func(ev sim.SlotEvent)
 	// Progress, when non-nil, is invoked after every completed or failed
 	// grid cell with the grid's live done/total state. Callbacks are
@@ -99,10 +98,10 @@ type Progress struct {
 	Done, Total, Failed int
 }
 
-// sim threads the run-level instrumentation into a runner's SimOptions;
-// runners wrap their literal options with it so every simulation they
-// construct reports into the shared registry.
-func (o Options) sim(so udwn.SimOptions) udwn.SimOptions {
+// newSim builds one of a cell's simulators over nw, threading the cell's
+// metrics registry, observer and cancellation hook into so. A construction
+// error is a runner bug and panics.
+func (o Options) newSim(nw *udwn.Network, factory sim.ProtocolFactory, so udwn.SimOptions) *sim.Sim {
 	so.Metrics = o.Metrics
 	so.Observer = o.Observer
 	if o.Context != nil {
@@ -119,7 +118,11 @@ func (o Options) sim(so udwn.SimOptions) udwn.SimOptions {
 			}
 		}
 	}
-	return so
+	s, err := nw.NewSim(factory, so)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	return s
 }
 
 // DefaultOptions returns the settings used for the recorded EXPERIMENTS.md
@@ -226,31 +229,13 @@ func uniformNetwork(n, delta int, phy udwn.PHY, topoSeed uint64) *udwn.Network {
 	return udwn.NewSINRNetwork(workload.UniformDisc(n, side, topoSeed), phy)
 }
 
-// localRun runs a protocol on every node until all n nodes mass-delivered or
-// maxTicks elapsed; it returns the tick by which all completed (or maxTicks)
-// and the mean per-node completion tick over completed nodes.
-func localRun(nw *udwn.Network, n int, factory sim.ProtocolFactory,
-	o udwn.SimOptions, maxTicks int) (all float64, mean float64, done bool) {
-	s, err := nw.NewSim(factory, o)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	return localRunOn(s, n, maxTicks)
-}
-
-// localRunOn drives an already-constructed simulator until every node
-// mass-delivered or maxTicks elapsed, with the same return values as
-// localRun.
-func localRunOn(s *sim.Sim, n, maxTicks int) (all float64, mean float64, done bool) {
-	pred := func(s *sim.Sim) bool {
-		for v := 0; v < n; v++ {
-			if s.FirstMassDelivery(v) < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	ticks, ok := s.RunUntil(pred, maxTicks)
+// localRun drives s until all n nodes mass-delivered or maxTicks elapsed;
+// it returns the tick by which all completed (or maxTicks) and the mean
+// per-node completion tick over completed nodes.
+func localRun(s *sim.Sim, n, maxTicks int) (all float64, mean float64, done bool) {
+	ticks, ok := s.RunUntil(func(s *sim.Sim) bool {
+		return every(n, func(v int) bool { return s.FirstMassDelivery(v) >= 0 })
+	}, maxTicks)
 	sum, cnt := 0.0, 0
 	for v := 0; v < n; v++ {
 		if t := s.FirstMassDelivery(v); t >= 0 {
@@ -267,14 +252,14 @@ func localRunOn(s *sim.Sim, n, maxTicks int) (all float64, mean float64, done bo
 	return float64(ticks), sum / float64(cnt), ok
 }
 
-// broadcastDone returns a predicate for "every node is informed".
-func broadcastDone(n int) func(*sim.Sim) bool {
-	return func(s *sim.Sim) bool {
-		for v := 0; v < n; v++ {
-			if s.FirstDecode(v) < 0 {
-				return false
-			}
+// every reports whether ok(i) holds for every i in [0, n): the completion
+// predicate of every runner ("every node informed", "every victim
+// delivered"). Callers over a node list index into it.
+func every(n int, ok func(i int) bool) bool {
+	for i := 0; i < n; i++ {
+		if !ok(i) {
+			return false
 		}
-		return true
 	}
+	return true
 }

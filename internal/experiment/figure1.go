@@ -49,12 +49,9 @@ func Figure1Contention(o Options) fmt.Stringer {
 	grid := runSeedGrid(o, len(starts), func(o Options, row, seed int) []float64 {
 		p0 := starts[row]
 		nw := uniformNetwork(n, delta, phy, uint64(1000+seed))
-		s, err := nw.NewSim(func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewBalancer(core.NewTryAdjustSpontaneous(p0))
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD}))
-		if err != nil {
-			panic(err)
-		}
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD})
 		samples := make([]float64, rounds)
 		for r := 0; r < rounds; r++ {
 			s.Step()

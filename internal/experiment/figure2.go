@@ -47,13 +47,13 @@ func Figure2LowerBound(o Options) fmt.Stringer {
 		inst := workload.LowerBound(n, phy.Range, phy.Eps)
 		nw := udwn.NewSINRSpace(inst.Space, phy)
 		src := seed % (n - 2) // a cluster node holds the message
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			if mode == "pc" {
 				return core.NewBcastStarPC(n, 42, id == src, notifyScale)
 			}
 			return core.NewBcastStar(n, 42, id == src)
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
-			SenseEps: phy.Eps / 2, Primitives: prims}))
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
+			SenseEps: phy.Eps / 2, Primitives: prims})
 		s.MarkInformed(src)
 		ticks, _ := s.RunUntil(func(s *sim.Sim) bool {
 			return s.FirstDecode(inst.Sink) >= 0

@@ -56,14 +56,9 @@ func Figure3CDF(o Options) fmt.Stringer {
 		nw := uniformNetwork(n, delta, phy, uint64(13000+seed))
 		opts := protos[row].opts
 		opts.Seed = uint64(seed + 1)
-		s := mustSim(nw, protos[row].factory, o.sim(opts))
+		s := o.newSim(nw, protos[row].factory, opts)
 		s.RunUntil(func(s *sim.Sim) bool {
-			for v := 0; v < n; v++ {
-				if s.FirstMassDelivery(v) < 0 {
-					return false
-				}
-			}
-			return true
+			return every(n, func(v int) bool { return s.FirstMassDelivery(v) >= 0 })
 		}, maxTicks)
 		ticks := make([]float64, 0, n)
 		for v := 0; v < n; v++ {

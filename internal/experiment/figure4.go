@@ -42,9 +42,9 @@ func Figure4Stabilisation(o Options) fmt.Stringer {
 	grid := runSeedGrid(o, 1, func(o Options, _, seed int) []float64 {
 		nw := uniformNetwork(n, delta, phy, uint64(15000+seed))
 		// Hot factory: every (re)join starts at p = 1/2.
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewBalancer(core.NewTryAdjustSpontaneous(0.5))
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD}))
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD})
 		burst := dynamics.NewBurstChurn(burstPeriod, frac, uint64(16000+seed))
 		samples := make([]float64, rounds)
 		for r := 0; r < rounds; r++ {

@@ -67,9 +67,9 @@ import (
 
 // Cell is one independent unit of an experiment grid: a closure returning
 // the typed measurements of a single (cell, seed) entry. The scheduler
-// passes in the Options the cell must thread into its simulations (via
-// Options.sim); they carry the attempt's private metrics registry, so the
-// cell's instrumentation can be merged, stored and replayed on its own.
+// passes in the Options the cell builds its simulators with (via
+// Options.newSim); they carry the attempt's private metrics registry, so
+// the cell's instrumentation can be merged, stored and replayed on its own.
 type Cell[T any] func(o Options) T
 
 // Grid is an ordered collection of cells. The zero value is ready to use.

@@ -36,17 +36,17 @@ func Table1LocalDelta(o Options) fmt.Stringer {
 		runSeed := uint64(seed + 1)
 
 		var c cell
-		c.LB, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.LB, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcast(n, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), n, maxTicks)
 
-		c.Dec, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.Dec, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return baseline.NewDecay(n, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.FreeAck}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.FreeAck}), n, maxTicks)
 
-		c.Fix, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.Fix, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return baseline.NewFixedProb(delta, 1, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.FreeAck}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.FreeAck}), n, maxTicks)
 		return c
 	})
 

@@ -51,17 +51,12 @@ func Table10MultiChannel(o Options) fmt.Stringer {
 		delta := deltas[row/len(channelCounts)]
 		ch := channelCounts[row%len(channelCounts)]
 		nw := uniformNetwork(n, delta, phy, uint64(17000+100*delta+seed))
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewMCLocalBcast(n, ch, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Channels: ch,
-			Primitives: sim.CD | sim.ACK, TrackCoverage: true}))
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Channels: ch,
+			Primitives: sim.CD | sim.ACK, TrackCoverage: true})
 		tk, _ := s.RunUntil(func(s *sim.Sim) bool {
-			for v := 0; v < n; v++ {
-				if s.FirstFullCoverage(v) < 0 {
-					return false
-				}
-			}
-			return true
+			return every(n, func(v int) bool { return s.FirstFullCoverage(v) >= 0 })
 		}, maxTicks)
 		r := result{Ticks: float64(tk)}
 		sum, cnt := 0.0, 0

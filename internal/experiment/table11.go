@@ -60,11 +60,11 @@ func Table11StableDistance(o Options) fmt.Stringer {
 		side := workload.SideForDegree(n, delta, rb)
 		pts := workload.UniformDisc(n, side, uint64(19000+seed))
 		nw := udwn.NewSINRNetwork(pts, phy)
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewBcast(n, 3, 42, id == 0)
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
 			SenseEps: phy.Eps / 2, Primitives: sim.CD | sim.ACK | sim.NTD,
-			Dynamic: sc.dynamic}))
+			Dynamic: sc.dynamic})
 		s.MarkInformed(0)
 
 		var drv dynamics.Driver
@@ -85,7 +85,7 @@ func Table11StableDistance(o Options) fmt.Stringer {
 			s.Step()
 			// Stop once the comparison is decided for every node:
 			// stable paths complete and payloads delivered.
-			if tr.Reached() == n && allInformed(s, n) {
+			if tr.Reached() == n && every(n, func(v int) bool { return s.FirstDecode(v) >= 0 }) {
 				break
 			}
 		}
@@ -123,13 +123,4 @@ func Table11StableDistance(o Options) fmt.Stringer {
 	t.AddNote("D_st = tick at which a stable path from the source completed (interval length L); informed = first payload decode")
 	t.AddNote("expected shape: every stable-reached node gets informed, with tick/D_st ratios in a bounded band across all dynamics levels (Thm. 5.1's O(D_st))")
 	return t
-}
-
-func allInformed(s *sim.Sim, n int) bool {
-	for v := 0; v < n; v++ {
-		if s.FirstDecode(v) < 0 {
-			return false
-		}
-	}
-	return true
 }

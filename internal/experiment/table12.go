@@ -71,13 +71,13 @@ func Table12Faults(o Options) fmt.Stringer {
 			spec.Seed = uint64(12100 + 131*row + seed)
 			eng := faults.New(spec)
 			nw := uniformNetwork(n, delta, phy, uint64(21000+seed))
-			s := mustSim(nw, func(id int) sim.Protocol {
+			s := o.newSim(nw, func(id int) sim.Protocol {
 				return core.NewLocalBcast(n, int64(id))
-			}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1),
-				Primitives: sim.CD | sim.ACK, Injector: eng}))
+			}, udwn.SimOptions{Seed: uint64(seed + 1),
+				Primitives: sim.CD | sim.ACK, Injector: eng})
 			healthy := healthyNodes(eng, n)
 			ticks, _ := s.RunUntil(func(s *sim.Sim) bool {
-				return allDone(healthy, s.FirstMassDelivery)
+				return every(len(healthy), func(i int) bool { return s.FirstMassDelivery(healthy[i]) >= 0 })
 			}, maxTicks)
 			r.LocalCov = doneFraction(healthy, s.FirstMassDelivery)
 			r.LocalTicks = float64(ticks)
@@ -92,15 +92,15 @@ func Table12Faults(o Options) fmt.Stringer {
 			spec.Protect = []int{0}
 			eng := faults.New(spec)
 			nw := uniformNetwork(n, delta, phy, uint64(22000+seed))
-			s := mustSim(nw, func(id int) sim.Protocol {
+			s := o.newSim(nw, func(id int) sim.Protocol {
 				return core.NewBcast(n, 3, 42, id == 0)
-			}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
+			}, udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
 				SenseEps: phy.Eps / 2, Primitives: sim.CD | sim.ACK | sim.NTD,
-				Injector: eng}))
+				Injector: eng})
 			s.MarkInformed(0)
 			healthy := healthyNodes(eng, n)
 			ticks, _ := s.RunUntil(func(s *sim.Sim) bool {
-				return allDone(healthy, s.FirstDecode)
+				return every(len(healthy), func(i int) bool { return s.FirstDecode(healthy[i]) >= 0 })
 			}, maxTicks)
 			r.BcastCov = doneFraction(healthy, s.FirstDecode)
 			r.BcastTicks = float64(ticks)
@@ -142,16 +142,6 @@ func healthyNodes(eng *faults.Engine, n int) []int {
 		}
 	}
 	return out
-}
-
-// allDone reports whether first(v) >= 0 for every listed node.
-func allDone(nodes []int, first func(int) int) bool {
-	for _, v := range nodes {
-		if first(v) < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // doneFraction returns the fraction of listed nodes with first(v) >= 0.

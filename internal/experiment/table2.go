@@ -34,15 +34,15 @@ func Table2LocalN(o Options) fmt.Stringer {
 		runSeed := uint64(seed + 1)
 
 		var c cell
-		c.LB, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.LB, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcast(n, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), n, maxTicks)
 
 		// The uniform variant starts at an arbitrary constant
 		// probability with no floor and never consults n.
-		c.SP, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.SP, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcastSpontaneous(0.25, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), n, maxTicks)
 		return c
 	})
 

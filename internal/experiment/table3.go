@@ -46,41 +46,39 @@ func Table3Broadcast(o Options) fmt.Stringer {
 		c := cell{Diam: float64(diam)}
 
 		// Bcast*: two slots, ε/2 precision primitives.
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewBcastStar(n, 42, id == 0)
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Slots: 2, SenseEps: phy.Eps / 2,
-			Primitives: sim.CD | sim.ACK | sim.NTD}))
+		}, udwn.SimOptions{Seed: runSeed, Slots: 2, SenseEps: phy.Eps / 2,
+			Primitives: sim.CD | sim.ACK | sim.NTD})
 		s.MarkInformed(0)
-		ticks, _ := s.RunUntil(broadcastDone(n), 400000)
+		informed := func(s *sim.Sim) bool {
+			return every(n, func(v int) bool { return s.FirstDecode(v) >= 0 })
+		}
+		ticks, _ := s.RunUntil(informed, 400000)
 		c.Bst = float64(ticks) / 2
 		c.BstTx = float64(s.TotalTransmissions())
 
 		// Spontaneous dominating-set broadcast.
 		ntd := nw.NTDThreshold(phy.Eps / 2)
-		s = mustSim(nw, func(id int) sim.Protocol {
+		s = o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewSpontBcast(0.05, 1/(2*float64(n)), ntd, 42, id == 0)
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Slots: 2, SenseEps: phy.Eps / 2,
-			Primitives: sim.CD | sim.ACK | sim.NTD}))
+		}, udwn.SimOptions{Seed: runSeed, Slots: 2, SenseEps: phy.Eps / 2,
+			Primitives: sim.CD | sim.ACK | sim.NTD})
 		s.MarkInformed(0)
 		// "Informed" must mean payload receipt: dominator-construction
 		// traffic also produces decodes, so FirstDecode is too loose.
 		ticks, _ = s.RunUntil(func(s *sim.Sim) bool {
-			for v := 0; v < n; v++ {
-				if !s.Protocol(v).(*core.SpontBcast).Informed() {
-					return false
-				}
-			}
-			return true
+			return every(n, func(v int) bool { return s.Protocol(v).(*core.SpontBcast).Informed() })
 		}, 400000)
 		c.Spt = float64(ticks) / 2
 		c.SptTx = float64(s.TotalTransmissions())
 
 		// Decay flooding: single slot, no carrier sense at all.
-		s = mustSim(nw, func(id int) sim.Protocol {
+		s = o.newSim(nw, func(id int) sim.Protocol {
 			return baseline.NewDecayBcast(n, 42, id == 0)
-		}, o.sim(udwn.SimOptions{Seed: runSeed}))
+		}, udwn.SimOptions{Seed: runSeed})
 		s.MarkInformed(0)
-		ticks, _ = s.RunUntil(broadcastDone(n), 400000)
+		ticks, _ = s.RunUntil(informed, 400000)
 		c.Dcy = float64(ticks)
 		c.DcyTx = float64(s.TotalTransmissions())
 		return c
@@ -123,12 +121,4 @@ func connectedStrip(n int, length, rb float64, seed uint64) ([]geom.Point, int) 
 			panic("experiment: could not draw a connected strip; raise density")
 		}
 	}
-}
-
-func mustSim(nw *udwn.Network, f sim.ProtocolFactory, o udwn.SimOptions) *sim.Sim {
-	s, err := nw.NewSim(f, o)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }

@@ -87,10 +87,10 @@ func Table4Dynamics(o Options) fmt.Stringer {
 	grid := runSeedGrid(o, len(scenarios), func(o Options, row, seed int) []victimResult {
 		sc := scenarios[row]
 		nw := uniformNetwork(n, delta, phy, uint64(7000+seed))
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcast(n, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD | sim.ACK,
-			Dynamic: sc.mobile}))
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD | sim.ACK,
+			Dynamic: sc.mobile})
 		drv := sc.driver(uint64(40+seed), protectSet())
 		if w, ok := drv.(*dynamics.RandomWalk); ok {
 			w.Side = workload.SideForDegree(n, delta, rb)
@@ -107,7 +107,7 @@ func Table4Dynamics(o Options) fmt.Stringer {
 				tr.Observe(s)
 			}
 			s.Step()
-			if allVictimsDone(s, victims) {
+			if every(len(victims), func(i int) bool { return s.FirstMassDelivery(victims[i]) >= 0 }) {
 				break
 			}
 		}
@@ -145,13 +145,4 @@ func Table4Dynamics(o Options) fmt.Stringer {
 	t.AddNote("victims are protected from churn (the theorem requires them alive through the interval); everything else churns/moves")
 	t.AddNote("expected shape: completion tracks the dynamic degree; unlimited churn is tolerated, fast mobility (edge-change rate beyond τ) degrades")
 	return t
-}
-
-func allVictimsDone(s *sim.Sim, victims []int) bool {
-	for _, v := range victims {
-		if s.FirstMassDelivery(v) < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -67,14 +67,14 @@ func Table5CrossModel(o Options) fmt.Stringer {
 	}
 	grid := runSeedGrid(o, len(cells), func(o Options, row, seed int) result {
 		nw := cells[row].mk(uint64(5000 + seed))
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcast(n, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD | sim.ACK}))
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD | sim.ACK})
 		degSum := 0.0
 		for v := 0; v < n; v++ {
 			degSum += float64(s.NeighborCount(v))
 		}
-		all, _, done := localRunOn(s, n, 60000)
+		all, _, done := localRun(s, n, 60000)
 		return result{Deg: degSum / float64(n), Ticks: all, Done: done}
 	})
 

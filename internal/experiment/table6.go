@@ -76,13 +76,10 @@ func Table6Ablations(o Options) fmt.Stringer {
 		}
 		phy := v.phy(udwn.DefaultPHY())
 		nw := uniformNetwork(n, delta, phy, uint64(9000+seed))
-		opts := o.sim(v.opts(udwn.SimOptions{
-			Seed:       uint64(seed + 1),
-			Primitives: sim.CD | sim.ACK,
-		}))
-		all, mean, done := localRun(nw, n, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcast(n, int64(id))
-		}, opts, tickCap)
+		}, v.opts(udwn.SimOptions{Seed: uint64(seed + 1), Primitives: sim.CD | sim.ACK}))
+		all, mean, done := localRun(s, n, tickCap)
 		return result{All: all, Mean: mean, Done: done}
 	})
 

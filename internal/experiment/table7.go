@@ -37,13 +37,13 @@ func Table7NoCS(o Options) fmt.Stringer {
 		runSeed := uint64(seed + 1)
 
 		var c cell
-		c.LB, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.LB, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewLocalBcast(n, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.CD | sim.ACK}), n, maxTicks)
 
-		c.NoCS, _, _ = localRun(nw, n, func(id int) sim.Protocol {
+		c.NoCS, _, _ = localRun(o.newSim(nw, func(id int) sim.Protocol {
 			return core.NewNoCSLocalBcast(n, probes, int64(id))
-		}, o.sim(udwn.SimOptions{Seed: runSeed, Primitives: sim.FreeAck}), maxTicks)
+		}, udwn.SimOptions{Seed: runSeed, Primitives: sim.FreeAck}), n, maxTicks)
 		return c
 	})
 

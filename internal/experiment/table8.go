@@ -55,12 +55,7 @@ func Table8Fading(o Options) fmt.Stringer {
 	grid := runSeedGrid(o, len(channels), func(o Options, row, seed int) result {
 		s := coverageSim(channels[row].mk(uint64(12000+seed)), n, uint64(seed+1), o)
 		s.RunUntil(func(s *sim.Sim) bool {
-			for v := 0; v < n; v++ {
-				if s.FirstFullCoverage(v) < 0 {
-					return false
-				}
-			}
-			return true
+			return every(n, func(v int) bool { return s.FirstFullCoverage(v) >= 0 })
 		}, maxTicks)
 		r := result{Total: n, Atomic: float64(s.TotalMassDeliveries())}
 		for v := 0; v < n; v++ {
@@ -92,7 +87,7 @@ func Table8Fading(o Options) fmt.Stringer {
 
 // coverageSim builds the LocalBcast simulator with coverage tracking enabled.
 func coverageSim(nw *udwn.Network, n int, seed uint64, o Options) *sim.Sim {
-	return mustSim(nw, func(id int) sim.Protocol {
+	return o.newSim(nw, func(id int) sim.Protocol {
 		return core.NewLocalBcast(n, int64(id))
-	}, o.sim(udwn.SimOptions{Seed: seed, Primitives: sim.CD | sim.ACK, TrackCoverage: true}))
+	}, udwn.SimOptions{Seed: seed, Primitives: sim.CD | sim.ACK, TrackCoverage: true})
 }

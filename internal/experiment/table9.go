@@ -39,20 +39,15 @@ func Table9MultiMessage(o Options) fmt.Stringer {
 		for i := 0; i < k; i++ {
 			isSource[i*n/k] = int64(1000 + i)
 		}
-		s := mustSim(nw, func(id int) sim.Protocol {
+		s := o.newSim(nw, func(id int) sim.Protocol {
 			if msg, ok := isSource[id]; ok {
 				return core.NewMultiBcast(n, ntd, msg)
 			}
 			return core.NewMultiBcast(n, ntd)
-		}, o.sim(udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
-			SenseEps: phy.Eps / 2, Primitives: sim.CD | sim.ACK | sim.NTD}))
+		}, udwn.SimOptions{Seed: uint64(seed + 1), Slots: 2,
+			SenseEps: phy.Eps / 2, Primitives: sim.CD | sim.ACK | sim.NTD})
 		ticks, _ := s.RunUntil(func(s *sim.Sim) bool {
-			for v := 0; v < n; v++ {
-				if s.Protocol(v).(*core.MultiBcast).Known() < k {
-					return false
-				}
-			}
-			return true
+			return every(n, func(v int) bool { return s.Protocol(v).(*core.MultiBcast).Known() >= k })
 		}, 800000)
 		return float64(ticks) / 2
 	})

@@ -45,11 +45,10 @@ type Spec struct {
 	CrashRate     float64
 	CrashDowntime int
 
-	// JamFraction makes a random subset of nodes stuck transmitters from
-	// tick JamFrom onward: they force an undecodable carrier onto the air
-	// every slot (pure interference) while their protocols freeze.
+	// JamFraction makes a random subset of nodes stuck transmitters: they
+	// force an undecodable carrier onto the air every slot (pure
+	// interference) while their protocols freeze.
 	JamFraction float64
-	JamFrom     int
 
 	// DeafFraction makes a random subset of nodes deaf receivers: their
 	// radios decode nothing, so neighbours keep retrying mass delivery
@@ -212,10 +211,10 @@ func (e *Engine) BeginTick(s *sim.Sim, tick int) {
 
 // QuiescentUntil implements sim.QuiescentInjector. Crash, stall and sensing
 // corruption draw per-tick decisions (and count events) even in silent
-// slots, so any of those rates forfeits the promise entirely. Jammers are
-// inert — no seizures, no counters — strictly before JamFrom. Deaf
-// receivers and message drops act only on decoded receptions, of which a
-// silent slot has none, so they are unconditionally quiet.
+// slots, so any of those rates, or any jammer, forfeits the promise
+// entirely. Deaf receivers and message drops act only on decoded
+// receptions, of which a silent slot has none, so they are unconditionally
+// quiet.
 //
 // Deprecated: the simulator no longer consults sim.QuiescentInjector. The
 // method stays only because the frozen end-to-end benchmark
@@ -223,13 +222,7 @@ func (e *Engine) BeginTick(s *sim.Sim, tick int) {
 // engine's sim.QuiescentInjector; delete it together with that assertion in
 // the next change to the benchmark.
 func (e *Engine) QuiescentUntil(now int) int {
-	if e.spec.CrashRate > 0 || e.spec.StallRate > 0 || e.spec.SenseRate > 0 {
-		return now
-	}
-	if e.spec.JamFraction > 0 && now < e.spec.JamFrom {
-		return e.spec.JamFrom
-	}
-	if e.spec.JamFraction > 0 {
+	if e.spec.CrashRate > 0 || e.spec.StallRate > 0 || e.spec.SenseRate > 0 || e.spec.JamFraction > 0 {
 		return now
 	}
 	return now + (1 << 30)
@@ -239,7 +232,7 @@ func (e *Engine) QuiescentUntil(now int) int {
 // carrier onto the air, a stalled node forces a no-op; either way the
 // protocol freezes for the tick.
 func (e *Engine) Seized(v, tick int) (sim.Action, bool) {
-	if tick >= e.spec.JamFrom && e.jammedNode(v) {
+	if e.jammedNode(v) {
 		e.ctr.Add("jam-slots", 1)
 		return sim.Action{Transmit: true, Msg: sim.Message{Kind: JamKind}}, true
 	}
@@ -255,7 +248,7 @@ func (e *Engine) Seized(v, tick int) (sim.Action, bool) {
 // re-forks per (u, v, tick), so it drops the same frames whichever
 // reception driver enumerates them.
 func (e *Engine) DropRecv(u, v, tick int) bool {
-	if tick >= e.spec.JamFrom && e.jammedNode(u) {
+	if e.jammedNode(u) {
 		return true // the jam carrier is pure interference, never a frame
 	}
 	if e.deafNode(v) {

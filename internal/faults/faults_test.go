@@ -52,9 +52,11 @@ func pointSim(t *testing.T, eng *Engine, pts []geom.Point, scripts map[int]map[i
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       1,
-		Primitives: sim.CD | sim.ACK | sim.NTD,
-		Injector:   eng,
+		Options: sim.Options{
+			Seed:       1,
+			Primitives: sim.CD | sim.ACK | sim.NTD,
+			Injector:   eng,
+		},
 	}, func(id int) sim.Protocol {
 		return &scriptProto{transmitAt: scripts[id]}
 	})
@@ -175,9 +177,11 @@ func TestFaultedRunUsesIndexedReception(t *testing.T) {
 			Space: space,
 			Model: model.NewSINR(8, 1, 1, 3, 0.1),
 			P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-			Seed:       4,
-			Primitives: sim.CD | sim.ACK,
-			Injector:   eng,
+			Options: sim.Options{
+				Seed:       4,
+				Primitives: sim.CD | sim.ACK,
+				Injector:   eng,
+			},
 		}, func(int) sim.Protocol { return coinProto(0.05) })
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -93,6 +94,45 @@ func TestAPISubmitLifecycle(t *testing.T) {
 	}
 	if string(body) != "rendered tables\n" {
 		t.Fatalf("result body = %q", body)
+	}
+}
+
+// TestOverweightSpecIsInvalid: a spec heavier than a weight budget can never
+// be admitted, so even an idle daemon refuses it as invalid (HTTP 400)
+// rather than shedding it with 429 + Retry-After, which a client honouring
+// the header would retry forever. All 16 experiments at 33 seeds weigh 528,
+// above the default MaxWeight of 512, while 33 seeds is within its limit.
+func TestOverweightSpecIsInvalid(t *testing.T) {
+	var ids []string
+	for _, e := range experiment.All() {
+		ids = append(ids, e.ID)
+	}
+	heavy := Spec{Experiments: ids, Seeds: 33, Quick: true}
+	s, ts := newTestAPI(t, testConfig(t, okRunner("")))
+	var inv *InvalidError
+	if _, err := s.Submit(heavy); !errors.As(err, &inv) {
+		t.Fatalf("weight %d on an idle daemon: err = %v, want *InvalidError", heavy.weight(), err)
+	}
+	body, err := json.Marshal(heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/jobs", string(body))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /jobs of weight %d: status = %d, want 400", heavy.weight(), resp.StatusCode)
+	}
+	if shed := s.Metrics().CounterValue("jobs/shed"); shed != 0 {
+		t.Fatalf("jobs/shed = %d, want 0", shed)
+	}
+
+	// The per-client weight budget has the same hole.
+	cfg := testConfig(t, okRunner(""))
+	cfg.ClientMaxWeight = 4
+	s2 := mustOpen(t, cfg)
+	defer s2.Close()
+	if _, err := s2.Submit(clientSpec("heavy", 5)); !errors.As(err, &inv) {
+		t.Fatalf("weight 5 under a per-client budget of 4: err = %v, want *InvalidError", err)
 	}
 }
 

@@ -99,6 +99,15 @@ type Spec struct {
 	Client string `json:"client,omitempty"`
 }
 
+// The limits one submission may request, and the per-cell retry budget
+// every job grid runs with.
+const (
+	maxSeeds    = 64
+	maxRetries  = 5
+	maxDeadline = 15 * time.Minute
+	cellRetries = 1
+)
+
 // weight is the spec's admission cost against the server's in-flight
 // cell-weight budget: declared experiments × seed repetitions, a cheap
 // submission-time proxy for the number of grid cells the job will schedule.
@@ -124,20 +133,27 @@ func (s *Spec) validate(cfg *Config) error {
 	if s.Seeds < 0 {
 		return &InvalidError{Reason: fmt.Sprintf("seeds %d is negative", s.Seeds)}
 	}
-	if s.Seeds > cfg.MaxSeeds {
-		return &InvalidError{Reason: fmt.Sprintf("seeds %d exceeds the limit %d", s.Seeds, cfg.MaxSeeds)}
+	if s.Seeds > maxSeeds {
+		return &InvalidError{Reason: fmt.Sprintf("seeds %d exceeds the limit %d", s.Seeds, maxSeeds)}
+	}
+	// A spec heavier than a weight budget would shed with 429 forever; it
+	// can never be admitted, so it is invalid.
+	if w := s.weight(); w > cfg.MaxWeight {
+		return &InvalidError{Reason: fmt.Sprintf("weight %d exceeds the in-flight budget %d", w, cfg.MaxWeight)}
+	} else if cfg.ClientMaxWeight > 0 && w > cfg.ClientMaxWeight {
+		return &InvalidError{Reason: fmt.Sprintf("weight %d exceeds the per-client budget %d", w, cfg.ClientMaxWeight)}
 	}
 	if s.Retries < 0 {
 		return &InvalidError{Reason: fmt.Sprintf("retries %d is negative", s.Retries)}
 	}
-	if s.Retries > cfg.MaxRetries {
-		return &InvalidError{Reason: fmt.Sprintf("retries %d exceeds the limit %d", s.Retries, cfg.MaxRetries)}
+	if s.Retries > maxRetries {
+		return &InvalidError{Reason: fmt.Sprintf("retries %d exceeds the limit %d", s.Retries, maxRetries)}
 	}
 	if s.DeadlineMs < 0 {
 		return &InvalidError{Reason: fmt.Sprintf("deadline %dms is negative", s.DeadlineMs)}
 	}
-	if d := time.Duration(s.DeadlineMs) * time.Millisecond; d > cfg.MaxDeadline {
-		return &InvalidError{Reason: fmt.Sprintf("deadline %s exceeds the limit %s", d, cfg.MaxDeadline)}
+	if d := time.Duration(s.DeadlineMs) * time.Millisecond; d > maxDeadline {
+		return &InvalidError{Reason: fmt.Sprintf("deadline %s exceeds the limit %s", d, maxDeadline)}
 	}
 	if len(s.Client) > 64 {
 		return &InvalidError{Reason: fmt.Sprintf("client identity is %d bytes, limit 64", len(s.Client))}

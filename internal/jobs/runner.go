@@ -16,8 +16,6 @@ import (
 // the shared checkpoint store (the cross-job result cache), the progress
 // sink feeding the job's event stream, and the trace path.
 type RunContext struct {
-	// Attempt is the 1-based supervisor attempt.
-	Attempt int
 	// Checkpoint is the daemon-wide content-addressed cell store; nil when
 	// the server runs without one (tests).
 	Checkpoint *checkpoint.Store
@@ -39,8 +37,9 @@ type Runner func(ctx context.Context, spec Spec, rc RunContext) (string, error)
 
 // ExperimentRunner returns the production Runner: it executes the spec's
 // experiments in order on the experiment grid — gridWorkers concurrent
-// cells, the given per-cell deadline and retry budget — writing through the
-// shared checkpoint store so finished cells are computed once daemon-wide.
+// cells, the given per-cell deadline, cellRetries retries per cell —
+// writing through the shared checkpoint store so finished cells are
+// computed once daemon-wide.
 // The grid runs with HardCancel: when ctx fires (deadline, drain past
 // grace, client cancel) in-flight simulations stop at their next tick,
 // completed cells stay checkpointed, and the attempt returns ctx's error.
@@ -52,7 +51,7 @@ type Runner func(ctx context.Context, spec Spec, rc RunContext) (string, error)
 // Output is the same rendered text cmd/experiments prints for the same
 // options, and — because every grid cell is a pure function of its
 // coordinates — byte-identical across retries, restarts and worker counts.
-func ExperimentRunner(gridWorkers int, cellTimeout time.Duration, cellRetries int) Runner {
+func ExperimentRunner(gridWorkers int, cellTimeout time.Duration) Runner {
 	return func(ctx context.Context, spec Spec, rc RunContext) (out string, err error) {
 		o := experiment.Options{
 			Seeds:       spec.Seeds,

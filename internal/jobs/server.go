@@ -33,21 +33,15 @@ type Config struct {
 	QueueDepth int
 	// MaxWeight bounds the total declared cell weight (experiments ×
 	// seeds) of queued plus running jobs — the in-flight budget behind the
-	// second shedding condition (default 512).
+	// second shedding condition (default 512). A spec whose weight alone
+	// exceeds it is invalid, not shed.
 	MaxWeight int
-	// MaxSeeds and MaxRetries cap what one submission may request
-	// (defaults 64 and 5).
-	MaxSeeds   int
-	MaxRetries int
-	// DefaultDeadline and MaxDeadline bound one attempt's wall clock
-	// (defaults 2m and 15m).
+	// DefaultDeadline is one attempt's wall clock when the spec sets none
+	// (default 2m; a spec may ask for up to maxDeadline).
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	// CellTimeout and CellRetries are the per-cell deadline and retry
-	// budget every job grid runs with (defaults 0 — no cell deadline — and
-	// 1 retry).
+	// CellTimeout is the per-cell deadline every job grid runs with
+	// (default 0, no cell deadline).
 	CellTimeout time.Duration
-	CellRetries int
 	// BackoffBase and BackoffMax shape the supervisor's exponential retry
 	// delay (defaults 250ms and 5s); the jitter is deterministic given the
 	// job's Seed.
@@ -104,20 +98,8 @@ func (c *Config) fill() {
 	if c.MaxWeight <= 0 {
 		c.MaxWeight = 512
 	}
-	if c.MaxSeeds <= 0 {
-		c.MaxSeeds = 64
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Minute
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 15 * time.Minute
-	}
-	if c.CellRetries <= 0 {
-		c.CellRetries = 1
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 250 * time.Millisecond
@@ -138,7 +120,7 @@ func (c *Config) fill() {
 		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Runner == nil {
-		c.Runner = ExperimentRunner(c.GridWorkers, c.CellTimeout, c.CellRetries)
+		c.Runner = ExperimentRunner(c.GridWorkers, c.CellTimeout)
 	}
 }
 
@@ -908,7 +890,6 @@ func (s *Server) runOnce(j *job, attempt int) (string, error) {
 		return "", context.Canceled
 	}
 	rc := RunContext{
-		Attempt:    attempt,
 		Checkpoint: s.store,
 		Progress: func(p experiment.Progress) {
 			s.progress(j, attempt, p)

@@ -474,7 +474,7 @@ func TestSubscribeTerminalJobClosesImmediately(t *testing.T) {
 // pre-cancelled context: it must return the cancellation as an error, not
 // hang or panic through.
 func TestExperimentRunnerCancellation(t *testing.T) {
-	r := ExperimentRunner(1, 0, 0)
+	r := ExperimentRunner(1, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := r(ctx, Spec{Experiments: []string{"table1"}, Quick: true}, RunContext{})
@@ -489,7 +489,7 @@ func TestExperimentRunnerProducesOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real experiment run")
 	}
-	r := ExperimentRunner(2, 0, 1)
+	r := ExperimentRunner(2, 0)
 	out, err := r(context.Background(), Spec{Experiments: []string{"table1"}, Quick: true, Seeds: 1},
 		RunContext{})
 	if err != nil {

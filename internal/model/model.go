@@ -52,15 +52,6 @@ type SuccClear struct {
 	Ic float64
 }
 
-// FieldOblivious is an optional Model extension declaring that Decodes never
-// consults View.TotalPower — the slot's aggregated interference field — only
-// per-pair powers and distances. When such a model runs without any
-// power-sensing primitive (CD, ACK), the simulator skips building the O(n·tx)
-// interference field entirely.
-type FieldOblivious interface {
-	FieldOblivious() bool
-}
-
 // Model is a concrete communication model plugged into the simulator.
 //
 // One frame per listener: Decodes is true for at most one same-channel
@@ -265,9 +256,6 @@ func (m *Collision) MaxDecodeRange() float64 {
 	}
 	return m.commR
 }
-
-// FieldOblivious reports true: the collision rule never reads TotalPower.
-func (m *Collision) FieldOblivious() bool { return true }
 
 // Decodes applies the collision rule.
 func (m *Collision) Decodes(view View, u, v int) bool {

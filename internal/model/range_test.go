@@ -105,23 +105,3 @@ func TestDecodesFalseBeyondMaxDecodeRange(t *testing.T) {
 		}
 	}
 }
-
-// TestFieldObliviousDeclarations pins which models may skip the interference
-// field: graph-style rules and Rayleigh (which sums its own faded per-pair
-// powers) never read View.TotalPower; SINR does.
-func TestFieldObliviousDeclarations(t *testing.T) {
-	oblivious := []Model{
-		NewUDG(7), NewUBG(7), NewKHop(7, 2), NewQUDG(4, 9, nil),
-		NewProtocol(5, 11), NewBIG(2),
-		NewRayleighSINR(1500, 1.5, 1, 3, 0.1, 7),
-	}
-	for _, m := range oblivious {
-		fo, ok := m.(FieldOblivious)
-		if !ok || !fo.FieldOblivious() {
-			t.Fatalf("%s should declare FieldOblivious", m.Name())
-		}
-	}
-	if _, ok := Model(NewSINR(1500, 1.5, 1, 3, 0.1)).(FieldOblivious); ok {
-		t.Fatal("SINR reads TotalPower and must not declare FieldOblivious")
-	}
-}

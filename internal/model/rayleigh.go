@@ -60,10 +60,6 @@ func (m *RayleighSINR) MaxDecodeRange() float64 {
 	return m.base.R() * math.Pow(maxFade, 1/m.zeta)
 }
 
-// FieldOblivious reports true: Decodes accumulates its own faded
-// interference from per-pair powers and never reads View.TotalPower.
-func (m *RayleighSINR) FieldOblivious() bool { return true }
-
 // fade returns the exponential fading coefficient for (tick, w, v),
 // deterministic per run for replayability.
 func (m *RayleighSINR) fade(tick, w, v int) float64 {

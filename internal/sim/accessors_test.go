@@ -36,23 +36,6 @@ func TestAdversaries(t *testing.T) {
 	if !(OptimisticAdversary{}).AckAmbiguous(1, 2) {
 		t.Fatal("optimist must answer true")
 	}
-	ra := &RandomAdversary{Seed: 1, P: 0.5}
-	if ra.AckAmbiguous(1, 2) != ra.AckAmbiguous(1, 2) {
-		t.Fatal("random adversary must be deterministic per (node, tick)")
-	}
-	trues := 0
-	for i := 0; i < 1000; i++ {
-		if ra.AckAmbiguous(i, i*3) {
-			trues++
-		}
-	}
-	if trues < 400 || trues > 600 {
-		t.Fatalf("random adversary frequency = %d/1000 at P=0.5", trues)
-	}
-	never := &RandomAdversary{Seed: 1, P: 0}
-	if never.AckAmbiguous(7, 7) {
-		t.Fatal("P=0 adversary must answer false")
-	}
 }
 
 // TestGenericNeighbourCacheBuild covers the one kind of space that builds
@@ -66,7 +49,7 @@ func TestGenericNeighbourCacheBuild(t *testing.T) {
 		Space: m,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: 1,
+		Options: Options{Seed: 1},
 	}, func(int) Protocol { return &scriptProto{} })
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +67,7 @@ func TestGenericNeighbourCacheBuild(t *testing.T) {
 		Space: metric.NewEuclidean(makePoints(8)),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: 1,
+		Options: Options{Seed: 1},
 	}, func(int) Protocol { return &scriptProto{} })
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +85,7 @@ func TestSlotViewRadiusCache(t *testing.T) {
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: 1,
+		Options: Options{Seed: 1},
 	}, func(int) Protocol { return &scriptProto{} })
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,10 @@ func TestStepZeroAllocs(t *testing.T) {
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-				Seed:       1,
-				Primitives: CD | ACK,
+				Options: Options{
+					Seed:       1,
+					Primitives: CD | ACK,
+				},
 			}, func(int) Protocol { return fixedProb(1.0 / 64) })
 			if err != nil {
 				t.Fatal(err)
@@ -41,9 +43,11 @@ func TestStepZeroAllocs(t *testing.T) {
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-				Seed:       1,
-				Primitives: CD | ACK,
-				Dynamic:    true,
+				Options: Options{
+					Seed:       1,
+					Primitives: CD | ACK,
+					Dynamic:    true,
+				},
 			}, func(int) Protocol { return fixedProb(1.0 / 64) })
 			if err != nil {
 				t.Fatal(err)
@@ -56,7 +60,7 @@ func TestStepZeroAllocs(t *testing.T) {
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewUDG(10),
 				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-				Seed: 2,
+				Options: Options{Seed: 2},
 			}, func(int) Protocol { return fixedProb(1.0 / 64) })
 			if err != nil {
 				t.Fatal(err)

@@ -18,8 +18,10 @@ func benchSim(b *testing.B, n int, p float64, prims Primitives) *Sim {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       1,
-		Primitives: prims,
+		Options: Options{
+			Seed:       1,
+			Primitives: prims,
+		},
 	}, func(int) Protocol { return fixedProb(p) })
 	if err != nil {
 		b.Fatal(err)
@@ -81,8 +83,10 @@ func BenchmarkStepUDG(b *testing.B) {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewUDG(10),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       1,
-		Primitives: CD | ACK,
+		Options: Options{
+			Seed:       1,
+			Primitives: CD | ACK,
+		},
 	}, func(int) Protocol { return fixedProb(1.0 / 64) })
 	if err != nil {
 		b.Fatal(err)
@@ -94,9 +98,10 @@ func BenchmarkStepUDG(b *testing.B) {
 }
 
 // sparseSim4096 builds the large sparse-topology workload behind the
-// indexed-vs-brute BenchmarkStep pair: 4096 nodes at mean degree 16, a
-// field-oblivious UDG model, and no sensing primitives, so the indexed run
-// exercises the transmitter-outward reception path with Phase 2 skipped.
+// indexed-vs-brute BenchmarkStep pair: 4096 nodes at mean degree 16, a UDG
+// model, and no sensing primitives, so the indexed run exercises the
+// transmitter-outward reception path and a Phase 2 field summed only over
+// the transmitters and the listeners inside their decode cutoffs.
 func sparseSim4096(b testing.TB) *Sim {
 	b.Helper()
 	pts := workload.UniformDisc(4096, workload.SideForDegree(4096, 16, 10), 1)
@@ -104,7 +109,7 @@ func sparseSim4096(b testing.TB) *Sim {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewUDG(10),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: 1,
+		Options: Options{Seed: 1},
 	}, func(int) Protocol { return fixedProb(1.0 / 64) })
 	if err != nil {
 		b.Fatal(err)
@@ -156,7 +161,8 @@ func BenchmarkNewSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := New(Config{
 			Space: space, Model: mdl,
-			P: 1500, Zeta: 3, Noise: 1, Eps: 0.1, Seed: uint64(i),
+			P: 1500, Zeta: 3, Noise: 1, Eps: 0.1,
+			Options: Options{Seed: uint64(i)},
 		}, func(int) Protocol { return fixedProb(0.1) })
 		if err != nil {
 			b.Fatal(err)
@@ -195,8 +201,10 @@ func denseSim8192(b *testing.B) *Sim {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       3,
-		Primitives: CD | ACK,
+		Options: Options{
+			Seed:       3,
+			Primitives: CD | ACK,
+		},
 	}, func(id int) Protocol {
 		return &cohortProto{id: id, n: 8192, k: 128, period: 64}
 	})
@@ -227,10 +235,13 @@ func stripSim3200(tb testing.TB) *Sim {
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: mdl,
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1, SenseEps: 0.05,
+		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
 		BusyScale: 0.25, AckScale: 8,
-		Seed:       1,
-		Primitives: CD | ACK | NTD,
+		Options: Options{
+			SenseEps:   0.05,
+			Seed:       1,
+			Primitives: CD | ACK | NTD,
+		},
 	}, func(int) Protocol { return fixedProb(2.5 / n) })
 	if err != nil {
 		tb.Fatal(err)
@@ -273,7 +284,7 @@ func BenchmarkFieldSumAll(b *testing.B) {
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-				Seed: 1, Primitives: CD | ACK, Dynamic: dynamic,
+				Options: Options{Seed: 1, Primitives: CD | ACK, Dynamic: dynamic},
 			}, func(int) Protocol { return fixedProb(0.1) })
 			if err != nil {
 				b.Fatal(err)

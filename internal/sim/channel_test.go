@@ -43,9 +43,11 @@ func chanSim(t *testing.T, channels int, scripts map[int][]struct {
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       1,
-		Channels:   channels,
-		Primitives: CD | ACK,
+		Options: Options{
+			Seed:       1,
+			Channels:   channels,
+			Primitives: CD | ACK,
+		},
 	}, func(id int) Protocol {
 		return &chanProto{script: scripts[id]}
 	})
@@ -171,7 +173,7 @@ func TestMassDeliveryAcrossChannels(t *testing.T) {
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: 1, Channels: 2, TrackCoverage: true,
+		Options: Options{Seed: 1, Channels: 2, TrackCoverage: true},
 	}, func(id int) Protocol {
 		scripts := map[int][]step{
 			1: {{true, 0}, {true, 0}},

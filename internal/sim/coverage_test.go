@@ -64,8 +64,10 @@ func TestCoverageUnderRayleigh(t *testing.T) {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewRayleighSINR(8, 1, 1, 3, 0.1, 5),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:          1,
-		TrackCoverage: true,
+		Options: Options{
+			Seed:          1,
+			TrackCoverage: true,
+		},
 	}
 	always := map[int]bool{}
 	for i := 0; i < 500; i++ {

@@ -54,10 +54,13 @@ func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool) {
 	cfg := Config{
 		Space: sp,
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1, SenseEps: senseEps,
-		Seed:       41,
-		Primitives: ACK,
-		Dynamic:    space == "dynamic",
+		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		Options: Options{
+			SenseEps:   senseEps,
+			Seed:       41,
+			Primitives: ACK,
+			Dynamic:    space == "dynamic",
+		},
 	}
 	proto := func(int) Protocol { return fixedProb(0.04) }
 	if mixed {

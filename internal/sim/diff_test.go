@@ -153,15 +153,17 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 		Space: metric.NewEuclidean(pts),
 		Model: sc.model,
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:          sc.seed,
-		Primitives:    sc.prims,
-		Channels:      sc.channels,
-		Dynamic:       sc.dynamic,
-		TrackCoverage: true,
-		Observer: func(ev SlotEvent) {
-			fmt.Fprintf(&log, "e %d tx=%v d=%d md=%v cb=%d ci=%d a=%d nt=%d\n",
-				ev.Tick, ev.Transmitters, ev.Decodes, ev.MassDeliverers,
-				ev.CDBusy, ev.CDIdle, ev.Acks, ev.NTDs)
+		Options: Options{
+			Seed:          sc.seed,
+			Primitives:    sc.prims,
+			Channels:      sc.channels,
+			Dynamic:       sc.dynamic,
+			TrackCoverage: true,
+			Observer: func(ev SlotEvent) {
+				fmt.Fprintf(&log, "e %d tx=%v d=%d md=%v cb=%d ci=%d a=%d nt=%d\n",
+					ev.Tick, ev.Transmitters, ev.Decodes, ev.MassDeliverers,
+					ev.CDBusy, ev.CDIdle, ev.Acks, ev.NTDs)
+			},
 		},
 	}
 	if sc.inject {

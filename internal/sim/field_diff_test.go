@@ -41,9 +41,6 @@ func canonicalField(s *Sim, v int) float64 {
 // receiver's View.TotalPower equals the oracle.
 func checkField(t testing.TB, s *Sim) {
 	t.Helper()
-	if !s.needPower {
-		t.Fatal("run has no field engine — the field check is vacuous")
-	}
 	cd := s.cfg.Primitives.Has(CD)
 	for v := 0; v < s.n; v++ {
 		want := canonicalField(s, v)
@@ -217,24 +214,6 @@ func TestIncrementalFieldModesExercised(t *testing.T) {
 			t.Errorf("prims %b: dense traffic produced no all-receiver slots (stats %+v)", prims, st)
 		}
 	}
-
-	// A field-oblivious model without power-sensing primitives has no
-	// engine at all.
-	pts := workload.UniformDisc(160, workload.SideForDegree(160, 16, 10), 61)
-	s, err := New(Config{
-		Space: metric.NewEuclidean(pts),
-		Model: model.NewUDG(10),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       61,
-		Primitives: NTD | FreeAck,
-	}, func(int) Protocol { return fixedProb(0.01) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(100)
-	if s.needPower || s.FieldStats() != (FieldStats{}) {
-		t.Errorf("field-oblivious run built a field engine: %+v", s.FieldStats())
-	}
 }
 
 // TestFieldCertifiedIdleBoundary pins the certified-idle radius from both
@@ -277,8 +256,10 @@ func TestFieldCertifiedIdleBoundary(t *testing.T) {
 					Space: metric.NewEuclidean(pts),
 					Model: mdl,
 					P:     p, Zeta: zeta, Noise: 1, Eps: eps,
-					Seed:       7,
-					Primitives: CD,
+					Options: Options{
+						Seed:       7,
+						Primitives: CD,
+					},
 				}, func(id int) Protocol {
 					switch {
 					case id == 0:
@@ -335,8 +316,10 @@ func newFieldTestSimProto(t *testing.T, n int, seed uint64, prims Primitives,
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       seed,
-		Primitives: prims,
+		Options: Options{
+			Seed:       seed,
+			Primitives: prims,
+		},
 	}, factory)
 	if err != nil {
 		t.Fatal(err)

@@ -70,10 +70,12 @@ func FuzzFieldDelta(f *testing.F) {
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-			Seed:       seed,
-			Primitives: prims,
-			Channels:   2,
-			Dynamic:    true,
+			Options: Options{
+				Seed:       seed,
+				Primitives: prims,
+				Channels:   2,
+				Dynamic:    true,
+			},
 		}, func(id int) Protocol { return &fuzzProto{st: &st, id: id} })
 		if err != nil {
 			t.Fatal(err)

@@ -82,9 +82,11 @@ func TestAsyncChurnInterleaving(t *testing.T) {
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       5,
-		Async:      true,
-		Primitives: CD | ACK,
+		Options: Options{
+			Seed:       5,
+			Async:      true,
+			Primitives: CD | ACK,
+		},
 	}
 	s, err := New(cfg, func(int) Protocol { return fixedProb(0.2) })
 	if err != nil {

@@ -50,9 +50,11 @@ func TestSimInvariants(t *testing.T) {
 			Space: metric.NewEuclidean(pts),
 			Model: mdl,
 			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-			Seed:       seed,
-			Async:      r.Bernoulli(0.3),
-			Primitives: CD | ACK | NTD,
+			Options: Options{
+				Seed:       seed,
+				Async:      r.Bernoulli(0.3),
+				Primitives: CD | ACK | NTD,
+			},
 		}, func(int) Protocol { return &recorder{p: 0.2} })
 		if err != nil {
 			return false
@@ -110,7 +112,7 @@ func TestMassDeliveryConsistency(t *testing.T) {
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-			Seed: seed,
+			Options: Options{Seed: seed},
 		}, func(int) Protocol { return &recorder{p: 0.15} })
 		if err != nil {
 			return false
@@ -146,8 +148,10 @@ func TestCoverageSupersetOfMass(t *testing.T) {
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-			Seed:          seed,
-			TrackCoverage: true,
+			Options: Options{
+				Seed:          seed,
+				TrackCoverage: true,
+			},
 		}, func(int) Protocol { return &recorder{p: 0.15} })
 		if err != nil {
 			return false

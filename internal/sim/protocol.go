@@ -182,18 +182,3 @@ var _ Adversary = OptimisticAdversary{}
 
 // AckAmbiguous returns true.
 func (OptimisticAdversary) AckAmbiguous(node, tick int) bool { return true }
-
-// RandomAdversary flips a deterministic per-(node, tick) coin.
-type RandomAdversary struct {
-	// Seed keys the coin flips.
-	Seed uint64
-	// P is the probability of the favourable answer.
-	P float64
-}
-
-var _ Adversary = (*RandomAdversary)(nil)
-
-// AckAmbiguous flips the coin for (node, tick).
-func (a *RandomAdversary) AckAmbiguous(node, tick int) bool {
-	return rng.New(a.Seed ^ uint64(node)<<32 ^ uint64(tick)).Bernoulli(a.P)
-}

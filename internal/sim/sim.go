@@ -29,7 +29,8 @@ import (
 	"udwn/internal/sensing"
 )
 
-// Config describes a simulation.
+// Config describes a simulation: the physical layer the nodes share, plus
+// the per-run Options.
 type Config struct {
 	// Space is the quasi-metric the nodes live in.
 	Space metric.Space
@@ -45,6 +46,23 @@ type Config struct {
 	// Eps is the precision parameter ε defining the communication radius
 	// R_B and the default primitive thresholds.
 	Eps float64
+	// BusyScale scales the CD busy threshold. The paper's I_cd is "a
+	// constant" fixed by the analysis; the scale calibrates it (values < 1
+	// make carrier sensing more sensitive, lowering the contention
+	// equilibrium). Zero defaults to 1.
+	BusyScale float64
+	// AckScale scales the ACK interference threshold. Values > 1 stay
+	// within Def. ACK: the positive outcome still requires verified
+	// delivery, so loosening the threshold only resolves the definition's
+	// adversarial region favourably. Zero defaults to 1.
+	AckScale float64
+	Options
+}
+
+// Options are the per-run settings of a simulation: everything a caller
+// chooses per run over a fixed physical layer (udwn.SimOptions is this
+// type).
+type Options struct {
 	// SenseEps is the precision used for the ACK/NTD thresholds; zero
 	// defaults to Eps. Bcast sets SenseEps = Eps/2 for its higher-precision
 	// primitives.
@@ -64,16 +82,6 @@ type Config struct {
 	// Dynamic marks the space as mutable (mobility): the path-loss cache (and
 	// any neighbour cache) is disabled so every slot reflects current distances.
 	Dynamic bool
-	// BusyScale scales the CD busy threshold. The paper's I_cd is "a
-	// constant" fixed by the analysis; the scale calibrates it (values < 1
-	// make carrier sensing more sensitive, lowering the contention
-	// equilibrium). Zero defaults to 1.
-	BusyScale float64
-	// AckScale scales the ACK interference threshold. Values > 1 stay
-	// within Def. ACK: the positive outcome still requires verified
-	// delivery, so loosening the threshold only resolves the definition's
-	// adversarial region favourably. Zero defaults to 1.
-	AckScale float64
 	// Channels is the number of orthogonal frequency channels (0 or 1 =
 	// single channel). Multi-channel operation splits contention: nodes
 	// tune per slot via Action.Channel and only same-channel transmissions
@@ -168,11 +176,6 @@ type Sim struct {
 	// 0 when the model declares none; it gates the transmitter-outward
 	// reception fast path in Step.
 	maxDecode float64
-
-	// needPower reports whether the per-slot interference field (Phase 2)
-	// must be built: false only for model.FieldOblivious models running
-	// without any power-sensing primitive.
-	needPower bool
 
 	// idx accumulates spatial-index work counters; idxFlushed tracks what
 	// has already been exported to the metrics registry.
@@ -380,11 +383,6 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 	}
 	if r := cfg.Model.MaxDecodeRange(); r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r) {
 		s.maxDecode = r
-	}
-	s.needPower = true
-	if fo, ok := cfg.Model.(model.FieldOblivious); ok && fo.FieldOblivious() &&
-		!cfg.Primitives.Has(CD) && !cfg.Primitives.Has(ACK) {
-		s.needPower = false
 	}
 	if !cfg.Dynamic && s.grid == nil {
 		s.buildNeighbours()

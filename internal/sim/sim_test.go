@@ -40,8 +40,10 @@ func lineConfig() Config {
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
 		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       1,
-		Primitives: CD | ACK | NTD,
+		Options: Options{
+			Seed:       1,
+			Primitives: CD | ACK | NTD,
+		},
 	}
 }
 
@@ -449,7 +451,7 @@ func TestUDGSimulation(t *testing.T) {
 	cfg := Config{
 		Space: e, Model: model.NewUDG(1.5),
 		P: 1, Zeta: 3, Noise: 0.01, Eps: 0.1,
-		Seed: 1, Primitives: CD | ACK,
+		Options: Options{Seed: 1, Primitives: CD | ACK},
 	}
 	s := newSim(t, cfg, map[int]map[int]bool{0: {0: true, 1: true}, 2: {1: true}})
 	s.Step() // only 0 transmits

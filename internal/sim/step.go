@@ -96,14 +96,9 @@ func (s *Sim) Step() {
 
 	// Phase 2: interference field (power scales applied). totalPower[v] is
 	// the interference on v's tuned channel: only same-channel
-	// transmissions reach a tuned radio. Skipped entirely for
-	// field-oblivious models running without power-sensing primitives —
-	// nothing in the slot reads the field then. Otherwise the engine
-	// (field.go) sums the receivers a later phase reads and certifies the
-	// rest idle.
-	if s.needPower {
-		s.fieldAdvance()
-	}
+	// transmissions reach a tuned radio. The engine (field.go) sums the
+	// receivers a later phase reads and certifies the rest idle.
+	s.fieldAdvance()
 	for c := range s.views {
 		s.views[c].tx = s.chanTx[c]
 	}

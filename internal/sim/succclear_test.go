@@ -51,11 +51,13 @@ func succClearHolds(mdl model.Model, seed uint64) bool {
 		Space: space,
 		Model: mdl,
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed: seed,
-		Observer: func(ev SlotEvent) {
-			if checkSuccClear(s, mdl, ev) != "" {
-				violation = true
-			}
+		Options: Options{
+			Seed: seed,
+			Observer: func(ev SlotEvent) {
+				if checkSuccClear(s, mdl, ev) != "" {
+					violation = true
+				}
+			},
 		},
 	}
 	var err error

@@ -128,10 +128,12 @@ func runDualScenario(t testing.TB, sc dualScenario, observe func(sim.SlotEvent))
 		Space: metric.NewEuclidean(pts),
 		Model: sc.model(),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
-		Seed:       sc.seed,
-		Primitives: sc.prims,
-		Channels:   sc.channels,
-		Observer:   observe,
+		Options: sim.Options{
+			Seed:       sc.seed,
+			Primitives: sc.prims,
+			Channels:   sc.channels,
+			Observer:   observe,
+		},
 	}
 	if sc.inject {
 		cfg.Injector = &dualInjector{seed: sc.seed ^ 0xfa017}

@@ -126,8 +126,9 @@ go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFiel
 # mode runs one cut point per experiment, still all 16 experiments × both
 # worker counts), the retried-cell metrics contract (a failed attempt's
 # counts stay out of the run totals, with or without a store), and the
-# hard-cancel contract of every runner (each experiment's simulators poll
-# the grid's cancel hook, so a cancelled cell stops at its next tick).
+# hard-cancel contract of every runner (every simulator a runner builds
+# comes from Options.newSim, which installs the grid's cancel hook, so a
+# cancelled cell stops at its next tick).
 go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestRetriedCellMetricsIndependentOfStore|TestEveryRunnerHonoursHardCancel' ./internal/experiment
 # The trace layer's locked observer serializes concurrent grid workers into
 # one writer; race the whole package (includes the query/scan differential

@@ -27,7 +27,6 @@ import (
 
 	"udwn/internal/geom"
 	"udwn/internal/metric"
-	"udwn/internal/metrics"
 	"udwn/internal/model"
 	"udwn/internal/sensing"
 	"udwn/internal/sim"
@@ -150,72 +149,24 @@ func NewBIGNetwork(adj [][]int, k int, phy PHY) *Network {
 	}
 }
 
-// SimOptions selects per-run simulator settings.
-type SimOptions struct {
-	// Seed keys all randomness of the run.
-	Seed uint64
-	// Slots per round (0 → 1). Bcast requires 2.
-	Slots int
-	// Async enables locally-synchronous clocks.
-	Async bool
-	// SenseEps overrides the primitive precision (0 → PHY.Eps). Bcast uses
-	// PHY.Eps/2.
-	SenseEps float64
-	// Primitives grants sensing primitives.
-	Primitives sim.Primitives
-	// Dynamic marks the space mutable (mobility).
-	Dynamic bool
-	// Adversary resolves under-specified outcomes (nil → pessimistic).
-	Adversary sim.Adversary
-	// Channels is the number of orthogonal frequency channels (0 → 1).
-	Channels int
-	// TrackCoverage enables cumulative coverage accounting.
-	TrackCoverage bool
-	// Observer, when non-nil, is invoked after every resolved slot with a
-	// summary event; wire a trace recorder's Record method here (see
-	// internal/trace). The event's slices alias simulator scratch buffers
-	// and are only valid during the call.
-	Observer func(ev sim.SlotEvent)
-	// Injector hooks deterministic fault injection into the tick loop
-	// (crash schedules, jammers, sensing corruption; see internal/faults).
-	Injector sim.Injector
-	// Metrics, when non-nil, receives per-slot simulator instrumentation
-	// under the "sim/" name prefix. One registry may be shared across runs;
-	// its commutative counters merge deterministically.
-	Metrics *metrics.Registry
-	// Cancel, when non-nil, is polled at the top of every simulation step;
-	// once it reports true the step panics with a sim.Cancelled sentinel,
-	// cooperatively stopping the run (the experiment grid installs this
-	// from its per-cell contexts and recovers the sentinel).
-	Cancel func() bool
-}
+// SimOptions selects per-run simulator settings: seed, primitives, slots,
+// sensing precision (SenseEps 0 → PHY.Eps), clocks, channels, mobility and
+// the run's observer, faults, metrics and cancellation. It is sim.Options.
+type SimOptions = sim.Options
 
 // NewSim constructs a simulator over the network.
 func (nw *Network) NewSim(factory sim.ProtocolFactory, o SimOptions) (*sim.Sim, error) {
-	cfg := sim.Config{
-		Space:         nw.Space,
-		Model:         nw.Model,
-		P:             nw.PHY.Power(),
-		Zeta:          nw.PHY.Alpha,
-		Noise:         nw.PHY.Noise,
-		Eps:           nw.PHY.Eps,
-		SenseEps:      o.SenseEps,
-		Slots:         o.Slots,
-		Async:         o.Async,
-		Seed:          o.Seed,
-		Primitives:    o.Primitives,
-		Adversary:     o.Adversary,
-		Dynamic:       o.Dynamic,
-		BusyScale:     nw.PHY.BusyScale,
-		AckScale:      nw.PHY.AckScale,
-		Channels:      o.Channels,
-		TrackCoverage: o.TrackCoverage,
-		Observer:      o.Observer,
-		Injector:      o.Injector,
-		Metrics:       o.Metrics,
-		Cancel:        o.Cancel,
-	}
-	s, err := sim.New(cfg, factory)
+	s, err := sim.New(sim.Config{
+		Space:     nw.Space,
+		Model:     nw.Model,
+		P:         nw.PHY.Power(),
+		Zeta:      nw.PHY.Alpha,
+		Noise:     nw.PHY.Noise,
+		Eps:       nw.PHY.Eps,
+		BusyScale: nw.PHY.BusyScale,
+		AckScale:  nw.PHY.AckScale,
+		Options:   o,
+	}, factory)
 	if err != nil {
 		return nil, fmt.Errorf("udwn: new sim: %w", err)
 	}
