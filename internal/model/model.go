@@ -112,7 +112,15 @@ type SINR struct {
 	noise float64
 	r     float64
 	ic    float64
+	// DecodeFloor is floorScale·total + floorNoise; both are 0 when the
+	// noise is subnormal.
+	floorScale float64
+	floorNoise float64
 }
+
+// decodeMargin is the relative margin by which DecodeFloor sits below
+// β(total+N)/(1+β), absorbing the rounding argued in DecodeFloor's comment.
+const decodeMargin = 1e-9
 
 var _ Model = (*SINR)(nil)
 
@@ -123,12 +131,17 @@ func NewSINR(p, beta, noise, zeta, eps float64) *SINR {
 	if !(p > 0) || !(beta >= 1) || !(noise > 0) || !(zeta > 0) {
 		panic("model: SINR needs p, noise, zeta > 0 and beta >= 1")
 	}
-	return &SINR{
+	s := &SINR{
 		beta:  beta,
 		noise: noise,
 		r:     pathloss.SINRRange(p, beta, noise, zeta),
 		ic:    ClearIc(eps, beta, noise, zeta),
 	}
+	if noise >= 0x1p-1022 { // a normal float; see DecodeFloor
+		s.floorScale = beta / (1 + beta) * (1 - decodeMargin)
+		s.floorNoise = s.floorScale * noise
+	}
+	return s
 }
 
 // Name returns "sinr".
@@ -164,6 +177,35 @@ func (s *SINR) Decodes(view View, u, v int) bool {
 		interference = 0
 	}
 	return sig > s.beta*(interference+s.noise)
+}
+
+// DecodeFloor returns the power a signal must exceed to decode at a listener
+// whose interference sum reads total: Decodes(view, u, v) implies
+// view.Power(u, v) > DecodeFloor(view.TotalPower(v)), and DecodeFloor is
+// non-decreasing in total. It is the decode test sig > β·(total − sig + N)
+// solved for sig, β(total+N)/(1+β), lowered by the relative margin
+// decodeMargin, so a caller holding a listener's sum can reject a hopeless
+// pair without asking Decodes.
+//
+// The margin absorbs rounding. Write ε = 2⁻⁵³. Over the canonical sum,
+// total ≥ sig holds bit for bit, because sig is one of its non-negative
+// terms and adding a non-negative term never lowers a float sum, so Decodes'
+// clamp does not fire. Its three operations (total − sig, + N, β·) each
+// round by a factor within 1 ± ε: N is a normal float and β ≥ 1, so none of
+// them underflows, and an overflow yields +Inf, which no signal exceeds. A
+// decode therefore means sig > β(total − sig + N)(1−ε)³, that is
+// sig > β(total+N)(1−ε)³/(1+β). (A view whose total is below sig is clamped
+// to sig > βN(1−ε), and the floor stays below sig there too.) The floor,
+// floorScale·total + floorNoise, adds at most seven roundings: four in
+// floorScale, one in floorNoise (worth 2ε if it lands below the normal
+// range), and one each in the product and the sum, where an underflowing
+// floorScale·total errs by less than 2ε of floorNoise. Together they stay
+// below a factor 1 + 12ε, far inside 1 − decodeMargin. A subnormal
+// N voids these relative bounds, so NewSINR leaves the floor at 0, which
+// every decoded signal exceeds. Monotonicity holds because floorScale ≥ 0
+// and rounding is monotone.
+func (s *SINR) DecodeFloor(total float64) float64 {
+	return s.floorScale*total + s.floorNoise
 }
 
 // Collision is the unified collision rule of the graph-based models (App.

@@ -9,12 +9,15 @@ import (
 )
 
 // fakeView implements View over an explicit space and transmitter set, at
-// slot tick.
+// slot tick. TotalPower is the canonical sum, in ascending transmitter order.
 type fakeView struct {
 	space metric.Space
 	field *pathloss.Field
 	tx    []int
 	tick  int
+	// scale, when set, multiplies each transmitter's power, as the
+	// simulator's power scales do.
+	scale []float64
 }
 
 func newFakeView(space metric.Space, p, zeta float64, tx []int) *fakeView {
@@ -25,14 +28,19 @@ func newFakeView(space metric.Space, p, zeta float64, tx []int) *fakeView {
 	}
 }
 
-func (f *fakeView) Transmitters() []int    { return f.tx }
-func (f *fakeView) Power(w, v int) float64 { return f.field.Power(w, v) }
-func (f *fakeView) Dist(u, v int) float64  { return f.space.Dist(u, v) }
-func (f *fakeView) Tick() int              { return f.tick }
+func (f *fakeView) Transmitters() []int   { return f.tx }
+func (f *fakeView) Dist(u, v int) float64 { return f.space.Dist(u, v) }
+func (f *fakeView) Tick() int             { return f.tick }
+func (f *fakeView) Power(w, v int) float64 {
+	if f.scale != nil {
+		return f.field.Power(w, v) * f.scale[w]
+	}
+	return f.field.Power(w, v)
+}
 func (f *fakeView) TotalPower(v int) float64 {
 	total := 0.0
 	for _, w := range f.tx {
-		total += f.field.Power(w, v)
+		total += f.Power(w, v)
 	}
 	return total
 }

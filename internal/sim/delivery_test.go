@@ -25,7 +25,9 @@ import (
 // add the other ways a neighbour can miss u: attenuated transmissions,
 // whose walk is wider than their cutoff, a second channel, and an injector
 // whose DropRecv loses decoded frames. The indexed walk decides delivery
-// without a neighbourhood query.
+// without a neighbourhood query. The heavy-slot case transmits with
+// probability 0.25, so the decode floor narrows walks below rNeigh with a
+// delivery flag still set, and deliveryWalk finishes them.
 func TestDeliveryRadiusOracle(t *testing.T) {
 	spaces := []struct{ name, kind string }{
 		{"dynamic=false", "static"}, {"dynamic=true", "dynamic"}, {"scan", "scan"}, {"shadowed", "shadowed"},
@@ -37,14 +39,16 @@ func TestDeliveryRadiusOracle(t *testing.T) {
 				if mixed {
 					name += "/mixed"
 				}
-				t.Run(name, func(t *testing.T) { checkDelivery(t, senseEps, sp.kind, mixed) })
+				t.Run(name, func(t *testing.T) { checkDelivery(t, senseEps, sp.kind, mixed, 0.04) })
 			}
 		}
 	}
+	t.Run("sense=0.3/heavy", func(t *testing.T) { checkDelivery(t, 0.3, "static", false, 0.25) })
 }
 
-// checkDelivery runs one TestDeliveryRadiusOracle configuration.
-func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool) {
+// checkDelivery runs one TestDeliveryRadiusOracle configuration, nodes
+// transmitting with probability p.
+func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool, p float64) {
 	const n, ticks = 200, 150
 	side := workload.SideForDegree(n, 12, 10)
 	var sp metric.Space = metric.NewEuclidean(workload.UniformDisc(n, side, 41))
@@ -62,13 +66,13 @@ func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool) {
 			Dynamic:    space == "dynamic",
 		},
 	}
-	proto := func(int) Protocol { return fixedProb(0.04) }
+	proto := func(int) Protocol { return fixedProb(p) }
 	if mixed {
 		cfg.Channels = 2
 		cfg.Injector = &diffInjector{seed: 47}
 		var log strings.Builder
 		proto = func(int) Protocol {
-			return &diffProto{p: 0.04, nchan: 2, scales: true, log: &log}
+			return &diffProto{p: p, nchan: 2, scales: true, log: &log}
 		}
 	}
 	s, err := New(cfg, proto)
@@ -86,7 +90,7 @@ func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool) {
 		t.Fatalf("IndexMode = %q, want %q", got, want)
 	}
 	drv := rng.New(43)
-	var massSeen, missSeen, splitSeen int
+	var massSeen, missSeen, splitSeen, deliveryWalks int
 	for tick := 0; tick < ticks; tick++ {
 		if drv.Bernoulli(0.1) {
 			s.Kill(drv.Intn(n))
@@ -104,6 +108,9 @@ func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool) {
 		}
 		s.Step()
 		for _, u := range s.txBuf {
+			if r := s.decodeRadius(u); indexed && r < s.rNeigh && openAfterWalk(s, u, r) {
+				deliveryWalks++
+			}
 			mass, ack := bruteDelivery(s, u, s.rb), bruteDelivery(s, u, s.rbAck)
 			if s.massBuf[u] != mass || s.massAckBuf[u] != ack {
 				t.Fatalf("tick %d transmitter %d: mass=%v ack=%v, brute mass=%v ack=%v",
@@ -125,6 +132,9 @@ func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool) {
 	if senseEps != 0.1 && splitSeen == 0 {
 		t.Fatal("vacuous: the two radii never disagreed")
 	}
+	if p >= 0.25 && deliveryWalks == 0 {
+		t.Fatal("vacuous: no heavy-slot walk ended below rNeigh with a delivery flag set")
+	}
 	if q := s.IndexStats().NeighborQueries; indexed && q != 0 {
 		t.Fatalf("indexed run made %d neighbourhood queries, want 0", q)
 	}
@@ -137,7 +147,7 @@ func bruteDelivery(s *Sim, u int, r float64) bool {
 		if v == u || !s.Alive(v) || s.Space().Dist(u, v) > r {
 			continue
 		}
-		if !s.heard[v] || s.recvBuf[v].From != u {
+		if !s.heardFrom(v, u) {
 			return false
 		}
 	}

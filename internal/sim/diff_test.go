@@ -129,6 +129,8 @@ type diffScenario struct {
 	prims    Primitives
 	// hold is diffProto's action hold period; 0 and 1 draw every act.
 	hold int
+	// p is diffProto's transmit probability; 0 means 0.05.
+	p float64
 }
 
 // runDiff builds and runs one simulation for sc and returns its full
@@ -169,8 +171,12 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 	if sc.inject {
 		cfg.Injector = &diffInjector{seed: sc.seed ^ 0xfa017}
 	}
+	p := sc.p
+	if p == 0 {
+		p = 0.05
+	}
 	s, err := New(cfg, func(int) Protocol {
-		return &diffProto{p: 0.05, nchan: sc.channels, scales: sc.scales, hold: sc.hold, log: &log}
+		return &diffProto{p: p, nchan: sc.channels, scales: sc.scales, hold: sc.hold, log: &log}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,11 +278,65 @@ func checkFrames(t *testing.T, multi *int) func(*Sim) func() {
 	}
 }
 
+// floorUse counts how the SINR decode floor acted over a grid-backed run:
+// the candidates it rejected, the walks it narrowed below their decode
+// cutoff, and the walks it narrowed below rNeigh with a delivery flag still
+// set, which deliveryWalk then finished.
+type floorUse struct{ rejected, shrank, delivery int }
+
+// watchFloor wraps the runDiffWatch hook inner, adding floorUse's counts
+// after every slot of a grid-backed run.
+func watchFloor(use *floorUse, inner func(*Sim) func()) func(*Sim) func() {
+	return func(s *Sim) func() {
+		check := inner(s)
+		return func() {
+			check()
+			if s.grid == nil {
+				return
+			}
+			use.rejected = int(s.FieldStats().CertifiedNoDecode)
+			for _, u := range s.txBuf {
+				r := s.decodeRadius(u)
+				if r < s.decodeCutoff(u) {
+					use.shrank++
+				}
+				if r < s.rNeigh && openAfterWalk(s, u, r) {
+					use.delivery++
+				}
+			}
+		}
+	}
+}
+
+// openAfterWalk reports whether one of u's delivery flags was still set when
+// its reception walk of radius r ended: whether no alive neighbour inside
+// the walk that lacks u's frame lies within that flag's radius.
+func openAfterWalk(s *Sim, u int, r float64) bool {
+	mass, ack := true, true
+	r2 := r * indexSlack * (r * indexSlack)
+	pu := s.euclid.Point(u)
+	for v := 0; v < s.n; v++ {
+		if v == u || !s.alive[v] || s.heardFrom(v, u) || s.euclid.Point(v).Dist2(pu) > r2 {
+			continue
+		}
+		d := s.cfg.Space.Dist(u, v)
+		mass = mass && d > s.rb
+		ack = ack && d > s.rbAck
+	}
+	return mass || ack
+}
+
 // TestGridScanEquivalence is the differential property test of the spatial
 // index: for every scenario the grid-backed simulation must produce the
 // byte-identical observable history — receptions, sensing outcomes, slot
 // events, RSS bits, per-node outcomes — as the brute-force scan simulation.
-// Both drivers also pass checkFrames' one-frame check after every slot.
+// Both drivers also pass checkFrames' one-frame check after every slot, which
+// asks Decodes about every pair, so a decode floor that rejected a
+// decodable pair or a walk narrowed too far would show there. The
+// heavy-slot SINR scenarios, at transmit probabilities of 0.3 and more, must
+// exercise the floor: it rejects candidates, narrows walks below their
+// decode cutoff, and narrows some below rNeigh with a delivery flag still
+// set, so that deliveryWalk runs.
 func TestGridScanEquivalence(t *testing.T) {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
 	scenarios := []diffScenario{
@@ -316,13 +376,26 @@ func TestGridScanEquivalence(t *testing.T) {
 		{name: "faults-sinr-scales", n: 180, ticks: 120, seed: 12, inject: true, scales: true,
 			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 			prims: CD | ACK | NTD},
+		{name: "heavy-sinr", n: 220, ticks: 100, seed: 13, p: 0.3,
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
+			prims: CD | ACK},
+		{name: "heavy-sinr-channels-3", n: 220, ticks: 100, seed: 14, p: 0.6, channels: 3,
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
+			prims: CD | ACK | NTD},
+		{name: "heavy-sinr-faults-scales", n: 180, ticks: 100, seed: 15, p: 0.3, inject: true, scales: true,
+			model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
+			prims: CD | ACK | NTD},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			grid := runDiffWatch(t, sc, false, checkFrames(t, nil))
+			var use floorUse
+			grid := runDiffWatch(t, sc, false, watchFloor(&use, checkFrames(t, nil)))
 			brute := runDiffWatch(t, sc, true, checkFrames(t, nil))
 			if grid != brute {
 				t.Fatalf("grid and brute histories diverge:\n%s", firstDiffLine(grid, brute))
+			}
+			if sc.p >= 0.3 && (use.rejected == 0 || use.shrank == 0 || use.delivery == 0) {
+				t.Fatalf("vacuous heavy-slot scenario: floor use %+v", use)
 			}
 		})
 	}

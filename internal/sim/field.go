@@ -31,10 +31,22 @@ import "math"
 // receiver when there is no index or no decode cutoff, and when the
 // transmitters' query boxes would cover at least as many grid cells as
 // the grid holds.
+//
+// Under SINR the decode test reads its sum through model.SINR.DecodeFloor
+// first: a candidate whose power is at most the floor of its own sum cannot
+// decode, so the indexed walk skips its decode test, and the smallest
+// current sum on a channel bounds how far away any of its transmitters can
+// be decoded at all (floorReaches), which narrows the walk itself.
 
 // idleDelta is δ of the certified-idle radius: the relative margin that
 // absorbs the rounding argued in the file comment.
 const idleDelta = 1e-6
+
+// reachDelta is the relative margin of floorReach, applied to the power
+// before the root: it absorbs the rounding of the power kernel, the grid's
+// squared distances and the roots for every ζ, where indexSlack on the
+// radius alone is worth only about ζ·1e-9 of power.
+const reachDelta = 1e-9
 
 // FieldStats counts the interference engine's per-slot outcomes, for run
 // diagnostics and the "sim/field/*" metrics. All zeros when the run never
@@ -46,6 +58,10 @@ type FieldStats struct {
 	SubsetSlots int64
 	// SummedReceivers counts receiver sums over all slots of both kinds.
 	SummedReceivers int64
+	// CertifiedNoDecode counts reception candidates whose own sum certified
+	// that they cannot decode the transmitter (model.SINR.DecodeFloor), so
+	// the indexed walk skipped their decode test.
+	CertifiedNoDecode int64
 }
 
 // FieldStats returns the cumulative interference-engine work counters.
@@ -173,6 +189,58 @@ func (s *Sim) fieldAt(v int) float64 {
 		return s.totalPower[v]
 	}
 	return s.fieldSum(v)
+}
+
+// floorReaches fills floorReach for the slot's indexed SINR walks: per
+// channel, the distance beyond which a unit-scale transmission cannot clear
+// DecodeFloor at any alive listener there whose sum is current. A listener
+// decodes u only if Power(u,v)·scale_u exceeds the floor of its sum, which
+// is at least the floor of the channel's smallest current sum T_min, and
+// Power(u,v) ≤ P/d^ζ; so no listener farther than
+// (P·scale_u/DecodeFloor(T_min))^{1/ζ} decodes u. Every candidate of u's
+// walk has a current sum: it lies inside u's decode cutoff, so in the
+// demand set. A channel without such a listener gets reach 0.
+func (s *Sim) floorReaches() {
+	lo := s.floorReach
+	for c := range lo {
+		lo[c] = math.Inf(1)
+	}
+	tp := s.totalPower
+	if s.fieldAll {
+		for v, t := range tp {
+			if c := s.chanBuf[v]; t < lo[c] && s.alive[v] && !s.isTxBuf[v] {
+				lo[c] = t
+			}
+		}
+	} else {
+		for _, v := range s.demandList {
+			if c := s.chanBuf[v]; tp[v] < lo[c] && s.alive[v] && !s.isTxBuf[v] {
+				lo[c] = tp[v]
+			}
+		}
+	}
+	for c, t := range lo {
+		if math.IsInf(t, 1) {
+			lo[c] = 0
+			continue
+		}
+		lo[c] = math.Pow(s.cfg.P*(1+reachDelta)/s.sinr.DecodeFloor(t), 1/s.cfg.Zeta)
+	}
+}
+
+// decodeRadius returns the radius of u's reception walk: its decodeCutoff,
+// narrowed under SINR to u's reach over the channel's decode floor
+// (floorReaches), which a power scale stretches by scale^{1/ζ}.
+func (s *Sim) decodeRadius(u int) float64 {
+	cutoff := s.decodeCutoff(u)
+	if s.sinr == nil {
+		return cutoff
+	}
+	r := s.floorReach[s.chanBuf[u]]
+	if sc := s.scaleBuf[u]; sc != 1 {
+		r *= math.Pow(sc, 1/s.cfg.Zeta)
+	}
+	return min(cutoff, r)
 }
 
 // decodeCutoff returns the distance beyond which u's transmission this slot

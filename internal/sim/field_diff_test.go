@@ -291,6 +291,52 @@ func TestFieldCertifiedIdleBoundary(t *testing.T) {
 	}
 }
 
+// TestFloorReachBoundary pins the SINR walk radius from both sides. A lone
+// transmitter at the origin reaches listeners on a ray, the farthest at
+// (1 − 1e-7)·R, just inside the decode cutoff R: it holds the channel's
+// smallest sum, so its own decode floor sets the reach. It must still
+// decode, and the walk must narrow below R to within 1e-7 of its distance.
+// Four far silent corner nodes make the slot a subset slot, whose minimum
+// comes from the demand set; without them the slot sums every receiver.
+func TestFloorReachBoundary(t *testing.T) {
+	mdl := model.NewSINR(1500, 1.5, 1, 3, 0.1)
+	far := mdl.R() * (1 - 1e-7)
+	for _, subset := range []bool{false, true} {
+		t.Run(fmt.Sprintf("subset=%v", subset), func(t *testing.T) {
+			pts := []geom.Point{{}, {X: 0.2 * mdl.R()}, {X: 0.5 * mdl.R()}, {X: 0.8 * mdl.R()}, {X: far}}
+			if subset {
+				pts = append(pts, geom.Point{X: -500, Y: -500}, geom.Point{X: 500, Y: -500},
+					geom.Point{X: -500, Y: 500}, geom.Point{X: 500, Y: 500})
+			}
+			s, err := New(Config{
+				Space: metric.NewEuclidean(pts),
+				Model: mdl,
+				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				Options: Options{Seed: 7},
+			}, func(id int) Protocol {
+				if id == 0 {
+					return fixedProb(1)
+				}
+				return fixedProb(0)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Step()
+			if s.fieldAll == subset {
+				t.Fatalf("fieldAll = %v, want %v", s.fieldAll, !subset)
+			}
+			if !s.heardFrom(4, 0) {
+				t.Fatalf("the listener at %v does not hold the transmitter's frame", far)
+			}
+			if r := s.decodeRadius(0); !(r >= far && r <= far*(1+1e-7) && r < s.decodeCutoff(0)) {
+				t.Fatalf("walk radius %v, want within [%v, %v] and below the cutoff %v",
+					r, far, far*(1+1e-7), s.decodeCutoff(0))
+			}
+		})
+	}
+}
+
 // busyProbe is a silent protocol recording its last CD outcome.
 type busyProbe struct {
 	observed, busy bool

@@ -17,6 +17,7 @@ type stepMetrics struct {
 	// Spatial-index and interference-engine work counters.
 	idxTx, idxCand, idxNbr           *metrics.Counter
 	fldRebuild, fldSubset, fldSummed *metrics.Counter
+	fldNoDec                         *metrics.Counter
 }
 
 // Contention histogram bucket bounds. Declaration-fixed (see the metrics
@@ -48,6 +49,7 @@ func newStepMetrics(r *metrics.Registry) *stepMetrics {
 		fldRebuild: r.Counter("sim/field/rebuild_slots"),
 		fldSubset:  r.Counter("sim/field/subset_slots"),
 		fldSummed:  r.Counter("sim/field/summed"),
+		fldNoDec:   r.Counter("sim/field/certified_nodecode"),
 	}
 }
 
@@ -70,6 +72,7 @@ func (s *Sim) flushFieldStats() {
 	m.fldRebuild.Add(f.RebuildSlots - fp.RebuildSlots)
 	m.fldSubset.Add(f.SubsetSlots - fp.SubsetSlots)
 	m.fldSummed.Add(f.SummedReceivers - fp.SummedReceivers)
+	m.fldNoDec.Add(f.CertifiedNoDecode - fp.CertifiedNoDecode)
 	s.fstatFlushed = f
 }
 

@@ -177,6 +177,13 @@ type Sim struct {
 	// reception fast path in Step.
 	maxDecode float64
 
+	// sinr is the model as a *model.SINR, whose DecodeFloor lets the indexed
+	// walk reject candidates and narrow its radius (see decodeRadius); nil
+	// for every other model. floorReach holds, per channel, the slot's
+	// unit-scale reach over that floor (floorReaches).
+	sinr       *model.SINR
+	floorReach []float64
+
 	// idx accumulates spatial-index work counters; idxFlushed tracks what
 	// has already been exported to the metrics registry.
 	idx        IndexStats
@@ -246,7 +253,9 @@ type IndexStats struct {
 	// (one per transmitter per slot on the indexed path).
 	TxQueries int64
 	// Candidates is the number of candidate listeners those queries
-	// enumerated before filtering and decoding.
+	// enumerated before filtering and decoding: the nodes inside each
+	// transmitter's decode radius, which under SINR the decode floor may
+	// have narrowed below its decode cutoff (see decodeRadius).
 	Candidates int64
 	// NeighborQueries is the number of grid-backed forEachNeighbor
 	// enumerations; the indexed driver decides delivery without one.
@@ -383,6 +392,10 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 	}
 	if r := cfg.Model.MaxDecodeRange(); r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r) {
 		s.maxDecode = r
+	}
+	if m, ok := cfg.Model.(*model.SINR); ok {
+		s.sinr = m
+		s.floorReach = make([]float64, cfg.Channels)
 	}
 	if !cfg.Dynamic && s.grid == nil {
 		s.buildNeighbours()

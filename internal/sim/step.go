@@ -264,6 +264,9 @@ func (s *Sim) receive() {
 	}
 	s.decoders = s.decoders[:0]
 	if s.indexedRecv() {
+		if s.sinr != nil && len(s.txBuf) > 0 {
+			s.floorReaches()
+		}
 		for _, u := range s.txBuf {
 			s.indexedWalk(u)
 		}
@@ -312,34 +315,61 @@ func (s *Sim) recv(vw *slotView, u, v int) bool {
 	return true
 }
 
-// indexedWalk is the indexed driver's Phase 3 for transmitter u. A listener
-// that already holds a frame goes straight to the delivery check. The walk
-// is at least rNeigh wide, so it also sets u's delivery flags: each alive
-// neighbour that did not decode u may clear them (missed).
+// indexedWalk is the indexed driver's Phase 3 for transmitter u, over the
+// nodes inside decodeRadius(u). A listener that already holds a frame goes
+// straight to the delivery check, and so does one whose own sum certifies
+// that it cannot decode u: under SINR, u's power there is at most the
+// listener's DecodeFloor, so Decodes would reject the pair. The walk sets
+// u's delivery flags as it goes: each alive neighbour that did not decode u
+// may clear them (missed). A walk narrower than rNeigh that leaves a flag
+// set hands the rest of the neighbourhood to deliveryWalk.
 func (s *Sim) indexedWalk(u int) {
-	cutoff := s.decodeCutoff(u)
-	c2 := cutoff * indexSlack * (cutoff * indexSlack) // the walk's r² when it is cutoff wide
+	r := s.decodeRadius(u)
 	n2 := s.rNeigh * indexSlack * (s.rNeigh * indexSlack)
 	uc := s.chanBuf[u]
 	vw := &s.views[uc]
+	sc := s.scaleBuf[u]
 	s.massBuf[u], s.massAckBuf[u] = true, true
 	open := true // a delivery flag of u is still set
 	s.idx.TxQueries++
-	it := s.grid.IterWithin(s.euclid.Point(u), math.Max(cutoff, s.rNeigh)*indexSlack)
+	it := s.grid.IterWithin(s.euclid.Point(u), r*indexSlack)
+	for {
+		v, ok := it.Next()
+		if !ok {
+			break
+		}
+		s.idx.Candidates++
+		if v == u || !s.alive[v] {
+			continue
+		}
+		if !s.isTxBuf[v] && s.chanBuf[v] == uc && !s.heard[v] {
+			if s.sinr != nil && s.field.Power(u, v)*sc <= s.sinr.DecodeFloor(s.totalPower[v]) {
+				s.fstat.CertifiedNoDecode++
+			} else if s.recv(vw, u, v) {
+				continue
+			}
+		}
+		if open && it.Dist2() <= n2 {
+			open = s.missed(u, v)
+		}
+	}
+	if open && r < s.rNeigh {
+		s.deliveryWalk(u)
+	}
+}
+
+// deliveryWalk finishes u's delivery flags after a reception walk narrower
+// than rNeigh, by scanDelivery's rule over the grid: an alive neighbour
+// whose frame is not u's clears them. It stops once both are clear.
+func (s *Sim) deliveryWalk(u int) {
+	it := s.grid.IterWithin(s.euclid.Point(u), s.rNeigh*indexSlack)
 	for {
 		v, ok := it.Next()
 		if !ok {
 			return
 		}
-		d2 := it.Dist2()
-		if d2 <= c2 {
-			s.idx.Candidates++
-			if v != u && !s.isTxBuf[v] && s.chanBuf[v] == uc && s.alive[v] && !s.heard[v] && s.recv(vw, u, v) {
-				continue
-			}
-		}
-		if open && d2 <= n2 && v != u && s.alive[v] {
-			open = s.missed(u, v)
+		if v != u && s.alive[v] && !s.heardFrom(v, u) && !s.missed(u, v) {
+			return
 		}
 	}
 }
@@ -362,11 +392,14 @@ func (s *Sim) missed(u, v int) bool {
 func (s *Sim) scanDelivery(u int) {
 	s.massBuf[u], s.massAckBuf[u] = true, true
 	s.forEachNeighbor(u, s.rNeigh, func(v int) {
-		if !s.heard[v] || s.recvBuf[v].From != u {
+		if !s.heardFrom(v, u) {
 			s.missed(u, v)
 		}
 	})
 }
+
+// heardFrom reports whether listener v holds u's frame this slot.
+func (s *Sim) heardFrom(v, u int) bool { return s.heard[v] && s.recvBuf[v].From == u }
 
 // ackOutcome applies Def. ACK for transmitter u: sensed interference within
 // the threshold and full delivery yields 1; a missed neighbour yields 0;

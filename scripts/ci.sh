@@ -2,10 +2,10 @@
 # Tier-1 gate: build, vet, a gofmt check, full test suite, then the same
 # suite under the race detector (the parallel experiment engine makes -race
 # meaningful — see internal/experiment/grid.go and TestParallelRace), plus
-# short live fuzzing of the journal decoder and the spatial index, a
-# statement coverage gate over the packages whose tests are load-bearing,
-# and a line ledger gate that keeps each package's non-test Go lines at or
-# below its committed count.
+# short live fuzzing of the decoders, the spatial index, the field engine
+# and the SINR decode floor, a statement coverage gate over the packages
+# whose tests are load-bearing, and a line ledger gate that keeps each
+# package's non-test Go lines at or below its committed count.
 #
 # Every go test carries an explicit -timeout: a stuck grid cell or a hung
 # deadline test must fail the gate with a goroutine dump, not wedge CI at
@@ -105,21 +105,27 @@ go test -short -timeout 5m -run 'Progress|Manifest|Metrics' ./internal/experimen
 # too), including across goroutines, and after every slot each listener's
 # frame must match the one-frame contract on both drivers (at most one
 # decodable transmitter per listener, and the frame from it unless the
-# injector dropped it); run the differential property tests under the race
-# detector explicitly so a shard of the suites above can never silently
-# skip them.
+# injector dropped it). That every-pair Decodes oracle is also what catches
+# a SINR decode floor that rejects a decodable pair or narrows a walk too
+# far: the heavy-slot SINR scenarios must see the floor reject candidates,
+# narrow walks below their decode cutoff and hand open delivery flags to
+# the delivery-only walk. Run the differential property tests under the
+# race detector explicitly so a shard of the suites above can never
+# silently skip them.
 go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgree' ./internal/sim
 # The interference field carries the same exactness bar: raced short-mode
 # runs of the differential suite, which checks the engine's demand contract
 # against its canonical-sum oracle (demanded receivers bit-identical, every
 # other alive receiver certified idle and outside every decode cutoff; the
 # full scenario×hold-period matrix runs un-raced in the whole-suite pass
-# above), the certified-idle boundary pin, and the delivery-radius oracle
+# above), the certified-idle and decode-floor reach boundary pins, and the
+# delivery-radius oracle
 # (the indexed reception walk's mass and ACK delivery flags, and the scan
 # driver's neighbourhood walk, each against a brute recount at both radii,
 # with the ACK radius above, at and below the measurement radius, under
-# churn, mobility, power scales, two channels and dropped frames).
-go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestDeliveryRadiusOracle' ./internal/sim
+# churn, mobility, power scales, two channels, dropped frames and heavy
+# slots whose narrowed walks leave delivery to the delivery-only walk).
+go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFieldCertifiedIdleBoundary|TestFloorReachBoundary|TestDeliveryRadiusOracle' ./internal/sim
 # The checkpoint store is written by every grid worker of a resumable sweep;
 # race the crash/resume differential harness explicitly (it resumes from the
 # baseline's journal cut after k commits, the state a SIGKILL leaves; short
@@ -182,6 +188,11 @@ go test -timeout 5m -run '^$' -fuzz '^FuzzIndexDecode$' -fuzztime 10s ./internal
 # receiver's field bit-identical to a sum from scratch and every other
 # receiver certified idle, every slot.
 go test -timeout 5m -run '^$' -fuzz '^FuzzFieldDelta$' -fuzztime 10s ./internal/sim
+# The SINR decode floor against the decode test it pre-filters: arbitrary
+# signal, β ≥ 1, noise and interferer powers must never decode below
+# DecodeFloor of the canonical sum, and the floor must never fall as the
+# sum rises.
+go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeFloor$' -fuzztime 10s ./internal/model
 
 # Coverage gate: statement coverage of the gated packages must not drop
 # below the committed floors. Measured in -short mode so the numbers are

@@ -33,6 +33,15 @@ import (
 )
 
 // PHY holds the physical-layer parameters shared by all models.
+//
+// The network constructors validate the fields their model reads and panic
+// on an invalid one, as the internal/model constructors do; a NaN field is
+// invalid wherever it is read. The SINR constructors (NewSINRNetwork,
+// NewSINRSpace, NewRayleighNetwork) need Beta >= 1, Noise > 0, Alpha > 0 and
+// Range > 0, so that Power() > 0. The collision-rule constructors
+// (NewUDGNetwork, NewQUDGNetwork, NewProtocolNetwork) need Range > 0 and
+// read no other field at construction; NewBIGNetwork reads none. DefaultPHY
+// is valid for every constructor.
 type PHY struct {
 	// Alpha is the path-loss exponent, which is also the metricity ζ of the
 	// derived quasi-metric.
@@ -82,13 +91,17 @@ type Network struct {
 	PHY PHY
 }
 
-// NewSINRNetwork builds an SINR network over Euclidean points.
+// NewSINRNetwork builds an SINR network over Euclidean points. It panics
+// unless phy.Beta >= 1 and phy.Noise, phy.Alpha and phy.Range are positive
+// (see PHY).
 func NewSINRNetwork(pts []geom.Point, phy PHY) *Network {
 	return NewSINRSpace(metric.NewEuclidean(pts), phy)
 }
 
 // NewSINRSpace builds an SINR network over an arbitrary quasi-metric space
-// (e.g. the Theorem 5.3 matrix instance or a shadowed space).
+// (e.g. the Theorem 5.3 matrix instance or a shadowed space). It panics
+// unless phy.Beta >= 1 and phy.Noise, phy.Alpha and phy.Range are positive
+// (see PHY).
 func NewSINRSpace(space metric.Space, phy PHY) *Network {
 	return &Network{
 		Space: space,
@@ -98,7 +111,8 @@ func NewSINRSpace(space metric.Space, phy PHY) *Network {
 }
 
 // NewRayleighNetwork builds an SINR network with per-slot Rayleigh fading
-// keyed by seed; the fading coefficients redraw every slot.
+// keyed by seed; the fading coefficients redraw every slot. It panics on the
+// PHY values NewSINRNetwork rejects.
 func NewRayleighNetwork(pts []geom.Point, phy PHY, seed uint64) *Network {
 	return &Network{
 		Space: metric.NewEuclidean(pts),
@@ -108,7 +122,7 @@ func NewRayleighNetwork(pts []geom.Point, phy PHY, seed uint64) *Network {
 }
 
 // NewUDGNetwork builds a unit-disc-graph network over Euclidean points with
-// communication radius phy.Range.
+// communication radius phy.Range. It panics unless phy.Range > 0.
 func NewUDGNetwork(pts []geom.Point, phy PHY) *Network {
 	return &Network{
 		Space: metric.NewEuclidean(pts),
@@ -119,7 +133,7 @@ func NewUDGNetwork(pts []geom.Point, phy PHY) *Network {
 
 // NewQUDGNetwork builds a quasi-UDG network: guaranteed edges within
 // inner·phy.Range, grey zone out to phy.Range decided by greyEdge (nil =
-// pessimistic).
+// pessimistic). It panics unless phy.Range > 0 and 0 < inner <= 1.
 func NewQUDGNetwork(pts []geom.Point, phy PHY, inner float64, greyEdge func(dist float64) bool) *Network {
 	return &Network{
 		Space: metric.NewEuclidean(pts),
@@ -129,7 +143,7 @@ func NewQUDGNetwork(pts []geom.Point, phy PHY, inner float64, greyEdge func(dist
 }
 
 // NewProtocolNetwork builds a protocol-model network with interference
-// radius interf·phy.Range.
+// radius interf·phy.Range. It panics unless phy.Range > 0 and interf >= 1.
 func NewProtocolNetwork(pts []geom.Point, phy PHY, interf float64) *Network {
 	return &Network{
 		Space: metric.NewEuclidean(pts),
@@ -140,7 +154,8 @@ func NewProtocolNetwork(pts []geom.Point, phy PHY, interf float64) *Network {
 
 // NewBIGNetwork builds a bounded-independence-graph network over the given
 // adjacency lists, with interference reaching k hops. Only phy's sensing
-// parameters are used; the hop metric fixes distances.
+// parameters are used; the hop metric fixes distances. It panics unless
+// k >= 1.
 func NewBIGNetwork(adj [][]int, k int, phy PHY) *Network {
 	return &Network{
 		Space: metric.NewGraph(adj),

@@ -2,11 +2,13 @@ package udwn_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"udwn"
 	"udwn/internal/core"
 	"udwn/internal/geom"
+	"udwn/internal/metric"
 	"udwn/internal/sim"
 	"udwn/internal/workload"
 )
@@ -47,6 +49,58 @@ func TestNetworkConstructors(t *testing.T) {
 	}
 	if math.Abs(nets["sinr"].CommRadius()-rb) > 1e-9 {
 		t.Fatal("SINR comm radius must be (1-ε)R")
+	}
+}
+
+// TestNetworkConstructorPanics pins the panic conditions PHY documents: each
+// invalid value panics in exactly the constructors whose model reads it, and
+// DefaultPHY builds every network.
+func TestNetworkConstructorPanics(t *testing.T) {
+	pts := workload.UniformDisc(8, 20, 1)
+	adj := workload.GeometricGraph(pts, 9)
+	ctors := map[string]func(udwn.PHY){
+		"sinr":       func(p udwn.PHY) { udwn.NewSINRNetwork(pts, p) },
+		"sinr-space": func(p udwn.PHY) { udwn.NewSINRSpace(metric.NewEuclidean(pts), p) },
+		"rayleigh":   func(p udwn.PHY) { udwn.NewRayleighNetwork(pts, p, 1) },
+		"udg":        func(p udwn.PHY) { udwn.NewUDGNetwork(pts, p) },
+		"qudg":       func(p udwn.PHY) { udwn.NewQUDGNetwork(pts, p, 0.7, nil) },
+		"protocol":   func(p udwn.PHY) { udwn.NewProtocolNetwork(pts, p, 2) },
+		"big":        func(p udwn.PHY) { udwn.NewBIGNetwork(adj, 2, p) },
+	}
+	sinr := []string{"sinr", "sinr-space", "rayleigh"}
+	ranged := append([]string{"udg", "qudg", "protocol"}, sinr...)
+	nan := math.NaN()
+	cases := []struct {
+		name   string
+		edit   func(*udwn.PHY)
+		panics []string
+	}{
+		{"default", func(*udwn.PHY) {}, nil},
+		{"beta<1", func(p *udwn.PHY) { p.Beta = 0.5 }, sinr},
+		{"beta=NaN", func(p *udwn.PHY) { p.Beta = nan }, sinr},
+		{"noise=0", func(p *udwn.PHY) { p.Noise = 0 }, sinr},
+		{"noise<0", func(p *udwn.PHY) { p.Noise = -1 }, sinr},
+		{"noise=NaN", func(p *udwn.PHY) { p.Noise = nan }, sinr},
+		{"alpha=0", func(p *udwn.PHY) { p.Alpha = 0 }, sinr},
+		{"alpha=NaN", func(p *udwn.PHY) { p.Alpha = nan }, sinr},
+		{"range=0", func(p *udwn.PHY) { p.Range = 0 }, ranged},
+		{"range<0", func(p *udwn.PHY) { p.Range = -10 }, ranged},
+		{"range=NaN", func(p *udwn.PHY) { p.Range = nan }, ranged},
+	}
+	for _, tc := range cases {
+		phy := udwn.DefaultPHY()
+		tc.edit(&phy)
+		for name, build := range ctors {
+			want := slices.Contains(tc.panics, name)
+			got := func() (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				build(phy)
+				return false
+			}()
+			if got != want {
+				t.Errorf("%s: %s panicked = %v, want %v", tc.name, name, got, want)
+			}
+		}
 	}
 }
 
