@@ -73,7 +73,7 @@ func (l *LocalBcast) Act(n *sim.Node, slot int) sim.Action {
 	return sim.Action{
 		Transmit: l.ta.Decide(n.RNG),
 		Msg:      sim.Message{Kind: KindLocal, Data: l.data},
-		Channel:  ch,
+		Channel:  int32(ch),
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 func TestMCLocalBcastChannelSpread(t *testing.T) {
 	m := NewMCLocalBcast(64, 4, 1)
 	n := &sim.Node{ID: 0, RNG: rng.New(1)}
-	seen := map[int]int{}
+	seen := map[int32]int{}
 	for i := 0; i < 4000; i++ {
 		act := m.Act(n, 0)
 		if act.Channel < 0 || act.Channel >= 4 {
@@ -18,7 +18,7 @@ func TestMCLocalBcastChannelSpread(t *testing.T) {
 		}
 		seen[act.Channel]++
 	}
-	for ch := 0; ch < 4; ch++ {
+	for ch := int32(0); ch < 4; ch++ {
 		if seen[ch] < 800 || seen[ch] > 1200 {
 			t.Fatalf("channel %d picked %d/4000 times; want ~uniform", ch, seen[ch])
 		}

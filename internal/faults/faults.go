@@ -85,8 +85,9 @@ func (sp Spec) Enabled() bool {
 }
 
 // Engine compiles a Spec into a sim.Injector. One engine drives exactly one
-// simulation (it holds per-node schedule state); it is not safe for
-// concurrent use, matching the Sim it is bound to.
+// simulation (it holds per-node schedule state, sized by the first
+// BeginTick, which the simulator calls before any other injector method);
+// it is not safe for concurrent use, matching the Sim it is bound to.
 type Engine struct {
 	spec    Spec
 	protect map[int]bool
@@ -98,6 +99,12 @@ type Engine struct {
 	// Per-node schedule state, sized at the first BeginTick.
 	restartAt []int // tick at which an engine-crashed node revives; -1 = up
 	stallEnd  []int // first tick at which the node's clock runs again
+
+	// Static memberships, drawn once at the first BeginTick: jammed[v] is
+	// jammedNode(v) and deafened[v] is deafNode(v). Seized and DropRecv run
+	// for every node and decoded pair of every slot, so they read these
+	// instead of forking a stream per call.
+	jammed, deafened []bool
 
 	ctr *metrics.Counters
 }
@@ -168,15 +175,20 @@ func (e *Engine) Faulty(v int) bool {
 	return e.jammedNode(v) || e.deafNode(v)
 }
 
-// size lazily allocates per-node schedule state once n is known.
+// size lazily allocates per-node schedule state and draws the static
+// memberships once n is known.
 func (e *Engine) size(n int) {
 	if e.restartAt != nil {
 		return
 	}
 	e.restartAt = make([]int, n)
 	e.stallEnd = make([]int, n)
+	e.jammed = make([]bool, n)
+	e.deafened = make([]bool, n)
 	for v := range e.restartAt {
 		e.restartAt[v] = -1
+		e.jammed[v] = e.jammedNode(v)
+		e.deafened[v] = e.deafNode(v)
 	}
 }
 
@@ -232,11 +244,11 @@ func (e *Engine) QuiescentUntil(now int) int {
 // carrier onto the air, a stalled node forces a no-op; either way the
 // protocol freezes for the tick.
 func (e *Engine) Seized(v, tick int) (sim.Action, bool) {
-	if e.jammedNode(v) {
+	if e.jammed[v] {
 		e.ctr.Add("jam-slots", 1)
 		return sim.Action{Transmit: true, Msg: sim.Message{Kind: JamKind}}, true
 	}
-	if e.stallEnd != nil && tick < e.stallEnd[v] {
+	if tick < e.stallEnd[v] {
 		return sim.Action{}, true
 	}
 	return sim.Action{}, false
@@ -248,10 +260,10 @@ func (e *Engine) Seized(v, tick int) (sim.Action, bool) {
 // re-forks per (u, v, tick), so it drops the same frames whichever
 // reception driver enumerates them.
 func (e *Engine) DropRecv(u, v, tick int) bool {
-	if e.jammedNode(u) {
+	if e.jammed[u] {
 		return true // the jam carrier is pure interference, never a frame
 	}
-	if e.deafNode(v) {
+	if e.deafened[v] {
 		e.ctr.Add("deaf-drops", 1)
 		return true
 	}

@@ -390,6 +390,40 @@ func TestMembershipDeterministicAndProtected(t *testing.T) {
 	}
 }
 
+// The memberships the first BeginTick draws are the pure per-node draws
+// that Faulty makes, node for node, at every fraction, with and without
+// protected nodes.
+func TestMembershipDrawnOnceMatchesPureDraw(t *testing.T) {
+	const n = 200
+	pts := workload.UniformDisc(n, 20, 1)
+	fracs := []float64{0, 0.02, 0.5}
+	for _, jam := range fracs {
+		for _, deaf := range fracs {
+			for _, protect := range [][]int{nil, {0, 3, 7, 150}} {
+				eng := New(Spec{Seed: 7, JamFraction: jam, DeafFraction: deaf, Protect: protect})
+				pointSim(t, eng, pts, nil).Step()
+				jammed, deafened := 0, 0
+				for v := 0; v < n; v++ {
+					if eng.jammed[v] != eng.jammedNode(v) || eng.deafened[v] != eng.deafNode(v) {
+						t.Fatalf("jam %v deaf %v protect %v: node %d drawn jammed=%v deaf=%v, pure draw %v %v",
+							jam, deaf, protect, v, eng.jammed[v], eng.deafened[v], eng.jammedNode(v), eng.deafNode(v))
+					}
+					if eng.jammed[v] {
+						jammed++
+					}
+					if eng.deafened[v] {
+						deafened++
+					}
+				}
+				if (jam > 0) != (jammed > 0) || (deaf > 0) != (deafened > 0) {
+					t.Fatalf("jam %v deaf %v: %d jammed and %d deaf of %d; the oracle must see members exactly when a fraction is set",
+						jam, deaf, jammed, deafened, n)
+				}
+			}
+		}
+	}
+}
+
 // Fault decisions allocate nothing: every per-(node, tick) draw forks its
 // stream by value. A tick here is BeginTick, then Seized, DropRecv and
 // Observation at each of 64 nodes, with every class that draws per tick

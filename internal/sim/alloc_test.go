@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 
 	"udwn/internal/metric"
@@ -79,5 +81,49 @@ func TestStepZeroAllocs(t *testing.T) {
 				t.Fatalf("Step allocates %.2f times per slot in steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestSlotValuesAreRegisterSized pins the values Step exchanges with every
+// node in every slot at sizes the Go compiler keeps in registers. Its SSA
+// backend (cmd/compile/internal/ssa.CanSSA) registerizes a struct only if it
+// is at most 4 pointer words, 32 bytes on 64-bit targets, with at most 4
+// fields, each field obeying the same limits (and arrays at most 1 long).
+// Protocol.Act and Injector.Seized return an Action for every acting node;
+// at 48 bytes each result was spilled to the stack a field at a time and
+// read back by 16-byte loads straddling those stores. The CPU cannot forward
+// such a load from the pending stores, so it stalled: in a traced
+// sparse-strip benchmark run on a 2-vCPU VM, 1.96 s of 11.22 s of samples
+// sat on that one load, and the Act call line took 24.5% of the samples
+// against 4.4% inside the Act bodies.
+func TestSlotValuesAreRegisterSized(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the limits are stated for 64-bit targets")
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[Action](), reflect.TypeFor[Message](), reflect.TypeFor[Recv](),
+	} {
+		checkRegisterSized(t, typ.Name(), typ)
+	}
+}
+
+func checkRegisterSized(t *testing.T, name string, typ reflect.Type) {
+	t.Helper()
+	if typ.Size() > 32 {
+		t.Errorf("%s is %d bytes; values above 32 bytes leave registers", name, typ.Size())
+	}
+	switch typ.Kind() {
+	case reflect.Array:
+		if typ.Len() > 1 {
+			t.Errorf("%s is an array of %d; arrays longer than 1 leave registers", name, typ.Len())
+		}
+	case reflect.Struct:
+		if typ.NumField() > 4 {
+			t.Errorf("%s has %d fields; structs with more than 4 leave registers", name, typ.NumField())
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			checkRegisterSized(t, name+"."+f.Name, f.Type)
+		}
 	}
 }

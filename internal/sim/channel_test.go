@@ -12,7 +12,7 @@ import (
 type chanProto struct {
 	script []struct {
 		tx bool
-		ch int
+		ch int32
 	}
 	step int
 	obs  []Observation
@@ -35,7 +35,7 @@ func (p *chanProto) Observe(n *Node, slot int, obs *Observation) {
 
 func chanSim(t *testing.T, channels int, scripts map[int][]struct {
 	tx bool
-	ch int
+	ch int32
 }) *Sim {
 	t.Helper()
 	e := metric.NewEuclidean([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}})
@@ -59,7 +59,7 @@ func chanSim(t *testing.T, channels int, scripts map[int][]struct {
 
 type step = struct {
 	tx bool
-	ch int
+	ch int32
 }
 
 func TestCrossChannelIsolation(t *testing.T) {

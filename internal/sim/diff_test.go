@@ -41,7 +41,7 @@ func (d *diffProto) Act(n *Node, slot int) Action {
 		Msg:      Message{Kind: 1, Data: int64(n.ID)},
 	}
 	if d.nchan > 1 {
-		act.Channel = n.RNG.Intn(d.nchan)
+		act.Channel = int32(n.RNG.Intn(d.nchan))
 	}
 	if d.scales {
 		switch n.RNG.Intn(4) {
@@ -59,8 +59,8 @@ func (d *diffProto) Observe(n *Node, slot int, obs *Observation) {
 	fmt.Fprintf(d.log, "o %d %d %d t=%v b=%v a=%v n=%v", obs.Tick, n.ID, slot,
 		obs.Transmitted, obs.Busy, obs.Acked, obs.NTD)
 	for _, rc := range obs.Received {
-		fmt.Fprintf(d.log, " r(%d,%d,%d,%d,%x)", rc.From, rc.Msg.Src, rc.Msg.Kind,
-			rc.Msg.Data, math.Float64bits(rc.RSS))
+		fmt.Fprintf(d.log, " r(%d,%d,%d,%x)", rc.From, rc.Msg.Kind, rc.Msg.Data,
+			math.Float64bits(rc.RSS))
 	}
 	d.log.WriteByte('\n')
 }

@@ -36,7 +36,7 @@ func (p *fuzzProto) Act(n *Node, slot int) Action {
 	if p.st.flip[p.id] {
 		ch = 1 - ch
 	}
-	act.Channel = ch
+	act.Channel = int32(ch)
 	if p.st.hi[p.id] {
 		act.PowerScale = 2
 	}

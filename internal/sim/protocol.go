@@ -4,20 +4,18 @@ import "udwn/internal/rng"
 
 // Message is the payload of one transmission. The simulator treats it as
 // opaque; protocols define the meaning of Kind and Data (e.g. a broadcast
-// payload carries the source in Data).
+// payload carries the source in Data). Recv.From names the sender.
 type Message struct {
-	// Src is the id of the transmitting node.
-	Src int
 	// Kind is a protocol-defined discriminator.
 	Kind int32
 	// Data is a protocol-defined payload.
 	Data int64
 }
 
-// Action is what a node does in one slot.
+// Action is what a node does in one slot. It stays within the 32 bytes and
+// 4 fields Go keeps in registers on 64-bit targets: a larger Act or Seized
+// result stalls every call (TestSlotValuesAreRegisterSized explains why).
 type Action struct {
-	// Transmit requests a transmission of Msg this slot.
-	Transmit bool
 	// Msg is the message to transmit; ignored unless Transmit.
 	Msg Message
 	// PowerScale scales this transmission's power (0 or 1 = the uniform
@@ -33,7 +31,9 @@ type Action struct {
 	// meaningful when Config.Channels > 1; values outside [0, Channels) are
 	// clamped. Transmissions interfere, carrier-sense and decode only
 	// within their channel.
-	Channel int
+	Channel int32
+	// Transmit requests a transmission of Msg this slot.
+	Transmit bool
 }
 
 // Recv describes one successfully decoded transmission.

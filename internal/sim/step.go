@@ -49,7 +49,7 @@ func (s *Sim) Step() {
 	// Phase 1: collect actions from acting nodes. A seized node (stuck
 	// transmitter, stalled clock) contributes the injector's forced action
 	// instead of consulting its protocol.
-	nChan := s.cfg.Channels
+	nChan := int32(s.cfg.Channels)
 	s.actedBuf = s.actedBuf[:0]
 	s.txBuf = s.txBuf[:0]
 	for c := range s.chanTx {
@@ -81,7 +81,6 @@ func (s *Sim) Step() {
 			s.chanBuf[v] = int8(act.Channel)
 		}
 		if act.Transmit {
-			act.Msg.Src = v
 			s.msgBuf[v] = act.Msg
 			s.isTxBuf[v] = true
 			s.txBuf = append(s.txBuf, v)

@@ -25,7 +25,7 @@ func (d *dualProto) Act(n *sim.Node, slot int) sim.Action {
 		Msg:      sim.Message{Kind: 1, Data: int64(n.ID)},
 	}
 	if d.nchan > 1 {
-		act.Channel = n.RNG.Intn(d.nchan)
+		act.Channel = int32(n.RNG.Intn(d.nchan))
 	}
 	return act
 }

@@ -170,29 +170,33 @@ UDWND_SMOKE=1 go test -timeout 5m -run '^TestDaemonBinarySmoke$' ./internal/jobs
 # same members, and Iter.Dist2 bit-identical to each member's squared
 # distance). The committed corpora under testdata/fuzz replay as plain tests
 # in the suites above; here they seed short live fuzzing so CI keeps probing
-# new inputs.
-go test -timeout 5m -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 10s ./internal/checkpoint
-go test -timeout 5m -run '^$' -fuzz '^FuzzGridWithin$' -fuzztime 10s ./internal/geom
+# new inputs. Every step caps minimization at 1 s per input: Go otherwise
+# allows 60 s to shrink each newly interesting input, does not count those
+# executions, and in a 10 s step both workers were minimizing from about
+# 3 s on (FuzzGridWithin ran 2,557 execs without the cap and 40,951 with
+# it). A failing input still fails the step; only its shrinking is capped.
+go test -timeout 5m -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
+go test -timeout 5m -run '^$' -fuzz '^FuzzGridWithin$' -fuzztime 10s -fuzzminimizetime 1s ./internal/geom
 # The binary trace decoder fronts files from killed runs and foreign
 # builds; fuzz it against arbitrary bytes (never panic, bounded allocation,
 # accepted decodes must round-trip, and a match-everything Query must agree
 # with Open + Next on events, truncation and typed errors).
-go test -timeout 5m -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 10s ./internal/trace
+go test -timeout 5m -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 # The index-frame decoder and the query planner sit behind the same hostile
 # inputs; fuzz arbitrary payloads spliced as CRC-valid index frames (never
 # panic, bounded allocation, a forged index can suppress frames but never
 # fabricate or corrupt query results).
-go test -timeout 5m -run '^$' -fuzz '^FuzzIndexDecode$' -fuzztime 10s ./internal/trace
+go test -timeout 5m -run '^$' -fuzz '^FuzzIndexDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 # The field engine against its canonical-sum oracle: random
 # move/kill/revive/tx-toggle/retune/power programs must keep every demanded
 # receiver's field bit-identical to a sum from scratch and every other
 # receiver certified idle, every slot.
-go test -timeout 5m -run '^$' -fuzz '^FuzzFieldDelta$' -fuzztime 10s ./internal/sim
+go test -timeout 5m -run '^$' -fuzz '^FuzzFieldDelta$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 # The SINR decode floor against the decode test it pre-filters: arbitrary
 # signal, β ≥ 1, noise and interferer powers must never decode below
 # DecodeFloor of the canonical sum, and the floor must never fall as the
 # sum rises.
-go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeFloor$' -fuzztime 10s ./internal/model
+go test -timeout 5m -run '^$' -fuzz '^FuzzDecodeFloor$' -fuzztime 10s -fuzzminimizetime 1s ./internal/model
 
 # Coverage gate: statement coverage of the gated packages must not drop
 # below the committed floors. Measured in -short mode so the numbers are
