@@ -23,12 +23,9 @@
 // Durable state is bounded: -retain-age/-retain-count/-retain-bytes set the
 // retention policy a background sweeper (period -gc-interval, or POST /gc on
 // demand) enforces by collecting terminal jobs, unlinking their traces and
-// atomically compacting both journals. The -client-* flags add per-client
-// admission budgets (identity via the spec's "client" field or the X-Client
-// header) with weighted-fair scheduling across clients:
+// atomically compacting both journals:
 //
-//	udwnd -dir state/ -retain-age 24h -retain-count 1000 \
-//	      -client-queue-depth 16 -client-max-weight 128 -client-max-inflight 1
+//	udwnd -dir state/ -retain-age 24h -retain-count 1000
 //	curl -s -XPOST localhost:8080/gc
 //
 // On SIGTERM the daemon stops accepting (readyz flips to 503), lets running
@@ -68,32 +65,26 @@ func run() int {
 		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "time running jobs get to finish during drain")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline inside job grids (0 = none)")
 
-		retainAge      = flag.Duration("retain-age", 0, "collect terminal jobs older than this (0 = keep forever)")
-		retainCount    = flag.Int("retain-count", 0, "keep at most this many terminal jobs (0 = unlimited)")
-		retainBytes    = flag.Int64("retain-bytes", 0, "state-dir byte budget enforced by collecting oldest terminal jobs (0 = unlimited)")
-		gcInterval     = flag.Duration("gc-interval", 0, "background GC period (0 = on demand; defaults to 1m when retention is set)")
-		clientQueue    = flag.Int("client-queue-depth", 0, "max queued jobs per client before shedding (0 = no per-client limit)")
-		clientWeight   = flag.Int("client-max-weight", 0, "max in-flight cell weight per client before shedding (0 = no per-client limit)")
-		clientInflight = flag.Int("client-max-inflight", 0, "max concurrently running jobs per client (0 = no per-client limit)")
+		retainAge   = flag.Duration("retain-age", 0, "collect terminal jobs older than this (0 = keep forever)")
+		retainCount = flag.Int("retain-count", 0, "keep at most this many terminal jobs (0 = unlimited)")
+		retainBytes = flag.Int64("retain-bytes", 0, "state-dir byte budget enforced by collecting oldest terminal jobs (0 = unlimited)")
+		gcInterval  = flag.Duration("gc-interval", 0, "background GC period (0 = on demand; defaults to 1m when retention is set)")
 	)
 	flag.Parse()
 
 	srv, err := jobs.Open(jobs.Config{
-		Dir:               *dir,
-		Workers:           *workers,
-		GridWorkers:       *gridWorkers,
-		QueueDepth:        *queueDepth,
-		MaxWeight:         *maxWeight,
-		DefaultDeadline:   *deadline,
-		DrainGrace:        *drainGrace,
-		CellTimeout:       *cellTimeout,
-		RetainAge:         *retainAge,
-		RetainCount:       *retainCount,
-		RetainBytes:       *retainBytes,
-		GCInterval:        *gcInterval,
-		ClientQueueDepth:  *clientQueue,
-		ClientMaxWeight:   *clientWeight,
-		ClientMaxInflight: *clientInflight,
+		Dir:             *dir,
+		Workers:         *workers,
+		GridWorkers:     *gridWorkers,
+		QueueDepth:      *queueDepth,
+		MaxWeight:       *maxWeight,
+		DefaultDeadline: *deadline,
+		DrainGrace:      *drainGrace,
+		CellTimeout:     *cellTimeout,
+		RetainAge:       *retainAge,
+		RetainCount:     *retainCount,
+		RetainBytes:     *retainBytes,
+		GCInterval:      *gcInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "udwnd:", err)

@@ -457,28 +457,44 @@ func TestGCSweeperRuns(t *testing.T) {
 }
 
 // TestGCCancelledJobQuotaAccounting guards the finish-path bookkeeping the
-// quota machinery depends on: cancel-from-queue releases the queued count,
-// run-to-completion releases the inflight count, and a GC in between leaves
-// the accounts alone.
+// global weight budget depends on: a cancel from the queue and a completion
+// each release their job's weight, and a GC after them leaves the budget
+// alone, so a spec weighing the whole budget is admitted afterwards.
 func TestGCCancelledJobQuotaAccounting(t *testing.T) {
-	cfg := testConfig(t, okRunner(""))
-	cfg.ClientQueueDepth = 1
+	release := make(chan struct{})
+	cfg := testConfig(t, gateRunner(nil, release))
 	cfg.Workers = 1
+	cfg.MaxWeight = 4
 	s := mustOpen(t, cfg)
 	defer func() { s.Drain(); s.Close() }()
 
-	v, err := s.Submit(clientSpec("c", 0))
+	// The single worker can only ever hold the first job, so the second is
+	// still queued when it is cancelled.
+	ran, err := s.Submit(spec1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, s, v.ID)
+	queued, err := s.Submit(spec1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Cancel(queued.ID); err != nil || v.State != StateCancelled || v.Attempts != 0 {
+		t.Fatalf("cancel from the queue = %+v, %v; want CANCELLED before any attempt", v, err)
+	}
+	close(release)
+	if v := waitTerminal(t, s, ran.ID); v.State != StateDone {
+		t.Fatalf("running job finished %s, want DONE", v.State)
+	}
 	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
 	}
-	// The budget must be fully released: another submission fits.
-	v2, err := s.Submit(clientSpec("c", 0))
-	if err != nil {
-		t.Fatalf("quota leak after terminal+GC: %v", err)
+	if w := s.Status().Weight; w != 0 {
+		t.Fatalf("in-flight weight %d after cancel+completion+GC, want 0", w)
 	}
-	waitTerminal(t, s, v2.ID)
+	full := Spec{Experiments: []string{"table1"}, Quick: true, Seeds: cfg.MaxWeight}
+	v, err := s.Submit(full)
+	if err != nil {
+		t.Fatalf("weight leak: a spec of weight %d = MaxWeight was refused: %v", full.weight(), err)
+	}
+	waitTerminal(t, s, v.ID)
 }

@@ -43,13 +43,17 @@ func gcKillCompletingRunner(ctx context.Context, spec Spec, rc RunContext) (stri
 	return gcKillOutput(spec.Seed), nil
 }
 
+// gateSeed marks the kill tests' gate jobs: a spec with Seed ≥ gateSeed is
+// one. The seed is journalled with the spec, so a restarted daemon tells
+// the gate jobs apart too.
+const gateSeed = 100
+
 // gcKillRunner completes jobs with seed-keyed deterministic output, except
-// Client "gate" jobs, which report on started and then block until the
-// attempt context fires — a permanently non-terminal job from GC's point of
-// view.
+// gate jobs, which report on started and then block until the attempt
+// context fires — a permanently non-terminal job from GC's point of view.
 func gcKillRunner(started chan<- struct{}) Runner {
 	return func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
-		if spec.Client == "gate" {
+		if spec.Seed >= gateSeed {
 			if started != nil {
 				started <- struct{}{}
 			}
@@ -109,7 +113,7 @@ func TestGCKillHelper(t *testing.T) {
 			die(err)
 		}
 	}
-	if _, err := srv.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Client: "gate"}); err != nil {
+	if _, err := srv.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Seed: gateSeed}); err != nil {
 		die(err)
 	}
 	<-started // the gate job is RUNNING: non-terminal throughout the sweep
@@ -215,7 +219,7 @@ func TestGCKillAtEveryStage(t *testing.T) {
 			// newest one — serves byte-identical output.
 			sawRetained, sawGate := false, ""
 			for _, v := range views {
-				if v.Spec.Client == "gate" {
+				if v.Spec.Seed >= gateSeed {
 					sawGate = v.ID
 					continue
 				}
@@ -325,7 +329,7 @@ func TestRetentionBoundsStateDir(t *testing.T) {
 	reg := metrics.NewRegistry()
 	release := make(chan struct{})
 	held := func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
-		if spec.Client == "gate" {
+		if spec.Seed >= gateSeed {
 			select {
 			case <-release:
 			case <-ctx.Done():
@@ -402,8 +406,8 @@ func TestGCSoakHelper(t *testing.T) {
 	}
 	// Acknowledge four jobs that will still be queued or gated when the kill
 	// lands; the restart must resume all of them.
-	for i := uint64(100); i < 104; i++ {
-		if _, err := srv.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Seed: i, Client: "gate"}); err != nil {
+	for i := uint64(gateSeed); i < gateSeed+4; i++ {
+		if _, err := srv.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Seed: i}); err != nil {
 			die(err)
 		}
 	}

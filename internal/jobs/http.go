@@ -107,11 +107,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("jobs: decode spec: %w", err))
 		return
 	}
-	// The X-Client header is the transport-level way to claim a client
-	// identity (proxies can inject it); an explicit spec field wins.
-	if spec.Client == "" {
-		spec.Client = r.Header.Get("X-Client")
-	}
 	view, err := s.Submit(spec)
 	if err != nil {
 		s.httpError(w, err)

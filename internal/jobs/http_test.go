@@ -51,7 +51,19 @@ func decodeView(t *testing.T, resp *http.Response) JobView {
 // plain text.
 func TestAPISubmitLifecycle(t *testing.T) {
 	_, ts := newTestAPI(t, testConfig(t, okRunner("rendered tables\n")))
-	resp := postJSON(t, ts.URL+"/jobs", `{"experiments":["table1"],"quick":true}`)
+	// The benchmark's daemon-mix workload names a client in an X-Client
+	// header on every submission; the daemon ignores the header, and it
+	// must never turn the submission away.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs", strings.NewReader(`{"experiments":["table1"],"quick":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Client", "b")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
 	}
@@ -97,8 +109,8 @@ func TestAPISubmitLifecycle(t *testing.T) {
 	}
 }
 
-// TestOverweightSpecIsInvalid: a spec heavier than a weight budget can never
-// be admitted, so even an idle daemon refuses it as invalid (HTTP 400)
+// TestOverweightSpecIsInvalid: a spec heavier than the weight budget can
+// never be admitted, so even an idle daemon refuses it as invalid (HTTP 400)
 // rather than shedding it with 429 + Retry-After, which a client honouring
 // the header would retry forever. All 16 experiments at 33 seeds weigh 528,
 // above the default MaxWeight of 512, while 33 seeds is within its limit.
@@ -125,15 +137,6 @@ func TestOverweightSpecIsInvalid(t *testing.T) {
 	if shed := s.Metrics().CounterValue("jobs/shed"); shed != 0 {
 		t.Fatalf("jobs/shed = %d, want 0", shed)
 	}
-
-	// The per-client weight budget has the same hole.
-	cfg := testConfig(t, okRunner(""))
-	cfg.ClientMaxWeight = 4
-	s2 := mustOpen(t, cfg)
-	defer s2.Close()
-	if _, err := s2.Submit(clientSpec("heavy", 5)); !errors.As(err, &inv) {
-		t.Fatalf("weight 5 under a per-client budget of 4: err = %v, want *InvalidError", err)
-	}
 }
 
 func TestAPIValidationAndErrors(t *testing.T) {
@@ -146,6 +149,8 @@ func TestAPIValidationAndErrors(t *testing.T) {
 		{`{"experiments":[]}`, http.StatusBadRequest},
 		{`{"experiments":["bogus"]}`, http.StatusBadRequest},
 		{`{"experiments":["table1"],"unknown_field":1}`, http.StatusBadRequest},
+		// Specs carry no client identity; the field is as unknown as any.
+		{`{"experiments":["table1"],"client":"alice"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/jobs", c.body)

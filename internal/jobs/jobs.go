@@ -18,12 +18,10 @@
 //
 // The accept path is load-shedding rather than unbounded: once queue depth
 // or the in-flight cell-weight budget is exceeded, submissions are refused
-// with ErrBusy (HTTP 429 + Retry-After ≥ 1) instead of growing memory; the
-// optional per-client budgets (Config.Client*) shed the same way with a
-// QuotaError naming the tripped budget, and the weighted-fair dequeue keeps
-// one greedy client from starving the rest. SIGTERM triggers graceful
-// drain: accepting stops (readyz flips), running jobs get a grace period to
-// finish before their grids are cancelled (completed cells stay
+// with ErrBusy (HTTP 429 + Retry-After ≥ 1) instead of growing memory, and
+// the workers run accepted jobs in submission order. SIGTERM triggers
+// graceful drain: accepting stops (readyz flips), running jobs get a grace
+// period to finish before their grids are cancelled (completed cells stay
 // checkpointed), queued jobs park for the next start, journals flush, and
 // the daemon exits 0.
 //
@@ -92,11 +90,6 @@ type Spec struct {
 	// GET /jobs/{id}/trace. Each attempt rewrites the file, so the trace
 	// always reflects the attempt that produced the job's output.
 	Trace bool `json:"trace,omitempty"`
-	// Client is the optional client identity the per-client quota and
-	// fair-scheduling machinery keys on (also settable via the X-Client
-	// request header; the spec field wins). Empty submissions share one
-	// anonymous client. Printable ASCII, at most 64 bytes.
-	Client string `json:"client,omitempty"`
 }
 
 // The limits one submission may request, and the per-cell retry budget
@@ -136,12 +129,10 @@ func (s *Spec) validate(cfg *Config) error {
 	if s.Seeds > maxSeeds {
 		return &InvalidError{Reason: fmt.Sprintf("seeds %d exceeds the limit %d", s.Seeds, maxSeeds)}
 	}
-	// A spec heavier than a weight budget would shed with 429 forever; it
+	// A spec heavier than the weight budget would shed with 429 forever; it
 	// can never be admitted, so it is invalid.
 	if w := s.weight(); w > cfg.MaxWeight {
 		return &InvalidError{Reason: fmt.Sprintf("weight %d exceeds the in-flight budget %d", w, cfg.MaxWeight)}
-	} else if cfg.ClientMaxWeight > 0 && w > cfg.ClientMaxWeight {
-		return &InvalidError{Reason: fmt.Sprintf("weight %d exceeds the per-client budget %d", w, cfg.ClientMaxWeight)}
 	}
 	if s.Retries < 0 {
 		return &InvalidError{Reason: fmt.Sprintf("retries %d is negative", s.Retries)}
@@ -154,14 +145,6 @@ func (s *Spec) validate(cfg *Config) error {
 	}
 	if d := time.Duration(s.DeadlineMs) * time.Millisecond; d > maxDeadline {
 		return &InvalidError{Reason: fmt.Sprintf("deadline %s exceeds the limit %s", d, maxDeadline)}
-	}
-	if len(s.Client) > 64 {
-		return &InvalidError{Reason: fmt.Sprintf("client identity is %d bytes, limit 64", len(s.Client))}
-	}
-	for _, c := range s.Client {
-		if c <= ' ' || c > '~' {
-			return &InvalidError{Reason: fmt.Sprintf("client identity %q contains non-printable or whitespace characters", s.Client)}
-		}
 	}
 	return nil
 }
@@ -223,30 +206,6 @@ type Event struct {
 type InvalidError struct{ Reason string }
 
 func (e *InvalidError) Error() string { return "jobs: invalid spec: " + e.Reason }
-
-// QuotaError sheds a submission that would exceed one of its client's
-// budgets. It matches ErrBusy under errors.Is, so callers (and the HTTP
-// layer) treat it as the same load-shedding contract — 429 + Retry-After —
-// while the message names exactly which budget tripped.
-type QuotaError struct {
-	// Client is the submitting identity ("" renders as "anonymous").
-	Client string
-	// Budget names the limit that tripped: "queue-depth" or "weight".
-	Budget string
-	// Used and Limit are the budget's occupancy at rejection time.
-	Used, Limit int
-}
-
-func (e *QuotaError) Error() string {
-	client := e.Client
-	if client == "" {
-		client = "anonymous"
-	}
-	return fmt.Sprintf("jobs: client %s over %s quota (%d of %d), retry later", client, e.Budget, e.Used, e.Limit)
-}
-
-// Is makes errors.Is(err, ErrBusy) true for quota rejections.
-func (e *QuotaError) Is(target error) bool { return target == ErrBusy }
 
 // Sentinel errors of the accept path and the job registry; the HTTP layer
 // maps them to status codes.

@@ -89,3 +89,59 @@ func TestJobJournalRejectsMalformedEvents(t *testing.T) {
 		t.Fatal("malformed frames were not reported as dropped")
 	}
 }
+
+// TestJobJournalReplaysRetiredClientField pins that a state directory
+// written while specs still carried a "client" field keeps opening. Replay
+// decodes frames with plain json.Unmarshal, which skips the retired field:
+// the finished job serves its output byte-identical, the unterminated one
+// resumes to DONE, and both survive a GC rewrite and another restart.
+func TestJobJournalReplaysRetiredClientField(t *testing.T) {
+	dir := t.TempDir()
+	j, err := checkpoint.CreateJournal(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{
+		`{"kind":"submit","id":"j-000001","seq":1,"spec":{"experiments":["table1"],"quick":true,"client":"alice"}}`,
+		`{"kind":"done","id":"j-000001","output":"rendered before the upgrade\n","attempts":1,"done_ms":1700000000000}`,
+		`{"kind":"submit","id":"j-000002","seq":2,"spec":{"experiments":["table1"],"quick":true,"seed":7,"client":"alice"}}`,
+	} {
+		if err := j.Append([]byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const oldOut, newOut = "rendered before the upgrade\n", "resumed output\n"
+	serves := func(s *Server, id, want string) {
+		t.Helper()
+		if out, state, err := s.Result(id); err != nil || state != StateDone || out != want {
+			t.Fatalf("job %s: %q, %s, %v; want DONE with %q", id, out, state, err, want)
+		}
+	}
+	cfg := Config{Dir: dir, Workers: 1, Metrics: metrics.NewRegistry(), Runner: okRunner(newOut)}
+	s := mustOpen(t, cfg)
+	if n := len(s.List()); n != 2 || s.JournalTornBytes() != 0 {
+		t.Fatalf("old ledger replayed %d jobs and dropped %d bytes, want 2 and 0", n, s.JournalTornBytes())
+	}
+	serves(s, "j-000001", oldOut)
+	if v := waitTerminal(t, s, "j-000002"); !v.Resumed || v.State != StateDone {
+		t.Fatalf("unterminated job = %+v, want resumed and DONE", v)
+	}
+	serves(s, "j-000002", newOut)
+	if _, err := s.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	cfg.Metrics = metrics.NewRegistry()
+	s2 := mustOpen(t, cfg)
+	defer func() { s2.Drain(); s2.Close() }()
+	serves(s2, "j-000001", oldOut)
+	serves(s2, "j-000002", newOut)
+}

@@ -68,15 +68,6 @@ type Config struct {
 	// demand (POST /gc or Server.GC) unless a retention axis is configured,
 	// in which case it defaults to 1m.
 	GCInterval time.Duration
-	// ClientQueueDepth, ClientMaxWeight and ClientMaxInflight are the
-	// per-client budgets (keyed on Spec.Client). Zero disables the
-	// corresponding budget. Queue depth and weight shed at submission with a
-	// QuotaError naming the tripped budget (HTTP 429); the inflight cap is
-	// enforced by the weighted-fair dequeue, which skips a capped client's
-	// jobs instead of rejecting them.
-	ClientQueueDepth  int
-	ClientMaxWeight   int
-	ClientMaxInflight int
 	// Runner executes job attempts; nil selects ExperimentRunner with the
 	// grid settings above. Tests inject fakes here.
 	Runner Runner
@@ -149,10 +140,6 @@ type job struct {
 	// doneAt is the terminal transition's Unix-millisecond wall clock (0
 	// while non-terminal) — what RetainAge ages against.
 	doneAt int64
-	// dequeued flips when a worker pops the job; finish uses it to tell a
-	// job that ran (inflight accounting) from one cancelled in the queue
-	// (queued accounting).
-	dequeued bool
 
 	cancelReq    bool
 	cancelClosed bool
@@ -206,50 +193,12 @@ type Server struct {
 	draining bool
 	closed   bool
 
-	// clients is the per-client accounting behind quotas and the
-	// weighted-fair dequeue; clientOrder fixes the deterministic tie-break
-	// (first submission wins).
-	clients     map[string]*clientState
-	clientOrder []string
-
 	// lastGC snapshots the most recent GC run for /statusz.
 	lastGC   GCStats
 	lastGCAt time.Time
 	gcRan    bool
 
 	wg sync.WaitGroup
-}
-
-// clientState is one client's admission and scheduling account. Guarded by
-// the server mutex.
-type clientState struct {
-	// queued and inflight count the client's jobs waiting and running;
-	// weight is its total declared cell weight across both.
-	queued, inflight, weight int
-	// served is the total declared weight of jobs dequeued for this client —
-	// the attained service the weighted-fair dequeue equalizes. New clients
-	// start at the current minimum so they neither inherit a deficit nor an
-	// unbounded catch-up credit.
-	served int64
-}
-
-// clientOf returns (creating on first sight) the account for a client id.
-// Caller holds the server mutex.
-func (s *Server) clientOf(client string) *clientState {
-	if cs, ok := s.clients[client]; ok {
-		return cs
-	}
-	cs := &clientState{}
-	first := true
-	for _, other := range s.clients {
-		if first || other.served < cs.served {
-			cs.served = other.served
-			first = false
-		}
-	}
-	s.clients[client] = cs
-	s.clientOrder = append(s.clientOrder, client)
-	return cs
 }
 
 // Open resumes (or creates) the daemon state in cfg.Dir and starts the
@@ -281,7 +230,6 @@ func Open(cfg Config) (*Server, error) {
 		store:   store,
 		drainCh: make(chan struct{}),
 		jobs:    make(map[string]*job),
-		clients: make(map[string]*clientState),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
@@ -306,9 +254,6 @@ func Open(cfg Config) (*Server, error) {
 		j.resumed = true
 		s.queue = append(s.queue, j)
 		s.weight += j.spec.weight()
-		cs := s.clientOf(j.spec.Client)
-		cs.queued++
-		cs.weight += j.spec.weight()
 		s.reg.Counter("jobs/resumed").Inc()
 	}
 
@@ -427,18 +372,6 @@ type WorkerStatus struct {
 	Progress *ProgressView `json:"progress,omitempty"`
 }
 
-// ClientStatus is one client's quota account in the /statusz view.
-type ClientStatus struct {
-	// Client is the identity ("" for the anonymous client).
-	Client   string `json:"client"`
-	Queued   int    `json:"queued"`
-	Inflight int    `json:"inflight"`
-	Weight   int    `json:"weight"`
-	// Served is the attained service (total dequeued weight) the fair
-	// scheduler equalizes across clients.
-	Served int64 `json:"served"`
-}
-
 // GCStatus is the retention/GC panel of /statusz: the configured policy and
 // the last sweep's outcome.
 type GCStatus struct {
@@ -452,9 +385,9 @@ type GCStatus struct {
 }
 
 // StatusView is the /statusz body: per-worker occupancy, queue pressure
-// against the admission limits, job counts by state, per-client quota
-// accounts, the GC/retention panel, and the shedding/intake counters — the
-// one-page answer to "what is the daemon doing right now".
+// against the admission limits, job counts by state, the GC/retention
+// panel, and the shedding/intake counters — the one-page answer to "what is
+// the daemon doing right now".
 type StatusView struct {
 	Draining   bool             `json:"draining"`
 	Workers    []WorkerStatus   `json:"workers"`
@@ -463,7 +396,6 @@ type StatusView struct {
 	Weight     int              `json:"weight"`
 	MaxWeight  int              `json:"max_weight"`
 	Jobs       map[State]int    `json:"jobs"`
-	Clients    []ClientStatus   `json:"clients,omitempty"`
 	GC         GCStatus         `json:"gc"`
 	Counters   map[string]int64 `json:"counters"`
 }
@@ -485,13 +417,6 @@ func (s *Server) Status() StatusView {
 			RetainBytes: s.cfg.RetainBytes,
 			IntervalMs:  s.cfg.GCInterval.Milliseconds(),
 		},
-	}
-	for _, client := range s.clientOrder {
-		cs := s.clients[client]
-		v.Clients = append(v.Clients, ClientStatus{
-			Client: client, Queued: cs.queued, Inflight: cs.inflight,
-			Weight: cs.weight, Served: cs.served,
-		})
 	}
 	if s.gcRan {
 		last := s.lastGC
@@ -531,12 +456,9 @@ func (s *Server) Draining() bool {
 
 // Submit validates and accepts one job: journalled before the call returns,
 // so an acknowledged job survives any crash. Returns ErrDraining during
-// shutdown, ErrBusy when the global queue depth or in-flight cell-weight
-// budget would be exceeded, and a *QuotaError (which errors.Is-matches
-// ErrBusy) naming the tripped budget when the submitting client is over one
-// of its per-client limits — the load-shedding contract that keeps the
-// daemon's memory bounded under submission floods and one greedy client
-// from starving the rest.
+// shutdown and ErrBusy when the queue depth or in-flight cell-weight budget
+// would be exceeded — the load-shedding contract that keeps the daemon's
+// memory bounded under submission floods.
 func (s *Server) Submit(spec Spec) (JobView, error) {
 	if err := spec.validate(&s.cfg); err != nil {
 		s.reg.Counter("jobs/rejected").Inc()
@@ -566,19 +488,6 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 		s.reg.Counter("jobs/shed").Inc()
 		return JobView{}, ErrBusy
 	}
-	cs := s.clientOf(spec.Client)
-	if s.cfg.ClientQueueDepth > 0 && cs.queued >= s.cfg.ClientQueueDepth {
-		err := &QuotaError{Client: spec.Client, Budget: "queue-depth", Used: cs.queued, Limit: s.cfg.ClientQueueDepth}
-		s.mu.Unlock()
-		s.reg.Counter("jobs/shed").Inc()
-		return JobView{}, err
-	}
-	if s.cfg.ClientMaxWeight > 0 && cs.weight+w > s.cfg.ClientMaxWeight {
-		err := &QuotaError{Client: spec.Client, Budget: "weight", Used: cs.weight, Limit: s.cfg.ClientMaxWeight}
-		s.mu.Unlock()
-		s.reg.Counter("jobs/shed").Inc()
-		return JobView{}, err
-	}
 	s.seq++
 	j := &job{
 		id:       fmt.Sprintf("j-%06d", s.seq),
@@ -597,8 +506,6 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 	s.order = append(s.order, j.id)
 	s.queue = append(s.queue, j)
 	s.weight += w
-	cs.queued++
-	cs.weight += w
 	s.reg.Gauge("jobs/weight-high-water").SetMax(int64(s.weight))
 	s.reg.Gauge("jobs/queue-high-water").SetMax(int64(len(s.queue)))
 	view := j.view()
@@ -778,45 +685,15 @@ func (s *Server) worker(w int) {
 	}
 }
 
-// popLocked is the weighted-fair dequeue: among clients that have a queued
-// job and are under their inflight cap, pick the one with the least
-// attained service (total declared weight already dequeued for it), then
-// that client's oldest queued job — least-attained-service scheduling, the
-// simple deterministic cousin of deficit round robin. Ties break in
-// first-submission client order, and with no quotas configured and a single
-// client it degenerates to exactly the old FIFO. Returns nil when no job is
-// eligible (empty queue, or every queued client is at its inflight cap —
-// finish() broadcasts when a slot frees). Caller holds the server mutex.
+// popLocked takes the head of the queue, so jobs start in submission
+// order, or returns nil when the queue is empty. Caller holds the server
+// mutex.
 func (s *Server) popLocked() *job {
-	seen := make(map[string]bool, len(s.clients))
-	best := -1
-	var bestClient *clientState
-	for i, j := range s.queue {
-		c := j.spec.Client
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		cs := s.clients[c]
-		if s.cfg.ClientMaxInflight > 0 && cs.inflight >= s.cfg.ClientMaxInflight {
-			continue
-		}
-		// The first hit per client is that client's oldest queued job, and
-		// scanning the queue front to back makes "first seen" respect
-		// submission order for equal served totals.
-		if best == -1 || cs.served < bestClient.served {
-			best, bestClient = i, cs
-		}
-	}
-	if best == -1 {
+	if len(s.queue) == 0 {
 		return nil
 	}
-	j := s.queue[best]
-	s.queue = append(s.queue[:best], s.queue[best+1:]...)
-	j.dequeued = true
-	bestClient.queued--
-	bestClient.inflight++
-	bestClient.served += int64(j.spec.weight())
+	j := s.queue[0]
+	s.queue = append(s.queue[:0], s.queue[1:]...)
 	return j
 }
 
@@ -845,7 +722,7 @@ func (s *Server) supervise(j *job) {
 			s.finish(j, StateDone, a, out, "")
 			return
 		}
-		switch s.classify(j, err) {
+		switch s.classify(j) {
 		case outcomeDrained:
 			s.park(j, a)
 			return
@@ -901,10 +778,10 @@ func (s *Server) runOnce(j *job, attempt int) (string, error) {
 	return s.cfg.Runner(dctx, j.spec, rc)
 }
 
-// classify maps a failed attempt's error to its outcome: client cancel and
-// drain are not failures, everything else (deadline included) consumes the
-// retry budget.
-func (s *Server) classify(j *job, err error) attemptOutcome {
+// classify decides a failed attempt's outcome from the job's cancel request
+// and the server's drain state: client cancel and drain are not failures,
+// everything else (deadline included) consumes the retry budget.
+func (s *Server) classify(j *job) attemptOutcome {
 	s.mu.Lock()
 	cancelReq := j.cancelReq
 	draining := s.draining
@@ -918,7 +795,6 @@ func (s *Server) classify(j *job, err error) attemptOutcome {
 		// store primed.
 		return outcomeDrained
 	default:
-		_ = err
 		return outcomeError
 	}
 }
@@ -958,21 +834,8 @@ func (s *Server) finish(j *job, st State, attempts int, out, errStr string) {
 	j.doneAt = doneAt
 	j.runCancel = nil
 	s.weight -= j.spec.weight()
-	if cs, ok := s.clients[j.spec.Client]; ok {
-		cs.weight -= j.spec.weight()
-		if j.dequeued {
-			cs.inflight--
-		} else {
-			// Cancelled straight out of the queue: Cancel already removed it,
-			// so only the count is released here.
-			cs.queued--
-		}
-	}
 	s.publishLocked(j, Event{Type: "state", State: st, Attempt: attempts, Error: errStr})
 	s.closeSubsLocked(j)
-	// A freed inflight slot may unblock a client the fair dequeue was
-	// skipping; wake every parked worker to re-scan.
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	if st == StateCancelled && j.spec.Trace {
 		// DELETE semantics: a cancelled job's recorded trace is unlinked
@@ -997,13 +860,6 @@ func (s *Server) park(j *job, attempt int) {
 	s.mu.Lock()
 	j.state = StateQueued
 	j.runCancel = nil
-	if cs, ok := s.clients[j.spec.Client]; ok && j.dequeued {
-		// The job is no longer running; its weight stays accounted (it is
-		// still admitted work) but the inflight slot frees for the restart.
-		cs.inflight--
-		j.dequeued = false
-		cs.queued++
-	}
 	s.publishLocked(j, Event{Type: "state", State: StateQueued, Attempt: attempt})
 	s.mu.Unlock()
 	s.reg.Counter("jobs/drained").Inc()

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -68,6 +69,22 @@ func okRunner(out string) Runner {
 	}
 }
 
+// gateRunner blocks every attempt until release yields (or the attempt's
+// context fires), reporting each started job's seed on started.
+func gateRunner(started chan<- uint64, release <-chan struct{}) Runner {
+	return func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
+		if started != nil {
+			started <- spec.Seed
+		}
+		select {
+		case <-release:
+			return "ok\n", nil
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+	}
+}
+
 func spec1() Spec { return Spec{Experiments: []string{"table1"}, Quick: true} }
 
 func TestSubmitRunDone(t *testing.T) {
@@ -119,6 +136,51 @@ func TestListInSubmissionOrder(t *testing.T) {
 	}
 	if strings.Join(got, " ") != "j-999999 j-1000000 j-1000001" {
 		t.Fatalf("List order %v, want %v", got, want)
+	}
+}
+
+// TestFIFODequeue: with one worker, queued jobs start in submission order,
+// whatever their weights.
+func TestFIFODequeue(t *testing.T) {
+	const n = 6
+	started := make(chan uint64, n)
+	release := make(chan struct{}, n)
+	cfg := testConfig(t, gateRunner(started, release))
+	cfg.Workers = 1
+	s := mustOpen(t, cfg)
+	defer func() { s.Drain(); s.Close() }()
+
+	var ids []string
+	for seed := uint64(1); seed <= n; seed++ {
+		// Later submissions are lighter, so a weight-ordered dequeue would
+		// reverse the queue.
+		v, err := s.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Seeds: n + 1 - int(seed), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+		if seed == 1 {
+			<-started // the first job holds the worker; the rest queue
+		}
+	}
+
+	// Release the running job one at a time and record which starts next.
+	var got []uint64
+	for range ids[1:] {
+		release <- struct{}{}
+		select {
+		case seed := <-started:
+			got = append(got, seed)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("worker wedged after starting %v", got)
+		}
+	}
+	release <- struct{}{} // let the last job finish
+	if fmt.Sprint(got) != "[2 3 4 5 6]" {
+		t.Fatalf("start order %v, want [2 3 4 5 6]", got)
+	}
+	for _, id := range ids {
+		waitTerminal(t, s, id)
 	}
 }
 

@@ -149,12 +149,13 @@ go test -race -timeout 10m -run 'TestTraceDualFormatAllExperiments|TestQueryScan
 go test -race -timeout 10m ./internal/jobs
 # The state-bounding machinery added by the retention PR: journal compaction
 # under concurrent writers, single-flight cell dedup across concurrent jobs,
-# per-client quotas with weighted-fair scheduling, and the GC sweep — all
-# are lock-ordering-sensitive, so race their suites explicitly even when
-# the whole-package runs above shard.
+# the FIFO dequeue with its global weight accounting, replay of ledgers
+# written in an older spec format, and the GC sweep — all are
+# lock-ordering-sensitive or guard durable state, so race their suites
+# explicitly even when the whole-package runs above shard.
 go test -race -timeout 10m -run 'TestCompact|TestRewriteCrashStages|TestConcurrentPutsDuringCompact|TestSingleFlight' ./internal/checkpoint
 go test -race -timeout 10m -run 'TestSingleFlightDedupAcrossConcurrentRuns' ./internal/experiment
-go test -race -timeout 10m -run 'TestGC|TestClient|TestWeightedFair|TestQuotaFlood|TestRetryAfterClamp|TestTraceSubmitUnwritable|TestCancelRemovesTrace' ./internal/jobs
+go test -race -timeout 10m -run 'TestGC|TestFIFODequeue|TestJobJournalReplaysRetiredClientField|TestRetryAfterClamp|TestTraceSubmitUnwritable|TestCancelRemovesTrace' ./internal/jobs
 # The GC crash matrix SIGKILLs a real daemon at every compaction stage and
 # the retention soak bounds the state dir across a kill; both re-exec the
 # test binary, so run them without -race (the victim is raced above).
