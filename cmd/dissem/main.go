@@ -214,7 +214,7 @@ func run() error {
 		if rec, err = trace.NewWriter(out, format); err != nil {
 			return err
 		}
-		opts.Observer = rec.Record
+		opts.Observer = trace.LockedObserver(rec)
 	}
 
 	s, err := nw.NewSim(factory, opts)

@@ -52,7 +52,6 @@ func main() {
 	seeds := flag.Int("seeds", 0, "repetitions per cell (0 = default)")
 	workers := flag.Int("workers", 0, "concurrent grid cells (0 = all CPUs)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell deadline; overrunning cells are marked FAILED (0 = none)")
-	retries := flag.Int("retries", 0, "retry budget for panicking or overrunning cells")
 	progress := flag.Bool("progress", false, "render live done/total cells and ETA on stderr")
 	manifest := flag.String("manifest", "", "write a JSON run manifest (config, metrics, per-cell timings) to this file")
 	traceFile := flag.String("trace", "", "record every grid cell's slot events into one trace file (interleaved in completion order)")
@@ -99,7 +98,6 @@ func main() {
 	}
 	opts.Workers = *workers
 	opts.CellTimeout = *cellTimeout
-	opts.Retries = *retries
 	// One shared report: each experiment renders its own FAILED lines and
 	// the suite summarises degraded cells at the end instead of aborting.
 	report := experiment.NewRunReport()

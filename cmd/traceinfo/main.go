@@ -97,24 +97,17 @@ func run() error {
 		var slicer trace.Writer
 		var sliceFile *os.File
 		if *slicePath != "" {
-			switch *sliceFormat {
-			case "binary", "jsonl":
-			default:
-				return fmt.Errorf("unknown -slice-format %q (want binary or jsonl)", *sliceFormat)
+			format, err := trace.ParseFormat(*sliceFormat)
+			if err != nil {
+				return err
 			}
 			sliceFile, err = os.Create(*slicePath)
 			if err != nil {
 				return err
 			}
 			defer sliceFile.Close()
-			if *sliceFormat == "binary" {
-				bw := trace.NewBinary(sliceFile)
-				bw.KeepSilent = true
-				slicer = bw
-			} else {
-				jw := trace.NewJSONL(sliceFile)
-				jw.KeepSilent = true
-				slicer = jw
+			if slicer, err = trace.NewWriter(sliceFile, format); err != nil {
+				return err
 			}
 		}
 		st, err := trace.Query(f, pred, func(ev sim.SlotEvent) error {
@@ -236,8 +229,8 @@ func reportCheckpoint(w *os.File, dir string) error {
 
 // countEvent streams one slot event's tallies into the same named counters
 // the simulator's metrics registry records live (sim/tx, sim/decodes,
-// sensing outcomes). Recorders skip silent slots, so sim/slots counts
-// *active* slots here, not total ticks.
+// sensing outcomes). Recorded traces hold no silent slots (LockedObserver
+// drops them), so sim/slots counts *active* slots here, not total ticks.
 func countEvent(c *metrics.Counters, ev sim.SlotEvent) {
 	c.Add("sim/slots", 1)
 	c.Add("sim/tx", int64(len(ev.Transmitters)))

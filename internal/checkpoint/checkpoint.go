@@ -24,9 +24,8 @@
 // it. There is no in-place mutation anywhere, so no write can corrupt an
 // already-committed record.
 //
-// FAILED grid cells are deliberately never stored: the self-healing retry
-// path in internal/experiment must re-run them fresh on resume rather than
-// replay the failure.
+// FAILED grid cells are deliberately never stored: a resumed run recomputes
+// them rather than replaying the failure.
 package checkpoint
 
 import (
@@ -70,15 +69,12 @@ func KeyOf(experiment, label, schema string) Key {
 }
 
 // Record is one committed cell result: identity, the gob-encoded cell
-// value, the cell's (timing-zeroed, hence deterministic) metrics snapshot,
-// and how many attempts the cell took when it was computed — replayed on a
-// cache hit so resumed run manifests match uninterrupted ones byte for
-// byte.
+// value and the cell's (timing-zeroed, hence deterministic) metrics
+// snapshot.
 type Record struct {
 	Experiment string
 	Label      string
 	Schema     string
-	Attempts   int
 	// Value is the gob encoding of the cell's typed result.
 	Value []byte
 	// Metrics is the JSON encoding of the cell's metrics.Snapshot with
@@ -449,8 +445,6 @@ func (s *Store) Hash() string {
 		h := sha256.New()
 		h.Write(k[:])
 		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(rec.Attempts))
-		h.Write(n[:])
 		binary.LittleEndian.PutUint64(n[:], uint64(len(rec.Value)))
 		h.Write(n[:])
 		h.Write(rec.Value)

@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
+	"context"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,12 +12,11 @@ import (
 	"testing"
 )
 
-func testRecord(exp, label string, attempts int, value []byte) Record {
+func testRecord(exp, label string, value []byte) Record {
 	return Record{
 		Experiment: exp,
 		Label:      label,
 		Schema:     "v1|test",
-		Attempts:   attempts,
 		Value:      value,
 		Metrics:    []byte(`{"counters":[{"name":"sim/tx","value":3}]}`),
 	}
@@ -34,9 +36,9 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		testRecord("table1", "row=0 seed=0", 1, []byte{1, 2, 3}),
-		testRecord("table1", "row=0 seed=1", 2, []byte{4, 5}),
-		testRecord("figure3", "row=1 seed=0", 1, []byte{6}),
+		testRecord("table1", "row=0 seed=0", []byte{1, 2, 3}),
+		testRecord("table1", "row=0 seed=1", []byte{4, 5}),
+		testRecord("figure3", "row=1 seed=0", []byte{6}),
 	}
 	for _, r := range recs {
 		mustPut(t, s, r)
@@ -72,13 +74,67 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResumeReplaysRecordWithAttempts: stores written while Record still
+// carried an Attempts field keep replaying. gob matches struct fields by
+// name and skips the ones the destination lacks, so the old frame resumes
+// intact, serves JoinFlight without making the caller leader, and hashes
+// like a record of the same content written today.
+func TestResumeReplaysRecordWithAttempts(t *testing.T) {
+	type oldRecord struct {
+		Experiment, Label, Schema string
+		Attempts                  int
+		Value, Metrics            []byte
+	}
+	want := testRecord("table1", "row=0 seed=0", []byte{1, 2, 3})
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(oldRecord{
+		Experiment: want.Experiment, Label: want.Label, Schema: want.Schema,
+		Attempts: 2, Value: want.Value, Metrics: want.Metrics,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, err := CreateJournal(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Resume(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.TornBytes != 0 || st.Records != 1 {
+		t.Fatalf("old record not recovered whole: %+v", st)
+	}
+	rec, leader := s.JoinFlight(context.Background(), want.Key())
+	if leader || rec == nil || !reflect.DeepEqual(*rec, want) {
+		t.Fatalf("JoinFlight = (%+v, leader=%v), want the old record replayed", rec, leader)
+	}
+	fresh, err := Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	mustPut(t, fresh, want)
+	if s.Hash() != fresh.Hash() {
+		t.Fatalf("old record hashes %s, the same content written now %s", s.Hash(), fresh.Hash())
+	}
+}
+
 func TestCreateDiscardsExistingJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPut(t, s, testRecord("table1", "row=0 seed=0", 1, []byte{1}))
+	mustPut(t, s, testRecord("table1", "row=0 seed=0", []byte{1}))
 	s.Close()
 
 	fresh, err := Create(dir)
@@ -100,7 +156,7 @@ func TestResumeMissingJournal(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("empty dir resumed with %d records", s.Len())
 	}
-	mustPut(t, s, testRecord("table1", "row=0 seed=0", 1, []byte{1}))
+	mustPut(t, s, testRecord("table1", "row=0 seed=0", []byte{1}))
 }
 
 // TestTornWriteRecovery is the atomicity contract: truncating the journal
@@ -114,8 +170,8 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := []Record{
-		testRecord("table1", "row=0 seed=0", 1, []byte{1, 2, 3}),
-		testRecord("table1", "row=0 seed=1", 1, []byte{4, 5, 6}),
+		testRecord("table1", "row=0 seed=0", []byte{1, 2, 3}),
+		testRecord("table1", "row=0 seed=1", []byte{4, 5, 6}),
 	}
 	for _, r := range kept {
 		mustPut(t, s, r)
@@ -125,7 +181,7 @@ func TestTornWriteRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := testRecord("table1", "row=1 seed=0", 1, []byte{7, 8, 9})
+	victim := testRecord("table1", "row=1 seed=0", []byte{7, 8, 9})
 	mustPut(t, s, victim)
 	s.Close()
 	full, err := os.ReadFile(path)
@@ -183,14 +239,14 @@ func TestCorruptMiddleDropsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := testRecord("table1", "row=0 seed=0", 1, []byte{1})
+	first := testRecord("table1", "row=0 seed=0", []byte{1})
 	mustPut(t, s, first)
 	path := filepath.Join(dir, journalName)
 	prefix, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := testRecord("table1", "row=0 seed=1", 1, []byte{2})
+	second := testRecord("table1", "row=0 seed=1", []byte{2})
 	mustPut(t, s, second)
 	s.Close()
 	data, err := os.ReadFile(path)
@@ -231,7 +287,7 @@ func TestConcurrentPuts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				rec := testRecord("table1", labelFor(w, i), 1, []byte{byte(w), byte(i)})
+				rec := testRecord("table1", labelFor(w, i), []byte{byte(w), byte(i)})
 				if err := s.Put(rec); err != nil {
 					t.Error(err)
 					return
@@ -330,7 +386,7 @@ func TestPutAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := s.Put(testRecord("t", "l", 1, nil)); err == nil {
+	if err := s.Put(testRecord("t", "l", nil)); err == nil {
 		t.Fatal("Put after Close must fail")
 	}
 	if st := s.Stats(); st.Errors != 1 {
@@ -381,7 +437,7 @@ func TestPutOversizedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rec := testRecord("e", "big", 1, make([]byte, maxPayload+1))
+	rec := testRecord("e", "big", make([]byte, maxPayload+1))
 	if err := s.Put(rec); err == nil {
 		t.Fatal("oversized record must be rejected")
 	}

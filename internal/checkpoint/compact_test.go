@@ -13,8 +13,8 @@ func TestCompactDropsAndSurvivesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := testRecord("table1", "row=0 seed=0", 1, []byte{1})
-	drop := testRecord("old", "row=9 seed=9", 1, []byte{2})
+	keep := testRecord("table1", "row=0 seed=0", []byte{1})
+	drop := testRecord("old", "row=9 seed=9", []byte{2})
 	mustPut(t, s, keep)
 	mustPut(t, s, drop)
 
@@ -40,7 +40,7 @@ func TestCompactDropsAndSurvivesResume(t *testing.T) {
 	}
 
 	// Appends after a compaction must land in the rewritten journal.
-	after := testRecord("table1", "row=1 seed=0", 1, []byte{3})
+	after := testRecord("table1", "row=1 seed=0", []byte{3})
 	mustPut(t, s, after)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestCompactKeepAllSqueezesDuplicateFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := testRecord("table1", "row=0 seed=0", 1, []byte{1, 2, 3})
+	rec := testRecord("table1", "row=0 seed=0", []byte{1, 2, 3})
 	for i := 0; i < 5; i++ {
 		mustPut(t, s, rec) // same key: 5 frames, 1 live record
 	}
@@ -98,8 +98,8 @@ func TestRewriteCrashStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := testRecord("old", "row=0 seed=0", 1, []byte{1})
-	kept := testRecord("table1", "row=0 seed=0", 1, []byte{2})
+	old := testRecord("old", "row=0 seed=0", []byte{1})
+	kept := testRecord("table1", "row=0 seed=0", []byte{2})
 	mustPut(t, s, old)
 	mustPut(t, s, kept)
 
@@ -173,7 +173,7 @@ func TestConcurrentPutsDuringCompactAllSurvive(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				rec := testRecord("table1", labelFor(w, i), 1, []byte{byte(w), byte(i)})
+				rec := testRecord("table1", labelFor(w, i), []byte{byte(w), byte(i)})
 				mustPutConcurrent(t, s, rec)
 				if i%5 == 0 {
 					if _, err := s.Compact(nil); err != nil {

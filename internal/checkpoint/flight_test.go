@@ -18,7 +18,7 @@ func TestSingleFlightOneLeaderFansOut(t *testing.T) {
 	}
 	defer s.Close()
 
-	rec := testRecord("table1", "row=0 seed=0", 1, []byte{42})
+	rec := testRecord("table1", "row=0 seed=0", []byte{42})
 	k := rec.Key()
 	const n = 8
 	var leaders, served atomic.Int64
@@ -135,7 +135,7 @@ func TestSingleFlightCommittedRecordShortCircuits(t *testing.T) {
 	}
 	defer s.Close()
 
-	rec := testRecord("table1", "row=0 seed=0", 1, []byte{7})
+	rec := testRecord("table1", "row=0 seed=0", []byte{7})
 	mustPut(t, s, rec)
 	got, leader := s.JoinFlight(context.Background(), rec.Key())
 	if leader || got == nil {

@@ -16,7 +16,7 @@ import (
 func FuzzCheckpointDecode(f *testing.F) {
 	valid, err := encodeFrame(&Record{
 		Experiment: "table1", Label: "row=0 seed=0", Schema: "v1|s",
-		Attempts: 1, Value: []byte{1, 2, 3},
+		Value:   []byte{1, 2, 3},
 		Metrics: []byte(`{"counters":[{"name":"c","value":1}]}`),
 	})
 	if err != nil {
@@ -48,8 +48,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if !ok2 || n2 != int64(len(enc)) {
 				t.Fatalf("re-encoded frame rejected (ok=%v n=%d len=%d)", ok2, n2, len(enc))
 			}
-			if rec2.Key() != rec.Key() || rec2.Attempts != rec.Attempts {
-				t.Fatalf("identity changed across re-encode: %v vs %v", rec.Key(), rec2.Key())
+			if rec2.Key() != rec.Key() || !bytes.Equal(rec2.Value, rec.Value) {
+				t.Fatalf("record changed across re-encode: %+v vs %+v", rec, rec2)
 			}
 		}
 

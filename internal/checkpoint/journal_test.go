@@ -214,7 +214,7 @@ func TestStoreSyncFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(Record{Experiment: "e", Label: "l", Schema: "s", Attempts: 1, Value: []byte{42}}); err != nil {
+	if err := s.Put(Record{Experiment: "e", Label: "l", Schema: "s", Value: []byte{42}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {

@@ -221,14 +221,12 @@ func reflect(x, side float64) float64 {
 
 // DegreeTracker accumulates the dynamic degree Δ^ρ_v(t,t') of Section 4:
 // the size of the union over the observation window of the victim's in-ball
-// D^ρ_v(r), counting every distinct node (and every fresh arrival generation)
-// that ever entered the vicinity.
+// D^ρ_v(r), counting every entry into the vicinity — a node that leaves and
+// comes back is a fresh arrival and counts again.
 type DegreeTracker struct {
 	victim int
 	radius float64
-	seen   map[int]bool
 	count  int
-	gen    map[int]int // how many times we've seen node v depart
 	inside map[int]bool
 }
 
@@ -237,8 +235,6 @@ func NewDegreeTracker(victim int, radius float64) *DegreeTracker {
 	return &DegreeTracker{
 		victim: victim,
 		radius: radius,
-		seen:   make(map[int]bool),
-		gen:    make(map[int]int),
 		inside: make(map[int]bool),
 	}
 }
@@ -249,16 +245,7 @@ func (d *DegreeTracker) Observe(s *sim.Sim) {
 	for v := 0; v < s.N(); v++ {
 		in := v != d.victim && s.Alive(v) && sp.Dist(v, d.victim) < d.radius
 		if in && !d.inside[v] {
-			// (Re-)entry: arrivals after a departure count again, matching
-			// the union-of-node-instances definition.
-			key := v
-			if !d.seen[key] || d.gen[v] > 0 {
-				d.count++
-			}
-			d.seen[key] = true
-		}
-		if !in && d.inside[v] {
-			d.gen[v]++
+			d.count++
 		}
 		d.inside[v] = in
 	}

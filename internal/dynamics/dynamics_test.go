@@ -234,6 +234,39 @@ func TestDegreeTrackerStatic(t *testing.T) {
 	}
 }
 
+// A node that walks out of the vicinity and back is a fresh arrival each
+// time it re-enters: two round trips count it three times in all.
+func TestDegreeTrackerCountsReentry(t *testing.T) {
+	s := newSim(t, 100, true)
+	sp := s.Space().(*metric.Euclidean)
+	walker, far := -1, -1
+	for v := 1; v < 100; v++ {
+		if d := sp.Dist(v, 0); d < 10 && walker == -1 {
+			walker = v
+		} else if d > 20 && far == -1 {
+			far = v
+		}
+	}
+	if walker == -1 || far == -1 {
+		t.Skip("no vicinity neighbour or far node in this draw")
+	}
+	home, away := sp.Point(walker), sp.Point(far)
+	tr := NewDegreeTracker(0, 10)
+	tr.Observe(s)
+	base := tr.Degree()
+	for trip := 1; trip <= 2; trip++ {
+		for _, p := range []geom.Point{away, home} {
+			if err := s.Move(walker, p); err != nil {
+				t.Fatal(err)
+			}
+			tr.Observe(s)
+		}
+		if got := tr.Degree(); got != base+trip {
+			t.Fatalf("after %d round trip(s): degree = %d, want %d", trip, got, base+trip)
+		}
+	}
+}
+
 func TestDegreeTrackerCountsArrivals(t *testing.T) {
 	s := newSim(t, 100, false)
 	tr := NewDegreeTracker(0, 10)

@@ -34,8 +34,6 @@ type Options struct {
 	// Zero disables deadlines. Deadline outcomes are machine-dependent, so
 	// leave this zero for golden/recorded runs.
 	CellTimeout time.Duration
-	// Retries is the per-cell retry budget after a panic or timeout.
-	Retries int
 	// Report receives every failing cell with its (experiment, cell, seed)
 	// identity, the failure counters and every cell's timing; the remaining
 	// cells complete either way. With a nil Report the grid keeps a private
@@ -47,11 +45,11 @@ type Options struct {
 	Name string
 	// Metrics, when non-nil, is the run-level registry. The grid times
 	// every cell into it ("grid/cell" timer, "grid/cells" counter) and
-	// gives each cell attempt a private registry, which every simulator a
-	// runner builds with o.newSim reports into and which merges here when
-	// the attempt succeeds. All metric updates are commutative, so snapshots
-	// (modulo timing fields) are byte-identical across Workers counts —
-	// pinned by TestMetricsWorkersDeterminism.
+	// gives each cell a private registry, which every simulator a runner
+	// builds with o.newSim reports into and which merges here when the cell
+	// succeeds. All metric updates are commutative, so snapshots (modulo
+	// timing fields) are byte-identical across Workers counts — pinned by
+	// TestMetricsWorkersDeterminism.
 	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every simulator slot event of every
 	// grid cell (o.newSim threads it alongside Metrics). Cells run on
@@ -66,8 +64,8 @@ type Options struct {
 	Progress func(Progress)
 	// Checkpoint, when non-nil, attaches a content-addressed cell-result
 	// store: the grid reads it once for each labelled cell (hits replay the
-	// stored value, metrics snapshot and attempt count instead of running
-	// the cell) and appends every freshly computed cell as it completes.
+	// stored value and metrics snapshot instead of running the cell) and
+	// appends every freshly computed cell as it completes.
 	// Results and manifests are byte-identical with or without a store, and
 	// across any interrupt/resume pattern — see grid.go and
 	// internal/checkpoint. FAILED cells are never stored.

@@ -41,34 +41,34 @@ import (
 // The scheduler is self-healing: a panicking or deadline-overrunning cell
 // never aborts the run. The failure is attributed to its (experiment, cell
 // index, label) identity — labels carry the (row, seed) grid coordinates —
-// retried within Options.Retries, and finally recorded in a RunReport while
-// every other cell completes. The report is the caller's Options.Report,
-// whose failures the rendered output marks as explicit FAILED(...) lines;
-// without one, Run keeps a private report and, once every cell has run,
-// panics with the lowest failing cell index, so even failures are
-// deterministic.
+// and recorded in a RunReport while every other cell completes. A cell runs
+// once: it is a pure function of its coordinates, so a panic would repeat.
+// The report is the caller's Options.Report, whose failures the rendered
+// output marks as explicit FAILED(...) lines; without one, Run keeps a
+// private report and, once every cell has run, panics with the lowest
+// failing cell index, so even failures are deterministic.
 //
-// Every attempt records into a private metrics registry, merged into
-// Options.Metrics only when the attempt succeeds: a failed attempt's
-// partial instrumentation never reaches the run totals, and each cell's
-// own snapshot is exact, which is what a checkpoint record stores.
+// Every cell records into a private metrics registry, merged into
+// Options.Metrics only when the cell succeeds: a failed cell's partial
+// instrumentation never reaches the run totals, and each cell's own
+// snapshot is exact, which is what a checkpoint record stores.
 //
 // With Options.Checkpoint set the scheduler is additionally resumable: the
 // purity of cells makes their results perfectly cacheable, so the worker
 // that takes a labelled cell first reads the content-addressed store (key:
 // experiment id, grid label, and a schema string covering the result type
 // shape and the options that scale cell values). A hit replays the stored
-// result, the cell's metrics snapshot and its original attempt count into
-// the cell's declaration-order slot — registry merges are commutative, so
-// which worker replays a cell, and when, is unobservable — and a miss runs
-// the cell and appends it to the store the moment it completes, so an
-// interrupted sweep loses at most the cells in flight. FAILED cells are
-// never stored, keeping the self-healing retry path live across resumes.
+// result and the cell's metrics snapshot into the cell's declaration-order
+// slot — registry merges are commutative, so which worker replays a cell,
+// and when, is unobservable — and a miss runs the cell and appends it to the
+// store the moment it completes, so an interrupted sweep loses at most the
+// cells in flight. FAILED cells are never stored, so a resumed run
+// recomputes them.
 
 // Cell is one independent unit of an experiment grid: a closure returning
 // the typed measurements of a single (cell, seed) entry. The scheduler
 // passes in the Options the cell builds its simulators with (via
-// Options.newSim); they carry the attempt's private metrics registry, so
+// Options.newSim); they carry the cell's private metrics registry, so
 // the cell's instrumentation can be merged, stored and replayed on its own.
 type Cell[T any] func(o Options) T
 
@@ -96,29 +96,27 @@ func (g *Grid[T]) Len() int { return len(g.cells) }
 
 // Failure identifies one grid cell that produced no result: which
 // experiment, which cell (declaration index plus the runner's label, which
-// encodes the (row, seed) coordinates), how many attempts were made, and
-// why the last one died. An attempt reports its outcome as a Failure too,
-// before the retry loop fills in the identity.
+// encodes the (row, seed) coordinates), and why it died. attempt reports
+// its outcome as a Failure too, before runCell fills in the identity.
 type Failure struct {
 	Experiment string
 	Cell       int
 	Label      string
-	Attempts   int
 	// Reason is the first line of the panic value, or the deadline message
 	// for cells that overran their CellTimeout.
 	Reason string
-	// Stack is the goroutine stack of the last panicking attempt; empty
-	// for timeouts. It is kept out of rendered output (stacks are not
+	// Stack is the goroutine stack of the panicking cell; empty for
+	// timeouts. It is kept out of rendered output (stacks are not
 	// byte-stable) but available for debugging.
 	Stack string
 	// timeout marks a deadline overrun; it counts as a cell-timeout rather
 	// than a cell-panic.
 	timeout bool
-	// cancelled marks an attempt that ended on a sim.Cancelled panic. When
-	// the run's Options.Context fired, the cell is neither recorded as
-	// FAILED nor retried — Run raises a Cancelled panic once in-flight cells
-	// have drained; otherwise the cell's own deadline stopped it, and the
-	// retry loop turns it into a timeout.
+	// cancelled marks a cell that ended on a sim.Cancelled panic. When the
+	// run's Options.Context fired, the cell is not recorded as FAILED — Run
+	// raises a Cancelled panic once in-flight cells have drained; otherwise
+	// the cell's own deadline stopped it, and runCell turns it into a
+	// timeout.
 	cancelled bool
 }
 
@@ -133,8 +131,7 @@ func (f Failure) String() string {
 	if label == "" {
 		label = "?"
 	}
-	return fmt.Sprintf("FAILED(%s cell %d [%s] after %d attempt(s)): %s",
-		exp, f.Cell, label, f.Attempts, f.Reason)
+	return fmt.Sprintf("FAILED(%s cell %d [%s]): %s", exp, f.Cell, label, f.Reason)
 }
 
 // RunReport collects the failures and failure counters of self-healing grid
@@ -177,8 +174,7 @@ func (r *RunReport) Failures() []Failure {
 	return out
 }
 
-// Counters exposes the failure counters ("cell-panics", "cell-timeouts",
-// "cell-retries", "cell-recovered").
+// Counters exposes the failure counters ("cell-panics", "cell-timeouts").
 func (r *RunReport) Counters() *metrics.Counters { return r.counters }
 
 func (r *RunReport) addTiming(ct metrics.CellTiming) {
@@ -191,8 +187,7 @@ func (r *RunReport) addTiming(ct metrics.CellTiming) {
 // this report, sorted by (experiment, cell index) so manifests are
 // deterministic regardless of worker scheduling; like Failures the sort is
 // stable so duplicate identities cannot reorder across runs. Wall-clock
-// fields are machine-dependent; everything else (identity, attempts,
-// failed) is not.
+// fields are machine-dependent; everything else (identity, failed) is not.
 func (r *RunReport) Timings() []metrics.CellTiming {
 	r.mu.Lock()
 	out := append([]metrics.CellTiming(nil), r.timings...)
@@ -268,7 +263,7 @@ func cellSchema[T any](o Options) string {
 		checkpoint.SchemaOf(reflect.TypeOf((*T)(nil)).Elem()))
 }
 
-// recoverFail maps a recovered panic value to an attempt's Failure: a
+// recoverFail maps a recovered panic value to a cell's Failure: a
 // sim.Cancelled sentinel becomes a cancellation outcome (no stack — it is
 // an expected control transfer, not a bug), anything else a genuine cell
 // panic.
@@ -336,12 +331,19 @@ func heapAllocBytes() int64 {
 	return 0
 }
 
-// runCell evaluates cell i with o's deadline and retry budget, storing the
-// result into out on success. It returns the attributed failure once the
-// budget is exhausted, nil on success. Under a checkpoint store a labelled
-// cell is first served from the store when it holds the cell's record, and
-// a successfully computed one is appended to it together with its metrics
-// snapshot and attempt count.
+// runCell evaluates cell i once under o's deadline, storing the result into
+// out on success. It returns the attributed failure, nil on success. Under a
+// checkpoint store a labelled cell is first served from the store when it
+// holds the cell's record, and a successfully computed one is appended to it
+// together with its metrics snapshot.
+//
+// The cell records into a fresh registry merged into the shared one only on
+// success, so a failed cell's partial instrumentation never leaks into the
+// run totals or the store. It runs under its own context (see cellContext):
+// a deadline overrun stops the simulation cooperatively and counts as a
+// timeout, while a run-level cancellation under HardCancel returns a
+// cancelled failure that Run translates into a Cancelled panic rather than
+// a FAILED record.
 func (g *Grid[T]) runCell(i int, o Options, schema string, out []T) *Failure {
 	stored := o.Checkpoint != nil && g.labels[i] != ""
 	if stored {
@@ -365,15 +367,40 @@ func (g *Grid[T]) runCell(i int, o Options, schema string, out []T) *Failure {
 	}
 	start := time.Now()
 	var alloc0 int64
+	co := o
 	if o.Metrics != nil {
 		alloc0 = heapAllocBytes()
+		co.Metrics = metrics.NewRegistry()
 	}
-	f, attempts, cellReg := g.runCellAttempts(i, o, out)
-	if f != nil && f.cancelled {
-		// A run-cancelled cell neither completed nor failed: it leaves no
-		// timing record, no FAILED marker and no checkpoint entry, and is
-		// recomputed by the resumed run.
-		return f
+	ctx, cancel := cellContext(o)
+	co.Context = ctx
+	val, f := g.attempt(i, co, o.CellTimeout)
+	if cancel != nil {
+		cancel()
+	}
+	if f == nil {
+		out[i] = val
+		if o.Metrics != nil {
+			o.Metrics.MergeSnapshot(co.Metrics.Snapshot())
+		}
+	} else {
+		f.Experiment, f.Cell, f.Label = o.Name, i, g.labels[i]
+		if f.cancelled {
+			if o.Context != nil && o.Context.Err() != nil {
+				// A run-cancelled cell neither completed nor failed: it
+				// leaves no timing record, no FAILED marker and no
+				// checkpoint entry, and is recomputed by the resumed run.
+				return f
+			}
+			// The cell's own deadline stopped the simulation before the
+			// scheduler's timer fired; treat it exactly like a timeout.
+			f.cancelled, f.timeout = false, true
+		}
+		if f.timeout {
+			o.Report.counters.Add("cell-timeouts", 1)
+		} else {
+			o.Report.counters.Add("cell-panics", 1)
+		}
 	}
 	wall := time.Since(start)
 	var allocs int64
@@ -381,13 +408,12 @@ func (g *Grid[T]) runCell(i int, o Options, schema string, out []T) *Failure {
 		allocs = heapAllocBytes() - alloc0
 	}
 	g.account(i, o, metrics.CellTiming{
-		Attempts:   attempts,
 		Failed:     f != nil,
 		WallNs:     int64(wall),
 		AllocBytes: allocs,
 	})
 	if f == nil && stored {
-		g.storeCell(i, o, schema, cellReg, attempts, out)
+		g.storeCell(i, o, schema, co.Metrics, out)
 	}
 	return f
 }
@@ -410,7 +436,7 @@ func (g *Grid[T]) account(i int, o Options, ct metrics.CellTiming) {
 // store. Storage failures are counted in the store's session stats and
 // otherwise ignored: the run already holds the correct value, the cell is
 // simply not cached.
-func (g *Grid[T]) storeCell(i int, o Options, schema string, cellReg *metrics.Registry, attempts int, out []T) {
+func (g *Grid[T]) storeCell(i int, o Options, schema string, cellReg *metrics.Registry, out []T) {
 	value, err := checkpoint.EncodeValue(&out[i])
 	if err != nil {
 		o.Checkpoint.NoteError()
@@ -432,7 +458,6 @@ func (g *Grid[T]) storeCell(i int, o Options, schema string, cellReg *metrics.Re
 		Experiment: o.Name,
 		Label:      g.labels[i],
 		Schema:     schema,
-		Attempts:   attempts,
 		Value:      value,
 		Metrics:    snap,
 	})
@@ -440,9 +465,9 @@ func (g *Grid[T]) storeCell(i int, o Options, schema string, cellReg *metrics.Re
 
 // replayCell serves cell i from its checkpoint record: the stored value
 // lands in the cell's declaration-order slot, the stored metrics snapshot
-// merges into the run registry, and the cell is accounted with its original
-// attempt count, exactly as a live run would account it. A decode failure
-// reports false and the cell runs fresh.
+// merges into the run registry, and the cell is accounted exactly as a live
+// run would account it. A decode failure reports false and the cell runs
+// fresh.
 func (g *Grid[T]) replayCell(i int, o Options, rec *checkpoint.Record, out []T) bool {
 	var val T
 	if err := checkpoint.DecodeValue(rec.Value, &val); err != nil {
@@ -458,13 +483,13 @@ func (g *Grid[T]) replayCell(i int, o Options, rec *checkpoint.Record, out []T) 
 		o.Metrics.MergeSnapshot(&snap)
 	}
 	out[i] = val
-	g.account(i, o, metrics.CellTiming{Attempts: rec.Attempts})
+	g.account(i, o, metrics.CellTiming{})
 	return true
 }
 
-// cellContext derives the context one cell attempt runs under: the run
-// context when HardCancel propagates it, tightened by the per-cell deadline
-// when one is set. The returned cancel func must be called when the attempt
+// cellContext derives the context one cell runs under: the run context
+// when HardCancel propagates it, tightened by the per-cell deadline when
+// one is set. The returned cancel func must be called when the cell
 // resolves; both returns are nil when the cell needs no context at all.
 func cellContext(o Options) (context.Context, context.CancelFunc) {
 	var base context.Context
@@ -478,65 +503,6 @@ func cellContext(o Options) (context.Context, context.CancelFunc) {
 		base = context.Background()
 	}
 	return context.WithTimeout(base, o.CellTimeout)
-}
-
-// runCellAttempts is runCell's retry loop, returning the final failure (nil
-// on success), the number of attempts actually made, and the private
-// registry the successful attempt recorded into (nil without o.Metrics).
-// Each attempt gets a fresh registry merged into the shared one only on
-// success, so a failed attempt's partial instrumentation never leaks into
-// the run totals or the store.
-//
-// Each attempt runs under its own context (see cellContext): a deadline
-// overrun stops the simulation cooperatively and is retried like any
-// timeout, while a run-level cancellation under HardCancel ends the loop
-// immediately with a cancelled failure that Run translates into a Cancelled
-// panic rather than a FAILED record.
-func (g *Grid[T]) runCellAttempts(i int, o Options, out []T) (*Failure, int, *metrics.Registry) {
-	attempts := max(1+o.Retries, 1)
-	var f *Failure
-	for a := 1; a <= attempts; a++ {
-		co := o
-		if o.Metrics != nil {
-			co.Metrics = metrics.NewRegistry()
-		}
-		ctx, cancel := cellContext(o)
-		co.Context = ctx
-		var val T
-		val, f = g.attempt(i, co, o.CellTimeout)
-		if cancel != nil {
-			cancel()
-		}
-		if f == nil {
-			out[i] = val
-			if o.Metrics != nil {
-				o.Metrics.MergeSnapshot(co.Metrics.Snapshot())
-			}
-			if a > 1 {
-				o.Report.counters.Add("cell-recovered", 1)
-			}
-			return nil, a, co.Metrics
-		}
-		f.Experiment, f.Cell, f.Label, f.Attempts = o.Name, i, g.labels[i], a
-		if f.cancelled {
-			if o.Context != nil && o.Context.Err() != nil {
-				// The run itself was cancelled; surface that, untallied.
-				return f, a, nil
-			}
-			// The cell's own deadline stopped the simulation before the
-			// scheduler's timer fired; treat it exactly like a timeout.
-			f.cancelled, f.timeout = false, true
-		}
-		if f.timeout {
-			o.Report.counters.Add("cell-timeouts", 1)
-		} else {
-			o.Report.counters.Add("cell-panics", 1)
-		}
-		if a < attempts {
-			o.Report.counters.Add("cell-retries", 1)
-		}
-	}
-	return f, attempts, nil
 }
 
 // Run evaluates every cell and returns the results in declaration order.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,13 +149,13 @@ func TestGridHealsPanic(t *testing.T) {
 		}
 		f := fails[0]
 		if f.Experiment != "table99" || f.Cell != 3 || f.Label != "row=3 seed=0" ||
-			f.Reason != "boom" || f.Attempts != 1 {
+			f.Reason != "boom" {
 			t.Fatalf("workers=%d: failure identity wrong: %+v", workers, f)
 		}
 		if f.Stack == "" {
 			t.Fatalf("workers=%d: panic failure must carry a stack", workers)
 		}
-		want := "FAILED(table99 cell 3 [row=3 seed=0] after 1 attempt(s)): boom"
+		want := "FAILED(table99 cell 3 [row=3 seed=0]): boom"
 		if f.String() != want {
 			t.Fatalf("workers=%d: marker %q, want %q", workers, f.String(), want)
 		}
@@ -214,16 +215,14 @@ func TestGridDeadlineCancelsStuckCell(t *testing.T) {
 	}
 }
 
-// A flaky cell succeeds within its retry budget and is not reported as a
-// failure; one that keeps panicking exhausts the budget with the attempt
-// count recorded.
-func TestGridRetryBudget(t *testing.T) {
-	var flakyCalls, brokenCalls atomic.Int64
+// A cell is a pure function of its coordinates, so a panic would repeat:
+// the grid calls a panicking cell's closure once, records it as FAILED, and
+// counts one cell-panic and nothing else.
+func TestGridCellRunsOnce(t *testing.T) {
+	var okCalls, brokenCalls atomic.Int64
 	var g Grid[int]
-	g.AddLabeled("flaky", func(Options) int {
-		if flakyCalls.Add(1) == 1 {
-			panic("transient")
-		}
+	g.AddLabeled("ok", func(Options) int {
+		okCalls.Add(1)
 		return 7
 	})
 	g.AddLabeled("broken", func(Options) int {
@@ -231,23 +230,19 @@ func TestGridRetryBudget(t *testing.T) {
 		panic("permanent")
 	})
 	report := NewRunReport()
-	res := g.Run(Options{Workers: 1, Retries: 2, Report: report, Name: "retry"})
-	if res[0] != 7 {
-		t.Fatalf("flaky cell = %d, want 7 after retry", res[0])
+	res := g.Run(Options{Workers: 1, Report: report, Name: "once"})
+	if res[0] != 7 || res[1] != 0 {
+		t.Fatalf("results = %v, want [7 0]", res)
 	}
-	if flakyCalls.Load() != 2 || brokenCalls.Load() != 3 {
-		t.Fatalf("attempts: flaky=%d broken=%d, want 2 and 3",
-			flakyCalls.Load(), brokenCalls.Load())
+	if okCalls.Load() != 1 || brokenCalls.Load() != 1 {
+		t.Fatalf("calls: ok=%d broken=%d, want 1 and 1", okCalls.Load(), brokenCalls.Load())
 	}
 	fails := report.Failures()
-	if len(fails) != 1 || fails[0].Cell != 1 || fails[0].Attempts != 3 ||
-		fails[0].Reason != "permanent" {
+	if len(fails) != 1 || fails[0].Cell != 1 || fails[0].Reason != "permanent" {
 		t.Fatalf("wrong failures: %+v", fails)
 	}
-	c := report.Counters()
-	if c.Get("cell-recovered") != 1 || c.Get("cell-panics") != 4 ||
-		c.Get("cell-retries") != 3 {
-		t.Fatalf("counters wrong: %s", c)
+	if got := report.Counters().Map(); !reflect.DeepEqual(got, map[string]int64{"cell-panics": 1}) {
+		t.Fatalf("counters = %v, want only cell-panics=1", got)
 	}
 }
 

@@ -19,7 +19,6 @@ func BuildManifest(ids []string, o Options, report *RunReport, wall time.Duratio
 	m.SetConfig("quick", o.Quick)
 	m.SetConfig("seeds", o.Seeds)
 	m.SetConfig("workers", o.Workers)
-	m.SetConfig("retries", o.Retries)
 	m.SetConfig("cell-timeout", o.CellTimeout)
 	m.WallNs = int64(wall)
 	if o.Metrics != nil {
@@ -42,16 +41,6 @@ func BuildManifest(ids []string, o Options, report *RunReport, wall time.Duratio
 			TornBytes: st.TornBytes,
 			Records:   st.Records,
 			StoreHash: cp.Hash(),
-		}
-		// Mirror the traffic as checkpoint/* counters so counter-oriented
-		// tooling sees cache behaviour next to the run-report counters.
-		// Traffic describes run *history*, not run content, so
-		// Manifest.ZeroTimings drops the prefix (see metrics.CheckpointInfo).
-		m.Counters["checkpoint/hits"] = st.Hits
-		m.Counters["checkpoint/misses"] = st.Misses
-		m.Counters["checkpoint/stores"] = st.Stores
-		if st.Errors > 0 {
-			m.Counters["checkpoint/errors"] = st.Errors
 		}
 	}
 	return m

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"udwn/internal/checkpoint"
@@ -204,7 +203,6 @@ func TestCacheHitsPreserveDeclarationOrder(t *testing.T) {
 				Experiment: "order",
 				Label:      fmt.Sprintf("cell=%d", i),
 				Schema:     schema,
-				Attempts:   1,
 				Value:      value,
 			}); err != nil {
 				t.Fatal(err)
@@ -259,30 +257,30 @@ func TestRunReportFailureOrderDeterministic(t *testing.T) {
 	}
 }
 
-// A cell whose first attempt panics after recording and whose retry
-// succeeds must leave the same metrics with or without a checkpoint store:
-// every attempt records into its own registry, merged only on success, so
-// the failed attempt's counts never reach the run totals.
-func TestRetriedCellMetricsIndependentOfStore(t *testing.T) {
+// A cell that panics after recording must leave the same metrics with or
+// without a checkpoint store: every cell records into its own registry,
+// merged only on success, so the failed cell's counts never reach the run
+// totals.
+func TestFailedCellMetricsIndependentOfStore(t *testing.T) {
 	run := func(store *checkpoint.Store) string {
-		var calls atomic.Int64
 		var g Grid[int]
 		g.AddLabeled("row=0 seed=0", func(co Options) int {
 			co.Metrics.Counter("sim/slots").Add(10)
-			if calls.Add(1) == 1 {
-				panic("transient")
-			}
 			return 1
+		})
+		g.AddLabeled("row=0 seed=1", func(co Options) int {
+			co.Metrics.Counter("sim/slots").Add(7)
+			panic("permanent")
 		})
 		o := Options{
 			Workers:    1,
-			Retries:    1,
-			Name:       "retried",
+			Name:       "failed",
 			Metrics:    metrics.NewRegistry(),
+			Report:     NewRunReport(),
 			Checkpoint: store,
 		}
-		if got := g.Run(o); got[0] != 1 {
-			t.Fatalf("cell = %d, want 1 after its retry", got[0])
+		if got := g.Run(o); got[0] != 1 || len(o.Report.Failures()) != 1 {
+			t.Fatalf("cells = %v with failures %v, want cell 0 = 1 and cell 1 FAILED", got, o.Report.Failures())
 		}
 		return o.Metrics.Snapshot().ZeroTimings().String()
 	}
@@ -296,6 +294,6 @@ func TestRetriedCellMetricsIndependentOfStore(t *testing.T) {
 		t.Errorf("metrics differ:\n--- without a store ---\n%s--- with a store ---\n%s", without, with)
 	}
 	if !strings.Contains(without, "counter sim/slots = 10\n") {
-		t.Errorf("the failed attempt's counts reached the run totals:\n%s", without)
+		t.Errorf("the failed cell's counts reached the run totals:\n%s", without)
 	}
 }

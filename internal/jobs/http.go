@@ -223,13 +223,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	contentType := "application/octet-stream"
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "binary":
-		bw := trace.NewBinary(&buf)
-		bw.KeepSilent = true
-		tw = bw
+		tw = trace.NewBinary(&buf)
 	case "jsonl":
-		jw := trace.NewJSONL(&buf)
-		jw.KeepSilent = true
-		tw = jw
+		tw = trace.NewJSONL(&buf)
 		contentType = "application/x-ndjson"
 	default:
 		writeError(w, http.StatusBadRequest,

@@ -92,13 +92,11 @@ type Spec struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// The limits one submission may request, and the per-cell retry budget
-// every job grid runs with.
+// The limits one submission may request.
 const (
 	maxSeeds    = 64
 	maxRetries  = 5
 	maxDeadline = 15 * time.Minute
-	cellRetries = 1
 )
 
 // weight is the spec's admission cost against the server's in-flight

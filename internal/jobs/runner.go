@@ -37,9 +37,8 @@ type Runner func(ctx context.Context, spec Spec, rc RunContext) (string, error)
 
 // ExperimentRunner returns the production Runner: it executes the spec's
 // experiments in order on the experiment grid — gridWorkers concurrent
-// cells, the given per-cell deadline, cellRetries retries per cell —
-// writing through the shared checkpoint store so finished cells are
-// computed once daemon-wide.
+// cells under the given per-cell deadline — writing through the shared
+// checkpoint store so finished cells are computed once daemon-wide.
 // The grid runs with HardCancel: when ctx fires (deadline, drain past
 // grace, client cancel) in-flight simulations stop at their next tick,
 // completed cells stay checkpointed, and the attempt returns ctx's error.
@@ -58,7 +57,6 @@ func ExperimentRunner(gridWorkers int, cellTimeout time.Duration) Runner {
 			Quick:       spec.Quick,
 			Workers:     gridWorkers,
 			CellTimeout: cellTimeout,
-			Retries:     cellRetries,
 			Report:      experiment.NewRunReport(),
 			Checkpoint:  rc.Checkpoint,
 			Progress:    rc.Progress,

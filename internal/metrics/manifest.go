@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"strings"
 	"time"
 )
 
 // CellTiming is the per-cell cost record of one experiment grid cell: which
-// cell (by experiment id, declaration index and grid label), how many
-// attempts it took, and what it cost. WallNs and AllocBytes are timing
-// fields cleared by ZeroTimings; everything else is deterministic.
+// cell (by experiment id, declaration index and grid label), whether it
+// failed, and what it cost. WallNs and AllocBytes are timing fields cleared
+// by ZeroTimings; everything else is deterministic.
 // AllocBytes is the process-wide heap allocation delta over the cell, so
 // under concurrent workers it includes other cells' allocations — treat it
 // as a budget indicator, not an exact attribution.
@@ -20,7 +19,6 @@ type CellTiming struct {
 	Experiment string `json:"experiment"`
 	Cell       int    `json:"cell"`
 	Label      string `json:"label,omitempty"`
-	Attempts   int    `json:"attempts"`
 	Failed     bool   `json:"failed,omitempty"`
 	WallNs     int64  `json:"wall_ns"`
 	AllocBytes int64  `json:"alloc_bytes"`
@@ -121,11 +119,6 @@ func (m *Manifest) ZeroTimings() *Manifest {
 		m.Checkpoint.Stores = 0
 		m.Checkpoint.Errors = 0
 		m.Checkpoint.TornBytes = 0
-	}
-	for k := range m.Counters {
-		if strings.HasPrefix(k, "checkpoint/") {
-			delete(m.Counters, k)
-		}
 	}
 	return m
 }

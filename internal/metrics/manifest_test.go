@@ -18,10 +18,10 @@ func testManifest() *Manifest {
 	m.Metrics = r.Snapshot()
 	m.Counters = map[string]int64{"crashes": 2, "restarts": 2}
 	m.Cells = []CellTiming{
-		{Experiment: "table1", Cell: 0, Label: "row=0 seed=0", Attempts: 1, WallNs: 123, AllocBytes: 456},
-		{Experiment: "table1", Cell: 1, Label: "row=0 seed=1", Attempts: 2, Failed: true, WallNs: 99},
+		{Experiment: "table1", Cell: 0, Label: "row=0 seed=0", WallNs: 123, AllocBytes: 456},
+		{Experiment: "table1", Cell: 1, Label: "row=0 seed=1", Failed: true, WallNs: 99},
 	}
-	m.Failures = []string{"FAILED(table1 cell 1 [row=0 seed=1] after 2 attempt(s)): boom"}
+	m.Failures = []string{"FAILED(table1 cell 1 [row=0 seed=1]): boom"}
 	m.WallNs = 1e9
 	return m
 }
@@ -39,7 +39,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Tool != "test" || got.Config["seeds"] != "5" || got.Counters["crashes"] != 2 {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
-	if len(got.Cells) != 2 || got.Cells[1].Attempts != 2 || !got.Cells[1].Failed {
+	if len(got.Cells) != 2 || got.Cells[1].Label != "row=0 seed=1" || !got.Cells[1].Failed {
 		t.Fatalf("round trip lost cells: %+v", got.Cells)
 	}
 	if got.Metrics == nil || len(got.Metrics.Counters) != 1 || got.Metrics.Counters[0].Value != 42 {

@@ -78,8 +78,7 @@ var ErrEmptyTrace = errors.New("trace: empty trace (zero bytes)")
 var ErrTruncatedHeader = errors.New("trace: binary trace truncated inside the header")
 
 // Binary streams simulator slot events in the framed varint format. Like
-// JSONL, silent slots (no transmissions and no decodes) are skipped unless
-// KeepSilent is set, and errors are sticky and reported by Flush.
+// JSONL, errors are sticky and reported by Flush.
 type Binary struct {
 	w          io.Writer
 	err        error
@@ -92,7 +91,6 @@ type Binary struct {
 	scratch    []byte // frame assembly buffer, reused across flushes
 	ibuf       []byte // index payload assembly buffer, reused across flushes
 	summary    frameSummary
-	KeepSilent bool
 }
 
 // NewBinary returns a recorder writing to w. Nothing reaches w until the
@@ -100,13 +98,10 @@ type Binary struct {
 func NewBinary(w io.Writer) *Binary { return &Binary{w: w} }
 
 // Record packs one event into the pending frame; wire it to
-// sim.Config.Observer. The event's slices may alias simulator scratch — they
-// are consumed before Record returns.
+// sim.Config.Observer through LockedObserver. The event's slices may alias
+// simulator scratch — they are consumed before Record returns.
 func (b *Binary) Record(ev sim.SlotEvent) {
 	if b.err != nil {
-		return
-	}
-	if !b.KeepSilent && len(ev.Transmitters) == 0 && ev.Decodes == 0 {
 		return
 	}
 	b.n++

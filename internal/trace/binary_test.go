@@ -15,7 +15,8 @@ import (
 
 // randomEvents draws a deterministic sequence of arbitrary *valid* slot
 // events: non-negative fields, ascending ticks, id lists of varying length
-// (including empty). Silent slots are avoided so recorders keep every event.
+// (including empty). Silent slots are avoided: LockedObserver keeps them out
+// of every recorded trace.
 func randomEvents(seed uint64, n int) []sim.SlotEvent {
 	r := rng.New(seed)
 	events := make([]sim.SlotEvent, 0, n)
@@ -145,26 +146,44 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestBinarySkipsSilentSlots pins the writer to the JSONL recorder's silent
-// slot policy.
-func TestBinarySkipsSilentSlots(t *testing.T) {
+// checkSkipsSilentSlots pins the one owner of the silent-slot policy for
+// format f: the observer adapter drops a slot with no transmitter and no
+// decode, and the writer records every event it is given.
+func checkSkipsSilentSlots(t *testing.T, f Format) {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewBinary(&buf)
-	w.Record(sim.SlotEvent{Tick: 1})
-	w.Record(sim.SlotEvent{Tick: 2, Transmitters: []int{1}})
+	w, err := NewWriter(&buf, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := LockedObserver(w)
+	observe(sim.SlotEvent{Tick: 1})
+	observe(sim.SlotEvent{Tick: 2, Transmitters: []int{1}})
+	observe(sim.SlotEvent{Tick: 3, Decodes: 1})
+	if w.Events() != 2 {
+		t.Fatalf("%s: the observer passed %d events, want 2", f, w.Events())
+	}
+	w.Record(sim.SlotEvent{Tick: 4})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Events() != 1 {
-		t.Fatalf("silent slot recorded: %d events", w.Events())
+	events, _, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf2 bytes.Buffer
-	w2 := NewBinary(&buf2)
-	w2.KeepSilent = true
-	w2.Record(sim.SlotEvent{Tick: 1})
-	if w2.Events() != 1 {
-		t.Fatal("KeepSilent ignored")
+	var ticks []int
+	for _, ev := range events {
+		ticks = append(ticks, ev.Tick)
 	}
+	if !reflect.DeepEqual(ticks, []int{2, 3, 4}) {
+		t.Fatalf("%s: recorded ticks %v, want [2 3 4]", f, ticks)
+	}
+}
+
+// TestBinarySkipsSilentSlots: a binary trace recorded through LockedObserver
+// holds no silent slot.
+func TestBinarySkipsSilentSlots(t *testing.T) {
+	checkSkipsSilentSlots(t, FormatBinary)
 }
 
 // TestSchemaMismatch: a trace whose header carries a different schema hash

@@ -35,12 +35,13 @@ func ParseFormat(s string) (Format, error) {
 	return "", fmt.Errorf("trace: unknown format %q (want %q or %q)", s, FormatJSONL, FormatBinary)
 }
 
-// Writer is the format-independent slot-event recorder: wire Record to
-// sim.Config.Observer (or udwn.SimOptions.Observer), then Flush once the run
-// ends. Implementations are not safe for concurrent use; serialize
-// multi-worker recording with LockedObserver.
+// Writer is the format-independent slot-event recorder: wire it to
+// sim.Config.Observer (or udwn.SimOptions.Observer) through LockedObserver,
+// which drops silent slots and serializes multi-worker recording, then Flush
+// once the run ends. Implementations are not safe for concurrent use.
 type Writer interface {
-	// Record writes one event. Errors are sticky and reported by Flush.
+	// Record writes every event it is given, silent or not. Errors are
+	// sticky and reported by Flush.
 	Record(ev sim.SlotEvent)
 	// Events returns the number of events recorded so far.
 	Events() int
@@ -64,14 +65,19 @@ func NewWriter(w io.Writer, f Format) (Writer, error) {
 	return nil, fmt.Errorf("trace: unknown format %q", f)
 }
 
-// LockedObserver serializes a recorder behind a mutex so it can be wired as
-// the observer of simulations running on concurrent grid workers. Events
+// LockedObserver adapts a recorder into a simulator observer: it drops
+// silent slots (no transmitter and no decode), which carry nothing a trace
+// analysis reads, and serializes the rest behind a mutex so it can be wired
+// as the observer of simulations running on concurrent grid workers. Events
 // from different cells interleave in completion order (nondeterministic
 // across runs); aggregate analytics and the sorted canonical stream are
 // unaffected.
 func LockedObserver(w Writer) func(sim.SlotEvent) {
 	var mu sync.Mutex
 	return func(ev sim.SlotEvent) {
+		if len(ev.Transmitters) == 0 && ev.Decodes == 0 {
+			return
+		}
 		mu.Lock()
 		w.Record(ev)
 		mu.Unlock()

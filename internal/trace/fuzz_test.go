@@ -137,11 +137,9 @@ func FuzzTraceDecode(f *testing.F) {
 			}
 
 			// Round trip: re-encode the accepted sequence and decode it
-			// back. KeepSilent preserves fuzz-crafted all-zero events the
-			// writer would normally skip.
+			// back.
 			var buf bytes.Buffer
 			w := NewBinary(&buf)
-			w.KeepSilent = true
 			for _, ev := range got {
 				w.Record(ev)
 			}

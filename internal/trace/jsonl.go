@@ -11,14 +11,11 @@ import (
 
 // JSONL streams simulator slot events as JSON Lines, one event per line —
 // the interchange format for post-hoc analysis and replay inspection.
-// Silent slots (no transmissions and no decodes) are skipped unless
-// KeepSilent is set.
 type JSONL struct {
-	w          *bufio.Writer
-	enc        *json.Encoder
-	err        error
-	n          int
-	KeepSilent bool
+	w   *bufio.Writer
+	enc *json.Encoder
+	err error
+	n   int
 }
 
 // NewJSONL returns a recorder writing to w.
@@ -27,13 +24,10 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bw, enc: json.NewEncoder(bw)}
 }
 
-// Record writes one event; wire it to sim.Config.Observer. Errors are
-// sticky and reported by Flush.
+// Record writes one event; wire it to sim.Config.Observer through
+// LockedObserver. Errors are sticky and reported by Flush.
 func (j *JSONL) Record(ev sim.SlotEvent) {
 	if j.err != nil {
-		return
-	}
-	if !j.KeepSilent && len(ev.Transmitters) == 0 && ev.Decodes == 0 {
 		return
 	}
 	j.n++

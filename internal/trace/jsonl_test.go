@@ -36,23 +36,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLSkipsSilentSlots: a JSONL trace recorded through LockedObserver
+// holds no silent slot.
 func TestJSONLSkipsSilentSlots(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJSONL(&buf)
-	j.Record(sim.SlotEvent{Tick: 1})
-	j.Record(sim.SlotEvent{Tick: 2, Transmitters: []int{1}})
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Events() != 1 {
-		t.Fatalf("silent slot recorded: %d events", j.Events())
-	}
-	j2 := NewJSONL(&buf)
-	j2.KeepSilent = true
-	j2.Record(sim.SlotEvent{Tick: 1})
-	if j2.Events() != 1 {
-		t.Fatal("KeepSilent ignored")
-	}
+	checkSkipsSilentSlots(t, FormatJSONL)
 }
 
 func TestReadJSONLBadInput(t *testing.T) {

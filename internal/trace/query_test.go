@@ -79,7 +79,6 @@ func encodeIndexed(t testing.TB, events []sim.SlotEvent, flushEvery int) ([]byte
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewBinary(&buf)
-	w.KeepSilent = true
 	for i, ev := range events {
 		w.Record(ev)
 		if flushEvery > 0 && (i+1)%flushEvery == 0 {
@@ -130,7 +129,7 @@ func checkQuery(t *testing.T, data []byte, frames int64, all []sim.SlotEvent, pr
 	// The emitted sub-trace must be byte-identical to one written from the
 	// reference filter, in both formats.
 	for _, mk := range []func(io.Writer) Writer{
-		func(w io.Writer) Writer { b := NewBinary(w); b.KeepSilent = true; return b },
+		func(w io.Writer) Writer { return NewBinary(w) },
 		func(w io.Writer) Writer { return NewJSONL(w) },
 	} {
 		var viaQuery, viaFilter bytes.Buffer
@@ -163,7 +162,7 @@ func TestQueryScanEquivalence(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			var events []sim.SlotEvent
 			runDualScenario(t, sc, func(ev sim.SlotEvent) {
-				// Same silent-slot policy as the recorders; the event's
+				// Drop silent slots as LockedObserver does; the event's
 				// slices alias sim scratch, so keep a deep copy.
 				if len(ev.Transmitters) == 0 && ev.Decodes == 0 {
 					return

@@ -130,12 +130,13 @@ go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFiel
 # race the crash/resume differential harness explicitly (it resumes from the
 # baseline's journal cut after k commits, the state a SIGKILL leaves; short
 # mode runs one cut point per experiment, still all 16 experiments × both
-# worker counts), the retried-cell metrics contract (a failed attempt's
-# counts stay out of the run totals, with or without a store), and the
-# hard-cancel contract of every runner (every simulator a runner builds
-# comes from Options.newSim, which installs the grid's cancel hook, so a
-# cancelled cell stops at its next tick).
-go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestRetriedCellMetricsIndependentOfStore|TestEveryRunnerHonoursHardCancel' ./internal/experiment
+# worker counts), the failed-cell metrics contract (a failed cell's counts
+# stay out of the run totals, with or without a store), the one-run-per-cell
+# contract (a panicking cell's closure runs once and counts one cell-panic),
+# and the hard-cancel contract of every runner (every simulator a runner
+# builds comes from Options.newSim, which installs the grid's cancel hook,
+# so a cancelled cell stops at its next tick).
+go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestFailedCellMetricsIndependentOfStore|TestGridCellRunsOnce|TestEveryRunnerHonoursHardCancel' ./internal/experiment
 # The trace layer's locked observer serializes concurrent grid workers into
 # one writer; race the whole package (includes the query/scan differential
 # suite TestQueryScanEquivalence) plus the suite-level differential tests
