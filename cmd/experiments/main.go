@@ -51,7 +51,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sizes for a fast smoke run")
 	seeds := flag.Int("seeds", 0, "repetitions per cell (0 = default)")
 	workers := flag.Int("workers", 0, "concurrent grid cells (0 = all CPUs)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell deadline; overrunning cells are marked FAILED (0 = none)")
 	progress := flag.Bool("progress", false, "render live done/total cells and ETA on stderr")
 	manifest := flag.String("manifest", "", "write a JSON run manifest (config, metrics, per-cell timings) to this file")
 	traceFile := flag.String("trace", "", "record every grid cell's slot events into one trace file (interleaved in completion order)")
@@ -97,7 +96,6 @@ func main() {
 		opts.Seeds = *seeds
 	}
 	opts.Workers = *workers
-	opts.CellTimeout = *cellTimeout
 	// One shared report: each experiment renders its own FAILED lines and
 	// the suite summarises degraded cells at the end instead of aborting.
 	report := experiment.NewRunReport()
@@ -251,8 +249,7 @@ func main() {
 		os.Exit(130)
 	}
 	if failures := report.Failures(); len(failures) > 0 {
-		fmt.Printf("=== %d degraded cell(s) [%s] ===\n%s",
-			len(failures), report.Counters(), report)
+		fmt.Printf("=== %d degraded cell(s) ===\n%s", len(failures), report)
 		os.Exit(2)
 	}
 }

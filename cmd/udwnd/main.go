@@ -1,8 +1,7 @@
 // Command udwnd is the sim-as-a-service daemon: it serves the experiment
-// registry over HTTP/JSON with a supervised job pool, per-job deadlines,
-// bounded retries with deterministic backoff, load shedding, graceful drain
-// on SIGTERM/SIGINT, and crash-safe resume from its state directory (job
-// journal + shared checkpoint store).
+// registry over HTTP/JSON with a supervised job pool, load shedding,
+// graceful drain on SIGTERM/SIGINT, and crash-safe resume from its state
+// directory (job journal + shared checkpoint store).
 //
 // Usage:
 //
@@ -29,10 +28,11 @@
 //	curl -s -XPOST localhost:8080/gc
 //
 // On SIGTERM the daemon stops accepting (readyz flips to 503), lets running
-// jobs finish for -drain-grace, cancels the stragglers' grids (their
-// finished cells stay checkpointed, the jobs re-queue on next start),
-// flushes the journals and exits 0. kill -9 instead loses nothing accepted:
-// restart over the same -dir replays the journal and resumes.
+// jobs finish for -drain-grace, cancels the stragglers' grids (finished
+// cells stay checkpointed; the jobs re-queue under a fresh deadline), and
+// flushes the journals and exits 0. kill -9 loses nothing accepted: restart
+// over the same -dir resumes. A job runs once: one that fails or overruns
+// -deadline is FAILED, and resubmitting its spec computes only the rest.
 package main
 
 import (
@@ -61,9 +61,8 @@ func run() int {
 		gridWorkers = flag.Int("grid-workers", 1, "concurrent cells per job grid")
 		queueDepth  = flag.Int("queue-depth", 64, "max queued jobs before shedding")
 		maxWeight   = flag.Int("max-weight", 512, "max in-flight cell weight before shedding")
-		deadline    = flag.Duration("deadline", 2*time.Minute, "default per-attempt deadline")
+		deadline    = flag.Duration("deadline", 2*time.Minute, "default deadline of a job's run")
 		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "time running jobs get to finish during drain")
-		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline inside job grids (0 = none)")
 
 		retainAge   = flag.Duration("retain-age", 0, "collect terminal jobs older than this (0 = keep forever)")
 		retainCount = flag.Int("retain-count", 0, "keep at most this many terminal jobs (0 = unlimited)")
@@ -80,7 +79,6 @@ func run() int {
 		MaxWeight:       *maxWeight,
 		DefaultDeadline: *deadline,
 		DrainGrace:      *drainGrace,
-		CellTimeout:     *cellTimeout,
 		RetainAge:       *retainAge,
 		RetainCount:     *retainCount,
 		RetainBytes:     *retainBytes,

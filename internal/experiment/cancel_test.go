@@ -160,19 +160,20 @@ func TestEveryRunnerHonoursHardCancel(t *testing.T) {
 	}
 }
 
-// TestGridCellTimeoutDoesNotLeakGoroutines is the regression test for the
-// historical abandonment bug: a cell overrunning CellTimeout used to have
-// its goroutine left running forever. Cells now receive a context carrying
-// the deadline, so a cooperative cell terminates; the goroutine count must
-// return to its pre-run level.
-func TestGridCellTimeoutDoesNotLeakGoroutines(t *testing.T) {
+// TestGridRunDeadlineLeaksNoGoroutines pins the daemon's deadline path: a
+// job's run context carries its deadline, and under HardCancel every cell
+// polls it like a simulation's per-tick Cancel hook. When it fires, every
+// in-flight cell stops, Run panics Cancelled with no cell FAILED, and the
+// goroutine count returns to its level before the run.
+func TestGridRunDeadlineLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	const total = 8
 	var g Grid[int]
 	for i := 0; i < total; i++ {
 		g.Add(func(co Options) int {
-			// Never finishes on its own; polls its context like a
-			// simulation's per-tick Cancel hook.
+			// Never finishes on its own.
 			for {
 				select {
 				case <-co.Context.Done():
@@ -183,14 +184,14 @@ func TestGridCellTimeoutDoesNotLeakGoroutines(t *testing.T) {
 		})
 	}
 	rep := NewRunReport()
-	g.Run(Options{
-		Name:        "leakcheck",
-		Workers:     4,
-		CellTimeout: 50 * time.Millisecond,
-		Report:      rep,
+	c := runExpectCancelled(t, func() {
+		g.Run(Options{Name: "leakcheck", Workers: 4, Context: ctx, HardCancel: true, Report: rep})
 	})
-	if n := len(rep.Failures()); n != total {
-		t.Fatalf("%d cells FAILED, want %d (all overran the deadline)", n, total)
+	if c.Done != 0 || c.Total != total {
+		t.Fatalf("Cancelled reports %d/%d, want 0/%d", c.Done, c.Total, total)
+	}
+	if n := len(rep.Failures()); n != 0 {
+		t.Fatalf("%d cells FAILED, want 0 (the run's deadline stopped them)", n)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"udwn"
 	"udwn/internal/checkpoint"
@@ -29,16 +28,11 @@ type Options struct {
 	// Results are byte-identical for every value — each cell is a pure
 	// function of its seeds and the merge order is fixed (see grid.go).
 	Workers int
-	// CellTimeout is the per-cell deadline; a cell that overruns it is
-	// cancelled (abandoned) and marked FAILED instead of hanging the run.
-	// Zero disables deadlines. Deadline outcomes are machine-dependent, so
-	// leave this zero for golden/recorded runs.
-	CellTimeout time.Duration
 	// Report receives every failing cell with its (experiment, cell, seed)
-	// identity, the failure counters and every cell's timing; the remaining
-	// cells complete either way. With a nil Report the grid keeps a private
-	// one and panics with the lowest failing cell once every cell has run.
-	// Runs through All() always get one.
+	// identity and every cell's timing; the remaining cells complete either
+	// way. With a nil Report the grid keeps a private one and panics with
+	// the lowest failing cell once every cell has run. Runs through All()
+	// always get one.
 	Report *RunReport
 	// Name attributes failures to an experiment id; set by the registry
 	// wrapper, runners need not touch it.
@@ -105,8 +99,8 @@ func (o Options) newSim(nw *udwn.Network, factory sim.ProtocolFactory, so udwn.S
 	if o.Context != nil {
 		ctx := o.Context
 		// One non-blocking poll per tick; the sim panics sim.Cancelled when
-		// it fires and the grid's attempt recover maps that back to a
-		// cancellation outcome, so the cell's goroutine really terminates.
+		// it fires and the grid's recover maps that back to a cancellation
+		// outcome, so the worker moves on to the next cell.
 		so.Cancel = func() bool {
 			select {
 			case <-ctx.Done():
@@ -136,6 +130,11 @@ func (o Options) seeds() int {
 	}
 	return o.Seeds
 }
+
+// stopped reports whether o.Context has fired. Once the run context fires
+// no further cell starts, and Run ends in a Cancelled panic after the
+// in-flight ones drain.
+func (o Options) stopped() bool { return o.Context != nil && o.Context.Err() != nil }
 
 func (o Options) workers() int {
 	if o.Workers < 1 {

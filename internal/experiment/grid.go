@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -38,11 +37,12 @@ import (
 // interface assertions only), so cells built this way are data-race free by
 // construction. TestParallelRace and the -race tier-1 gate enforce this.
 //
-// The scheduler is self-healing: a panicking or deadline-overrunning cell
-// never aborts the run. The failure is attributed to its (experiment, cell
-// index, label) identity — labels carry the (row, seed) grid coordinates —
-// and recorded in a RunReport while every other cell completes. A cell runs
-// once: it is a pure function of its coordinates, so a panic would repeat.
+// The scheduler is self-healing: a panicking cell never aborts the run. The
+// failure is attributed to its (experiment, cell index, label) identity —
+// labels carry the (row, seed) grid coordinates — and recorded in a
+// RunReport while every other cell completes. A cell runs once, on the
+// worker goroutine that took it: it is a pure function of its coordinates,
+// so a panic would repeat.
 // The report is the caller's Options.Report, whose failures the rendered
 // output marks as explicit FAILED(...) lines; without one, Run keeps a
 // private report and, once every cell has run, panics with the lowest
@@ -96,27 +96,23 @@ func (g *Grid[T]) Len() int { return len(g.cells) }
 
 // Failure identifies one grid cell that produced no result: which
 // experiment, which cell (declaration index plus the runner's label, which
-// encodes the (row, seed) coordinates), and why it died. attempt reports
-// its outcome as a Failure too, before runCell fills in the identity.
+// encodes the (row, seed) coordinates), and why it died.
 type Failure struct {
 	Experiment string
 	Cell       int
 	Label      string
-	// Reason is the first line of the panic value, or the deadline message
-	// for cells that overran their CellTimeout.
+	// Reason is the first line of the panic value.
 	Reason string
-	// Stack is the goroutine stack of the panicking cell; empty for
-	// timeouts. It is kept out of rendered output (stacks are not
-	// byte-stable) but available for debugging.
+	// Stack is the goroutine stack of the panicking cell. It is kept out of
+	// rendered output (stacks are not byte-stable) but available for
+	// debugging.
 	Stack string
-	// timeout marks a deadline overrun; it counts as a cell-timeout rather
-	// than a cell-panic.
-	timeout bool
-	// cancelled marks a cell that ended on a sim.Cancelled panic. When the
-	// run's Options.Context fired, the cell is not recorded as FAILED — Run
-	// raises a Cancelled panic once in-flight cells have drained; otherwise
-	// the cell's own deadline stopped it, and runCell turns it into a
-	// timeout.
+	// cancelled marks a cell the run's own cancellation stopped: a
+	// sim.Cancelled panic after the run context, which a cell sees under
+	// HardCancel, fired. Run drops it — no FAILED marker, no timing, no
+	// checkpoint record — and raises a Cancelled panic once in-flight cells
+	// have drained. A sim.Cancelled panic while the run context is live is
+	// an ordinary failure.
 	cancelled bool
 }
 
@@ -134,20 +130,17 @@ func (f Failure) String() string {
 	return fmt.Sprintf("FAILED(%s cell %d [%s]): %s", exp, f.Cell, label, f.Reason)
 }
 
-// RunReport collects the failures and failure counters of self-healing grid
+// RunReport collects the failures and cell timings of self-healing grid
 // runs. One report may span several experiments (cmd/experiments shares one
 // across the whole suite); it is safe for concurrent use by grid workers.
 type RunReport struct {
 	mu       sync.Mutex
 	failures []Failure
-	counters *metrics.Counters
 	timings  []metrics.CellTiming
 }
 
 // NewRunReport returns an empty report.
-func NewRunReport() *RunReport {
-	return &RunReport{counters: metrics.NewCounters()}
-}
+func NewRunReport() *RunReport { return &RunReport{} }
 
 func (r *RunReport) add(f Failure) {
 	r.mu.Lock()
@@ -173,9 +166,6 @@ func (r *RunReport) Failures() []Failure {
 	})
 	return out
 }
-
-// Counters exposes the failure counters ("cell-panics", "cell-timeouts").
-func (r *RunReport) Counters() *metrics.Counters { return r.counters }
 
 func (r *RunReport) addTiming(ct metrics.CellTiming) {
 	r.mu.Lock()
@@ -263,58 +253,23 @@ func cellSchema[T any](o Options) string {
 		checkpoint.SchemaOf(reflect.TypeOf((*T)(nil)).Elem()))
 }
 
-// recoverFail maps a recovered panic value to a cell's Failure: a
-// sim.Cancelled sentinel becomes a cancellation outcome (no stack — it is
-// an expected control transfer, not a bug), anything else a genuine cell
-// panic.
-func recoverFail(p any) *Failure {
-	if c, ok := p.(sim.Cancelled); ok {
-		return &Failure{Reason: c.String(), cancelled: true}
-	}
-	return &Failure{Reason: firstLine(p), Stack: string(debug.Stack())}
-}
-
-// attempt runs cell i once against co, in its own goroutine raced against a
-// deadline timer; with no deadline the timer channel is nil and the worker
-// simply waits for the cell. A cell that overruns its deadline is cancelled
-// from the scheduler's point of view — the worker stops waiting and moves
-// on — and, because co.Context carries the same deadline, the cell's
-// simulation panics sim.Cancelled at its next tick, so the goroutine
-// terminates instead of leaking. Its parked result goes to a buffered
-// channel nobody reads, so a late completion can never race the merged
-// results; cells that never consult the context (plain closures) are merely
-// abandoned, exactly the historical behaviour.
-func (g *Grid[T]) attempt(i int, co Options, deadline time.Duration) (val T, fail *Failure) {
-	type res struct {
-		val  T
-		fail *Failure
-	}
-	ch := make(chan res, 1)
-	go func() {
-		var r res
-		defer func() { ch <- r }()
-		defer func() {
-			if p := recover(); p != nil {
-				r.fail = recoverFail(p)
+// call runs cell i once against co on the calling worker goroutine, storing
+// its result into out. A panic becomes the cell's Failure and leaves the
+// zero T; a sim.Cancelled panic after co.Context fired is the run's
+// cancellation reaching the cell and is marked cancelled (see Failure).
+func (g *Grid[T]) call(i int, co Options, out []T) (fail *Failure) {
+	defer func() {
+		if p := recover(); p != nil {
+			_, cancelled := p.(sim.Cancelled)
+			fail = &Failure{
+				Reason:    firstLine(p),
+				Stack:     string(debug.Stack()),
+				cancelled: cancelled && co.stopped(),
 			}
-		}()
-		r.val = g.cells[i](co)
-	}()
-	var timeout <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case r := <-ch:
-		return r.val, r.fail
-	case <-timeout:
-		return val, &Failure{
-			Reason:  fmt.Sprintf("cell deadline %s exceeded", deadline),
-			timeout: true,
 		}
-	}
+	}()
+	out[i] = g.cells[i](co)
+	return nil
 }
 
 // heapAllocBytes reads the process-wide cumulative heap allocation total —
@@ -331,19 +286,18 @@ func heapAllocBytes() int64 {
 	return 0
 }
 
-// runCell evaluates cell i once under o's deadline, storing the result into
-// out on success. It returns the attributed failure, nil on success. Under a
-// checkpoint store a labelled cell is first served from the store when it
-// holds the cell's record, and a successfully computed one is appended to it
-// together with its metrics snapshot.
+// runCell evaluates cell i once, storing the result into out on success. It
+// returns the attributed failure, nil on success. Under a checkpoint store a
+// labelled cell is first served from the store when it holds the cell's
+// record, and a successfully computed one is appended to it together with
+// its metrics snapshot.
 //
 // The cell records into a fresh registry merged into the shared one only on
 // success, so a failed cell's partial instrumentation never leaks into the
-// run totals or the store. It runs under its own context (see cellContext):
-// a deadline overrun stops the simulation cooperatively and counts as a
-// timeout, while a run-level cancellation under HardCancel returns a
-// cancelled failure that Run translates into a Cancelled panic rather than
-// a FAILED record.
+// run totals or the store. Under HardCancel it sees the run context, so a
+// run-level cancellation stops its simulation at the next tick and returns
+// a cancelled failure that Run translates into a Cancelled panic rather
+// than a FAILED record.
 func (g *Grid[T]) runCell(i int, o Options, schema string, out []T) *Failure {
 	stored := o.Checkpoint != nil && g.labels[i] != ""
 	if stored {
@@ -372,35 +326,22 @@ func (g *Grid[T]) runCell(i int, o Options, schema string, out []T) *Failure {
 		alloc0 = heapAllocBytes()
 		co.Metrics = metrics.NewRegistry()
 	}
-	ctx, cancel := cellContext(o)
-	co.Context = ctx
-	val, f := g.attempt(i, co, o.CellTimeout)
-	if cancel != nil {
-		cancel()
+	if !o.HardCancel {
+		co.Context = nil
 	}
-	if f == nil {
-		out[i] = val
+	f := g.call(i, co, out)
+	switch {
+	case f == nil:
 		if o.Metrics != nil {
 			o.Metrics.MergeSnapshot(co.Metrics.Snapshot())
 		}
-	} else {
+	case f.cancelled:
+		// A run-cancelled cell neither completed nor failed: it leaves no
+		// timing record, no FAILED marker and no checkpoint entry, and is
+		// recomputed by the resumed run.
+		return f
+	default:
 		f.Experiment, f.Cell, f.Label = o.Name, i, g.labels[i]
-		if f.cancelled {
-			if o.Context != nil && o.Context.Err() != nil {
-				// A run-cancelled cell neither completed nor failed: it
-				// leaves no timing record, no FAILED marker and no
-				// checkpoint entry, and is recomputed by the resumed run.
-				return f
-			}
-			// The cell's own deadline stopped the simulation before the
-			// scheduler's timer fired; treat it exactly like a timeout.
-			f.cancelled, f.timeout = false, true
-		}
-		if f.timeout {
-			o.Report.counters.Add("cell-timeouts", 1)
-		} else {
-			o.Report.counters.Add("cell-panics", 1)
-		}
 	}
 	wall := time.Since(start)
 	var allocs int64
@@ -487,24 +428,6 @@ func (g *Grid[T]) replayCell(i int, o Options, rec *checkpoint.Record, out []T) 
 	return true
 }
 
-// cellContext derives the context one cell runs under: the run context
-// when HardCancel propagates it, tightened by the per-cell deadline when
-// one is set. The returned cancel func must be called when the cell
-// resolves; both returns are nil when the cell needs no context at all.
-func cellContext(o Options) (context.Context, context.CancelFunc) {
-	var base context.Context
-	if o.HardCancel && o.Context != nil {
-		base = o.Context
-	}
-	if o.CellTimeout <= 0 {
-		return base, nil
-	}
-	if base == nil {
-		base = context.Background()
-	}
-	return context.WithTimeout(base, o.CellTimeout)
-}
-
 // Run evaluates every cell and returns the results in declaration order.
 // One dispatch loop hands the cells, in declaration order, to a pool of
 // min(o.workers(), cells) worker goroutines — one worker is simply a pool
@@ -545,11 +468,6 @@ func (g *Grid[T]) Run(o Options) []T {
 		progMu.Unlock()
 	}
 
-	// stopped reports run-level cancellation; once it fires no further cell
-	// starts and Run ends in a Cancelled panic after the in-flight ones
-	// drain.
-	stopped := func() bool { return o.Context != nil && o.Context.Err() != nil }
-
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -557,7 +475,7 @@ func (g *Grid[T]) Run(o Options) []T {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if stopped() {
+				if o.stopped() {
 					// The rest of the grid drains unstarted.
 					continue
 				}
@@ -587,7 +505,7 @@ func (g *Grid[T]) Run(o Options) []T {
 	}
 	// A context that fired only after every cell completed interrupts
 	// nothing: the run is whole, return it.
-	if stopped() && done < len(g.cells) {
+	if o.stopped() && done < len(g.cells) {
 		panic(Cancelled{Experiment: o.Name, Done: done, Total: len(g.cells)})
 	}
 	return out

@@ -1,13 +1,17 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"udwn/internal/sim"
 )
 
 // TestGridCellsOverlap proves the scheduler genuinely fans cells out: eight
@@ -159,110 +163,57 @@ func TestGridHealsPanic(t *testing.T) {
 		if f.String() != want {
 			t.Fatalf("workers=%d: marker %q, want %q", workers, f.String(), want)
 		}
-		if got := report.Counters().Get("cell-panics"); got != 1 {
-			t.Fatalf("workers=%d: cell-panics = %d, want 1", workers, got)
-		}
-	}
-}
-
-// A cell that exceeds its deadline is cancelled and marked FAILED — the run
-// completes instead of hanging, and the abandoned goroutine's late result
-// never contaminates the merged output.
-func TestGridDeadlineCancelsStuckCell(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		release := make(chan struct{})
-		var g Grid[int]
-		for i := 0; i < 8; i++ {
-			i := i
-			g.AddLabeled(fmt.Sprintf("row=%d seed=0", i), func(Options) int {
-				if i == 5 {
-					<-release // stuck until the test ends
-					return -1
-				}
-				return i
-			})
-		}
-		report := NewRunReport()
-		done := make(chan []int, 1)
-		go func() {
-			done <- g.Run(Options{Workers: workers, Report: report,
-				CellTimeout: 50 * time.Millisecond, Name: "hang"})
-		}()
-		var res []int
-		select {
-		case res = <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: run hung on the stuck cell", workers)
-		}
-		for i, v := range res {
-			want := i
-			if i == 5 {
-				want = 0
-			}
-			if v != want {
-				t.Fatalf("workers=%d: cell %d = %d, want %d", workers, i, v, want)
-			}
-		}
-		fails := report.Failures()
-		if len(fails) != 1 || fails[0].Cell != 5 ||
-			!strings.Contains(fails[0].Reason, "deadline") {
-			t.Fatalf("workers=%d: wrong failures: %v", workers, fails)
-		}
-		if got := report.Counters().Get("cell-timeouts"); got != 1 {
-			t.Fatalf("workers=%d: cell-timeouts = %d, want 1", workers, got)
-		}
-		close(release) // unblock the abandoned goroutine
 	}
 }
 
 // A cell is a pure function of its coordinates, so a panic would repeat:
-// the grid calls a panicking cell's closure once, records it as FAILED, and
-// counts one cell-panic and nothing else.
+// the grid calls a panicking cell's closure once, on the worker goroutine
+// that took it, and records it as FAILED. A cell that panics sim.Cancelled
+// while the run context is live is failed the same way, never dropped as a
+// cancelled one.
 func TestGridCellRunsOnce(t *testing.T) {
-	var okCalls, brokenCalls atomic.Int64
+	var okCalls, brokenCalls, cancelledCalls atomic.Int64
 	var g Grid[int]
+	before := runtime.NumGoroutine()
 	g.AddLabeled("ok", func(Options) int {
 		okCalls.Add(1)
+		// One worker and no goroutine per cell: the cell runs on the
+		// worker, the only goroutine Run starts.
+		if n := runtime.NumGoroutine(); n > before+1 {
+			panic(fmt.Sprintf("%d goroutines while a cell runs, %d before Run", n, before))
+		}
 		return 7
 	})
 	g.AddLabeled("broken", func(Options) int {
 		brokenCalls.Add(1)
 		panic("permanent")
 	})
+	g.AddLabeled("cancelled", func(Options) int {
+		cancelledCalls.Add(1)
+		panic(sim.Cancelled{Tick: 4})
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	report := NewRunReport()
-	res := g.Run(Options{Workers: 1, Report: report, Name: "once"})
-	if res[0] != 7 || res[1] != 0 {
-		t.Fatalf("results = %v, want [7 0]", res)
+	res := g.Run(Options{Workers: 1, Report: report, Name: "once", Context: ctx, HardCancel: true})
+	if !reflect.DeepEqual(res, []int{7, 0, 0}) {
+		t.Fatalf("results = %v, want [7 0 0]", res)
 	}
-	if okCalls.Load() != 1 || brokenCalls.Load() != 1 {
-		t.Fatalf("calls: ok=%d broken=%d, want 1 and 1", okCalls.Load(), brokenCalls.Load())
+	if okCalls.Load() != 1 || brokenCalls.Load() != 1 || cancelledCalls.Load() != 1 {
+		t.Fatalf("calls: ok=%d broken=%d cancelled=%d, want 1 each",
+			okCalls.Load(), brokenCalls.Load(), cancelledCalls.Load())
 	}
-	fails := report.Failures()
-	if len(fails) != 1 || fails[0].Cell != 1 || fails[0].Reason != "permanent" {
-		t.Fatalf("wrong failures: %+v", fails)
+	var markers []string
+	for _, f := range report.Failures() {
+		markers = append(markers, f.String())
 	}
-	if got := report.Counters().Map(); !reflect.DeepEqual(got, map[string]int64{"cell-panics": 1}) {
-		t.Fatalf("counters = %v, want only cell-panics=1", got)
+	want := []string{
+		"FAILED(once cell 1 [broken]): permanent",
+		"FAILED(once cell 2 [cancelled]): sim: run cancelled at tick 4",
 	}
-}
-
-// Without a Report, deadlines still apply but failures keep the historical
-// contract: Run panics with the lowest failing cell index.
-func TestGridDeadlineWithoutReportPanics(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	var g Grid[int]
-	g.Add(func(Options) int { <-release; return 0 })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic without a report")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "deadline") {
-			t.Fatalf("wrong panic: %v", r)
-		}
-	}()
-	g.Run(Options{Workers: 1, CellTimeout: 50 * time.Millisecond})
+	if !reflect.DeepEqual(markers, want) {
+		t.Fatalf("failures = %q, want %q", markers, want)
+	}
 }
 
 func TestRunSeedGridShape(t *testing.T) {

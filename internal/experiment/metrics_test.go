@@ -76,8 +76,8 @@ func TestMetricsWorkersDeterminism(t *testing.T) {
 }
 
 // TestManifestWorkersDeterminism extends the contract to the run manifest:
-// after ZeroTimings, the JSON rendering — metric snapshot, per-cell timing
-// records, counters — is byte-identical across worker counts.
+// after ZeroTimings, the JSON rendering — metric snapshot and per-cell
+// timing records — is byte-identical across worker counts.
 func TestManifestWorkersDeterminism(t *testing.T) {
 	for _, id := range metricsTargets {
 		id := id
@@ -88,7 +88,6 @@ func TestManifestWorkersDeterminism(t *testing.T) {
 				m := metrics.NewManifest("experiment-test")
 				m.SetConfig("experiment", id)
 				m.Metrics = reg.Snapshot()
-				m.Counters = rep.Counters().Map()
 				m.Cells = rep.Timings()
 				m.ZeroTimings()
 				out, err := m.MarshalIndent()

@@ -113,7 +113,7 @@ func (s *Server) GC() (GCStats, error) {
 		if j.state.Terminal() {
 			evs = append(evs, jobEvent{
 				Kind: kinds[j.state], ID: j.id, Output: j.output,
-				Error: j.lastErr, Attempts: j.attempts, DoneMs: j.doneAt,
+				Error: j.lastErr, DoneMs: j.doneAt,
 			})
 		}
 	}

@@ -327,36 +327,6 @@ func TestCancelRemovesTrace(t *testing.T) {
 	}
 }
 
-// TestRetryAfterClampSubSecond is the Retry-After satellite regression: a
-// sub-second RetryAfter config must emit "1", never "0" (which tells
-// clients to hammer an overloaded daemon).
-func TestRetryAfterClampSubSecond(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	cfg := testConfig(t, gateRunner(nil, release))
-	cfg.Workers = 1
-	cfg.QueueDepth = 1
-	cfg.RetryAfter = 100 * time.Millisecond
-	_, ts := newTestAPI(t, cfg)
-
-	var shed *http.Response
-	for i := 0; i < 4; i++ {
-		resp := postJSON(t, ts.URL+"/jobs", `{"experiments":["table1"],"quick":true}`)
-		if resp.StatusCode == http.StatusTooManyRequests {
-			shed = resp
-			break
-		}
-		resp.Body.Close()
-	}
-	if shed == nil {
-		t.Fatal("queue never filled")
-	}
-	defer shed.Body.Close()
-	if ra := shed.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q for a 100ms config, want %q", ra, "1")
-	}
-}
-
 // TestTraceSubmitUnwritableDir is the trace-admission satellite regression:
 // "trace": true with a broken traces dir fails the submit with a typed 503,
 // not a mid-run attempt error. The dir is replaced by a regular file
@@ -478,8 +448,8 @@ func TestGCCancelledJobQuotaAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.Cancel(queued.ID); err != nil || v.State != StateCancelled || v.Attempts != 0 {
-		t.Fatalf("cancel from the queue = %+v, %v; want CANCELLED before any attempt", v, err)
+	if v, err := s.Cancel(queued.ID); err != nil || v.State != StateCancelled || v.Error != "cancelled before start" {
+		t.Fatalf("cancel from the queue = %+v, %v; want CANCELLED before start", v, err)
 	}
 	close(release)
 	if v := waitTerminal(t, s, ran.ID); v.State != StateDone {

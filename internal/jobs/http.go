@@ -77,14 +77,8 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadRequest, err)
 	case errors.Is(err, ErrBusy):
 		// The load-shedding contract: refuse with a retry hint instead of
-		// queueing without bound. Clamped to ≥ 1: sub-second RetryAfter
-		// configs used to round to "0", telling clients to hammer the
-		// daemon mid-overload.
-		secs := int(s.cfg.RetryAfter.Seconds() + 0.5)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		// queueing without bound.
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrTraceUnavailable):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -241,7 +235,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	st, err := trace.Slice(f, pred, tw)
 	if err != nil {
 		if errors.Is(err, trace.ErrEmptyTrace) || errors.Is(err, trace.ErrHeaderOnly) {
-			// The attempt created the file but has not flushed a frame yet.
+			// The run created the file but has not flushed a frame yet.
 			writeError(w, http.StatusNotFound, fmt.Errorf("jobs: trace has no events yet: %w", err))
 			return
 		}

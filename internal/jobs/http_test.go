@@ -149,8 +149,10 @@ func TestAPIValidationAndErrors(t *testing.T) {
 		{`{"experiments":[]}`, http.StatusBadRequest},
 		{`{"experiments":["bogus"]}`, http.StatusBadRequest},
 		{`{"experiments":["table1"],"unknown_field":1}`, http.StatusBadRequest},
-		// Specs carry no client identity; the field is as unknown as any.
+		// Specs carry no client identity and no retry budget; those
+		// fields are as unknown as any.
 		{`{"experiments":["table1"],"client":"alice"}`, http.StatusBadRequest},
+		{`{"experiments":["table1"],"retries":2}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/jobs", c.body)
@@ -176,7 +178,8 @@ func TestAPIValidationAndErrors(t *testing.T) {
 	}
 }
 
-// TestAPIShedReturns429WithRetryAfter pins the load-shedding HTTP contract.
+// TestAPIShedReturns429WithRetryAfter pins the load-shedding HTTP contract:
+// a shed submission gets 429 with Retry-After: 1.
 func TestAPIShedReturns429WithRetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -190,7 +193,6 @@ func TestAPIShedReturns429WithRetryAfter(t *testing.T) {
 	cfg := testConfig(t, r)
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
-	cfg.RetryAfter = 7 * time.Second
 	_, ts := newTestAPI(t, cfg)
 
 	var shed *http.Response
@@ -209,8 +211,8 @@ func TestAPIShedReturns429WithRetryAfter(t *testing.T) {
 		t.Fatal("queue never shed")
 	}
 	defer shed.Body.Close()
-	if shed.Header.Get("Retry-After") != "7" {
-		t.Fatalf("Retry-After = %q, want %q", shed.Header.Get("Retry-After"), "7")
+	if shed.Header.Get("Retry-After") != "1" {
+		t.Fatalf("Retry-After = %q, want %q", shed.Header.Get("Retry-After"), "1")
 	}
 }
 
@@ -298,7 +300,7 @@ func TestAPIHealthReadyMetrics(t *testing.T) {
 	for _, c := range m.Metrics.Counters {
 		names[c.Name] = true
 	}
-	for _, want := range []string{"jobs/accepted", "jobs/shed", "jobs/retried", "jobs/resumed", "jobs/drained"} {
+	for _, want := range []string{"jobs/accepted", "jobs/shed", "jobs/resumed", "jobs/drained"} {
 		if !names[want] {
 			t.Fatalf("metricsz missing counter %s (have %v)", want, names)
 		}

@@ -1,15 +1,20 @@
 // Package jobs is the sim-as-a-service layer: a supervised, crash-safe pool
 // of experiment jobs behind an HTTP/JSON API (cmd/udwnd).
 //
-// Every failure mode is a first-class state. A submitted job moves through
+// Every failure mode is a first-class state. A submitted job runs once,
+// under one deadline:
 //
 //	QUEUED → RUNNING → DONE
-//	            │  ↘ BACKOFF → RUNNING (bounded retries, exponential
-//	            │                       backoff with seed-deterministic jitter)
-//	            │  → FAILED    (retry budget exhausted; carries the last error)
-//	            └─ → CANCELLED (client cancel)
+//	   │        ├─ → FAILED    (the run's error, a deadline overrun included)
+//	   │        ├─ → CANCELLED (client cancel)
+//	   │        └─ → QUEUED    (parked by drain; the next start runs it)
+//	   └─ → CANCELLED (cancelled before it starts)
 //
-// and the transitions are journalled (submit and terminal records) through
+// A failed job is not retried: its grid cells are pure functions of their
+// coordinates, so a rerun would fail again. Its finished cells stay in the
+// checkpoint store, so resubmitting the spec computes only the rest.
+//
+// The transitions are journalled (submit and terminal records) through
 // the same torn-write-safe framed container the checkpoint store uses, so a
 // SIGKILL at any instant loses nothing that was acknowledged: on restart the
 // journal replays, non-terminal jobs re-queue as resumed, and their grids
@@ -18,7 +23,7 @@
 //
 // The accept path is load-shedding rather than unbounded: once queue depth
 // or the in-flight cell-weight budget is exceeded, submissions are refused
-// with ErrBusy (HTTP 429 + Retry-After ≥ 1) instead of growing memory, and
+// with ErrBusy (HTTP 429 + Retry-After: 1) instead of growing memory, and
 // the workers run accepted jobs in submission order. SIGTERM triggers
 // graceful drain: accepting stops (readyz flips), running jobs get a grace
 // period to finish before their grids are cancelled (completed cells stay
@@ -48,13 +53,9 @@ const (
 	StateQueued State = "QUEUED"
 	// StateRunning means a pool worker is executing the job's experiments.
 	StateRunning State = "RUNNING"
-	// StateBackoff means the last attempt failed and the supervisor is
-	// waiting out the retry delay.
-	StateBackoff State = "BACKOFF"
 	// StateDone is terminal success: the rendered output is available.
 	StateDone State = "DONE"
-	// StateFailed is terminal failure: the retry budget is exhausted and
-	// the record carries the last error.
+	// StateFailed is terminal failure: the record carries the run's error.
 	StateFailed State = "FAILED"
 	// StateCancelled is terminal client cancellation.
 	StateCancelled State = "CANCELLED"
@@ -74,28 +75,27 @@ type Spec struct {
 	Seeds int `json:"seeds,omitempty"`
 	// Quick selects the reduced sizes used by tests and smoke runs.
 	Quick bool `json:"quick,omitempty"`
-	// DeadlineMs bounds one attempt's wall clock; 0 uses the server
-	// default, and values above the server maximum are rejected. A
-	// deadline overrun cancels the attempt's grid (finished cells stay
-	// checkpointed, so a retry resumes instead of starting over).
+	// DeadlineMs bounds the job's run; 0 uses the server default, and
+	// values above the server maximum are rejected. An overrun cancels the
+	// grid and fails the job; its finished cells stay checkpointed, so
+	// resubmitting the spec computes only the rest. A job parked by drain
+	// gets a fresh deadline when the next start runs it.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// Retries is the job-level retry budget after a failed attempt;
-	// values above the server maximum are rejected.
-	Retries int `json:"retries,omitempty"`
-	// Seed keys the retry backoff jitter, making the supervisor's delay
-	// sequence a pure function of the submission.
+	// Seed is accepted and journalled but never read.
+	//
+	// Deprecated: it keyed the retired retry backoff. It stays only until
+	// the benchmark's daemon-mix workload stops sending it.
 	Seed uint64 `json:"seed,omitempty"`
 	// Trace records the job's slot events as an indexed binary trace under
 	// the daemon state directory, served (and queried) by
-	// GET /jobs/{id}/trace. Each attempt rewrites the file, so the trace
-	// always reflects the attempt that produced the job's output.
+	// GET /jobs/{id}/trace. A run after a drain rewrites the file, so the
+	// trace always reflects the run that produced the job's output.
 	Trace bool `json:"trace,omitempty"`
 }
 
 // The limits one submission may request.
 const (
 	maxSeeds    = 64
-	maxRetries  = 5
 	maxDeadline = 15 * time.Minute
 )
 
@@ -132,12 +132,6 @@ func (s *Spec) validate(cfg *Config) error {
 	if w := s.weight(); w > cfg.MaxWeight {
 		return &InvalidError{Reason: fmt.Sprintf("weight %d exceeds the in-flight budget %d", w, cfg.MaxWeight)}
 	}
-	if s.Retries < 0 {
-		return &InvalidError{Reason: fmt.Sprintf("retries %d is negative", s.Retries)}
-	}
-	if s.Retries > maxRetries {
-		return &InvalidError{Reason: fmt.Sprintf("retries %d exceeds the limit %d", s.Retries, maxRetries)}
-	}
 	if s.DeadlineMs < 0 {
 		return &InvalidError{Reason: fmt.Sprintf("deadline %dms is negative", s.DeadlineMs)}
 	}
@@ -147,8 +141,7 @@ func (s *Spec) validate(cfg *Config) error {
 	return nil
 }
 
-// deadline resolves the spec's per-attempt deadline against the server
-// defaults.
+// deadline resolves the spec's run deadline against the server defaults.
 func (s Spec) deadline(cfg *Config) time.Duration {
 	if s.DeadlineMs > 0 {
 		return time.Duration(s.DeadlineMs) * time.Millisecond
@@ -171,7 +164,6 @@ type JobView struct {
 	ID       string        `json:"id"`
 	State    State         `json:"state"`
 	Spec     Spec          `json:"spec"`
-	Attempts int           `json:"attempts"`
 	Error    string        `json:"error,omitempty"`
 	Resumed  bool          `json:"resumed,omitempty"`
 	Progress *ProgressView `json:"progress,omitempty"`
@@ -187,8 +179,10 @@ type Event struct {
 	Job  string `json:"job"`
 	// State is set on "state" events; terminal states end the stream.
 	State State `json:"state,omitempty"`
-	// Attempt is the supervisor attempt the event belongs to (0 before the
-	// first run).
+	// Attempt is never set.
+	//
+	// Deprecated: it numbered the retired retry attempts. It stays only
+	// until the benchmark's daemon-mix workload stops reading it.
 	Attempt int `json:"attempt,omitempty"`
 	// Experiment/Done/Total/Failed carry grid progress on "progress"
 	// events.
@@ -196,7 +190,7 @@ type Event struct {
 	Done       int    `json:"done,omitempty"`
 	Total      int    `json:"total,omitempty"`
 	Failed     int    `json:"failed,omitempty"`
-	// Error carries the last attempt's error on BACKOFF and FAILED states.
+	// Error carries the job's error on FAILED and CANCELLED states.
 	Error string `json:"error,omitempty"`
 }
 
@@ -209,7 +203,7 @@ func (e *InvalidError) Error() string { return "jobs: invalid spec: " + e.Reason
 // maps them to status codes.
 var (
 	// ErrBusy sheds a submission that would exceed the queue depth or the
-	// in-flight cell-weight budget (HTTP 429 + Retry-After).
+	// in-flight cell-weight budget (HTTP 429 + Retry-After: 1).
 	ErrBusy = errors.New("jobs: queue full, retry later")
 	// ErrDraining refuses submissions during graceful shutdown (HTTP 503).
 	ErrDraining = errors.New("jobs: server is draining")
@@ -221,6 +215,6 @@ var (
 	ErrClosed = errors.New("jobs: server closed")
 	// ErrTraceUnavailable rejects a Spec.Trace submission when the traces
 	// directory cannot be written (HTTP 503): the job would only discover
-	// the problem mid-attempt, so admission refuses it up front.
+	// the problem mid-run, so admission refuses it up front.
 	ErrTraceUnavailable = errors.New("jobs: trace recording unavailable")
 )

@@ -43,10 +43,8 @@ type jobEvent struct {
 	// Output is the job's rendered result (done events only), kept in the
 	// journal so /jobs/{id}/result keeps serving across restarts.
 	Output string `json:"output,omitempty"`
-	// Error is the last attempt's error (failed events only).
+	// Error is the job's error (failed and cancelled events only).
 	Error string `json:"error,omitempty"`
-	// Attempts is the attempt count at the terminal transition.
-	Attempts int `json:"attempts,omitempty"`
 	// DoneMs is the terminal transition's wall clock (Unix milliseconds,
 	// terminal events only) — what Config.RetainAge ages against after a
 	// restart.

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,10 +92,12 @@ func TestJobJournalRejectsMalformedEvents(t *testing.T) {
 }
 
 // TestJobJournalReplaysRetiredClientField pins that a state directory
-// written while specs still carried a "client" field keeps opening. Replay
-// decodes frames with plain json.Unmarshal, which skips the retired field:
-// the finished job serves its output byte-identical, the unterminated one
-// resumes to DONE, and both survive a GC rewrite and another restart.
+// written while specs still carried a "client" or "retries" field, and
+// terminal records an "attempts" count, keeps opening. Replay decodes frames
+// with plain json.Unmarshal, which skips the retired fields: the finished
+// jobs serve their output byte-identical, the unterminated one resumes to
+// DONE, and all survive a GC rewrite, which drops the retired fields, and
+// another restart.
 func TestJobJournalReplaysRetiredClientField(t *testing.T) {
 	dir := t.TempDir()
 	j, err := checkpoint.CreateJournal(filepath.Join(dir, journalName))
@@ -105,6 +108,8 @@ func TestJobJournalReplaysRetiredClientField(t *testing.T) {
 		`{"kind":"submit","id":"j-000001","seq":1,"spec":{"experiments":["table1"],"quick":true,"client":"alice"}}`,
 		`{"kind":"done","id":"j-000001","output":"rendered before the upgrade\n","attempts":1,"done_ms":1700000000000}`,
 		`{"kind":"submit","id":"j-000002","seq":2,"spec":{"experiments":["table1"],"quick":true,"seed":7,"client":"alice"}}`,
+		`{"kind":"submit","id":"j-000003","seq":3,"spec":{"experiments":["table1"],"quick":true,"retries":2}}`,
+		`{"kind":"done","id":"j-000003","output":"rendered after three attempts\n","attempts":3,"done_ms":1700000000001}`,
 	} {
 		if err := j.Append([]byte(payload)); err != nil {
 			t.Fatal(err)
@@ -115,6 +120,7 @@ func TestJobJournalReplaysRetiredClientField(t *testing.T) {
 	}
 
 	const oldOut, newOut = "rendered before the upgrade\n", "resumed output\n"
+	const retriedOut = "rendered after three attempts\n"
 	serves := func(s *Server, id, want string) {
 		t.Helper()
 		if out, state, err := s.Result(id); err != nil || state != StateDone || out != want {
@@ -123,10 +129,11 @@ func TestJobJournalReplaysRetiredClientField(t *testing.T) {
 	}
 	cfg := Config{Dir: dir, Workers: 1, Metrics: metrics.NewRegistry(), Runner: okRunner(newOut)}
 	s := mustOpen(t, cfg)
-	if n := len(s.List()); n != 2 || s.JournalTornBytes() != 0 {
-		t.Fatalf("old ledger replayed %d jobs and dropped %d bytes, want 2 and 0", n, s.JournalTornBytes())
+	if n := len(s.List()); n != 3 || s.JournalTornBytes() != 0 {
+		t.Fatalf("old ledger replayed %d jobs and dropped %d bytes, want 3 and 0", n, s.JournalTornBytes())
 	}
 	serves(s, "j-000001", oldOut)
+	serves(s, "j-000003", retriedOut)
 	if v := waitTerminal(t, s, "j-000002"); !v.Resumed || v.State != StateDone {
 		t.Fatalf("unterminated job = %+v, want resumed and DONE", v)
 	}
@@ -138,10 +145,20 @@ func TestJobJournalReplaysRetiredClientField(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
+	ledger, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retired := range []string{`"client"`, `"retries"`, `"attempts"`} {
+		if bytes.Contains(ledger, []byte(retired)) {
+			t.Fatalf("GC rewrite kept the retired field %s", retired)
+		}
+	}
 
 	cfg.Metrics = metrics.NewRegistry()
 	s2 := mustOpen(t, cfg)
 	defer func() { s2.Drain(); s2.Close() }()
 	serves(s2, "j-000001", oldOut)
 	serves(s2, "j-000002", newOut)
+	serves(s2, "j-000003", retriedOut)
 }

@@ -33,7 +33,7 @@ func killSpecs() []Spec {
 // the process dies. The grid reports a cell only after storing it, so the
 // cell is already in the journal when the attempt reports.
 func stallAfterFirstCell(committed chan<- struct{}) Runner {
-	inner := ExperimentRunner(2, 0)
+	inner := ExperimentRunner(2)
 	return func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
 		forward := rc.Progress
 		rc.Progress = func(p experiment.Progress) {

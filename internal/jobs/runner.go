@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"udwn/internal/checkpoint"
 	"udwn/internal/experiment"
 	"udwn/internal/trace"
 )
 
-// RunContext carries the per-attempt environment the server hands a Runner:
+// RunContext carries the per-job environment the server hands a Runner:
 // the shared checkpoint store (the cross-job result cache), the progress
 // sink feeding the job's event stream, and the trace path.
 type RunContext struct {
@@ -21,27 +20,25 @@ type RunContext struct {
 	Checkpoint *checkpoint.Store
 	// Progress receives grid progress; may be nil.
 	Progress func(experiment.Progress)
-	// TracePath, when non-empty, asks the runner to record the attempt's
-	// slot events as an indexed binary trace at that path (set by the server
-	// for Spec.Trace jobs). The framed format keeps every flushed prefix
-	// readable, so the file is queryable while the attempt is still running.
+	// TracePath, when non-empty, asks the runner to record the job's slot
+	// events as an indexed binary trace at that path (set by the server for
+	// Spec.Trace jobs). The framed format keeps every flushed prefix
+	// readable, so the file is queryable while the job is still running.
 	TracePath string
 }
 
-// Runner executes one job attempt and returns the rendered output. An error
-// fails the attempt (the supervisor retries within the job's budget); a
-// context-cancellation error is classified by the supervisor into deadline,
-// drain or client-cancel outcomes. Runners must be safe for concurrent use
-// by pool workers.
+// Runner executes one job and returns the rendered output. An error fails
+// the job unless the supervisor traces it to a client cancel or a drain
+// (see supervise). Runners must be safe for concurrent use by pool workers.
 type Runner func(ctx context.Context, spec Spec, rc RunContext) (string, error)
 
 // ExperimentRunner returns the production Runner: it executes the spec's
 // experiments in order on the experiment grid — gridWorkers concurrent
-// cells under the given per-cell deadline — writing through the shared
-// checkpoint store so finished cells are computed once daemon-wide.
+// cells — writing through the shared checkpoint store so finished cells are
+// computed once daemon-wide.
 // The grid runs with HardCancel: when ctx fires (deadline, drain past
 // grace, client cancel) in-flight simulations stop at their next tick,
-// completed cells stay checkpointed, and the attempt returns ctx's error.
+// completed cells stay checkpointed, and the runner returns ctx's error.
 // The grid runs without a metrics registry: nothing reads a job's simulator
 // counters (/metricsz and /statusz read the server's own registry), so
 // simulations skip their per-slot instrumentation and checkpoint records
@@ -49,19 +46,19 @@ type Runner func(ctx context.Context, spec Spec, rc RunContext) (string, error)
 //
 // Output is the same rendered text cmd/experiments prints for the same
 // options, and — because every grid cell is a pure function of its
-// coordinates — byte-identical across retries, restarts and worker counts.
-func ExperimentRunner(gridWorkers int, cellTimeout time.Duration) Runner {
+// coordinates — byte-identical across resubmissions, restarts and worker
+// counts.
+func ExperimentRunner(gridWorkers int) Runner {
 	return func(ctx context.Context, spec Spec, rc RunContext) (out string, err error) {
 		o := experiment.Options{
-			Seeds:       spec.Seeds,
-			Quick:       spec.Quick,
-			Workers:     gridWorkers,
-			CellTimeout: cellTimeout,
-			Report:      experiment.NewRunReport(),
-			Checkpoint:  rc.Checkpoint,
-			Progress:    rc.Progress,
-			Context:     ctx,
-			HardCancel:  true,
+			Seeds:      spec.Seeds,
+			Quick:      spec.Quick,
+			Workers:    gridWorkers,
+			Report:     experiment.NewRunReport(),
+			Checkpoint: rc.Checkpoint,
+			Progress:   rc.Progress,
+			Context:    ctx,
+			HardCancel: true,
 		}
 		if rc.TracePath != "" {
 			f, ferr := os.Create(rc.TracePath)
@@ -71,7 +68,7 @@ func ExperimentRunner(gridWorkers int, cellTimeout time.Duration) Runner {
 			bw := trace.NewBinary(f)
 			o.Observer = trace.LockedObserver(bw)
 			// Declared before the recover below, so this runs after it: the
-			// trace flushes even when the grid is cancelled mid-attempt,
+			// trace flushes even when the grid is cancelled mid-run,
 			// leaving a valid (torn-tail-recoverable) prefix on disk.
 			defer func() {
 				if fe := bw.Flush(); fe != nil && err == nil {

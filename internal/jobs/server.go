@@ -12,7 +12,6 @@ import (
 	"udwn/internal/checkpoint"
 	"udwn/internal/experiment"
 	"udwn/internal/metrics"
-	"udwn/internal/rng"
 )
 
 // Config tunes the daemon. The zero value of every field selects a sensible
@@ -36,23 +35,13 @@ type Config struct {
 	// second shedding condition (default 512). A spec whose weight alone
 	// exceeds it is invalid, not shed.
 	MaxWeight int
-	// DefaultDeadline is one attempt's wall clock when the spec sets none
-	// (default 2m; a spec may ask for up to maxDeadline).
+	// DefaultDeadline bounds a job's run when the spec sets none (default
+	// 2m; a spec may ask for up to maxDeadline). A job parked by drain gets
+	// a fresh deadline when the next start runs it.
 	DefaultDeadline time.Duration
-	// CellTimeout is the per-cell deadline every job grid runs with
-	// (default 0, no cell deadline).
-	CellTimeout time.Duration
-	// BackoffBase and BackoffMax shape the supervisor's exponential retry
-	// delay (defaults 250ms and 5s); the jitter is deterministic given the
-	// job's Seed.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// DrainGrace is how long Drain lets running jobs finish before their
 	// grids are cancelled and the jobs park for the next start (default 5s).
 	DrainGrace time.Duration
-	// RetryAfter is the Retry-After hint attached to shed responses
-	// (default 1s; the HTTP layer clamps the header to ≥ 1 second).
-	RetryAfter time.Duration
 	// RetainAge, RetainCount and RetainBytes are the retention policy GC
 	// enforces over terminal jobs (see gc.go). Zero disables the
 	// corresponding axis; all three zero keeps every terminal job forever
@@ -68,8 +57,8 @@ type Config struct {
 	// demand (POST /gc or Server.GC) unless a retention axis is configured,
 	// in which case it defaults to 1m.
 	GCInterval time.Duration
-	// Runner executes job attempts; nil selects ExperimentRunner with the
-	// grid settings above. Tests inject fakes here.
+	// Runner executes jobs; nil selects ExperimentRunner with the grid
+	// settings above. Tests inject fakes here.
 	Runner Runner
 	// Metrics is the daemon registry carrying the jobs/* counters; nil
 	// creates a private one.
@@ -92,17 +81,8 @@ func (c *Config) fill() {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Minute
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 250 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.GCInterval <= 0 && (c.RetainAge > 0 || c.RetainCount > 0 || c.RetainBytes > 0) {
 		c.GCInterval = time.Minute
@@ -111,7 +91,7 @@ func (c *Config) fill() {
 		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Runner == nil {
-		c.Runner = ExperimentRunner(c.GridWorkers, c.CellTimeout)
+		c.Runner = ExperimentRunner(c.GridWorkers)
 	}
 }
 
@@ -120,7 +100,7 @@ func (c *Config) fill() {
 var counterNames = []string{
 	"jobs/accepted", "jobs/shed", "jobs/rejected", "jobs/journal-errors",
 	"jobs/done", "jobs/failed", "jobs/cancelled",
-	"jobs/retried", "jobs/resumed", "jobs/drained",
+	"jobs/resumed", "jobs/drained",
 	"jobs/gc/runs", "jobs/gc/collected", "jobs/gc/traces-removed",
 	"checkpoint/gc/compactions", "checkpoint/gc/dropped",
 }
@@ -128,23 +108,20 @@ var counterNames = []string{
 // job is the server-internal mutable record behind a JobView. Every field
 // is guarded by the server mutex.
 type job struct {
-	id       string
-	spec     Spec
-	seqNo    int
-	state    State
-	attempts int
-	lastErr  string
-	output   string
-	resumed  bool
-	prog     *ProgressView
+	id      string
+	spec    Spec
+	seqNo   int
+	state   State
+	lastErr string
+	output  string
+	resumed bool
+	prog    *ProgressView
 	// doneAt is the terminal transition's Unix-millisecond wall clock (0
 	// while non-terminal) — what RetainAge ages against.
 	doneAt int64
 
-	cancelReq    bool
-	cancelClosed bool
-	cancelCh     chan struct{}
-	runCancel    context.CancelFunc
+	cancelReq bool
+	runCancel context.CancelFunc
 
 	subs   map[int]chan Event
 	subSeq int
@@ -153,12 +130,11 @@ type job struct {
 // view snapshots the job; the caller holds the server mutex.
 func (j *job) view() JobView {
 	v := JobView{
-		ID:       j.id,
-		State:    j.state,
-		Spec:     j.spec,
-		Attempts: j.attempts,
-		Error:    j.lastErr,
-		Resumed:  j.resumed,
+		ID:      j.id,
+		State:   j.state,
+		Spec:    j.spec,
+		Error:   j.lastErr,
+		Resumed: j.resumed,
 	}
 	if j.prog != nil {
 		p := *j.prog
@@ -175,11 +151,11 @@ type Server struct {
 	store  *checkpoint.Store
 	ledger *jobJournal
 
-	// runCtx is the parent of every attempt context; runCancel fires when
+	// runCtx is the parent of every job's run context; runCancel fires when
 	// drain exceeds its grace (hard-cancelling in-flight grids).
 	runCtx    context.Context
 	runCancel context.CancelFunc
-	// drainCh closes the moment drain begins, interrupting backoff sleeps.
+	// drainCh closes the moment drain begins, stopping the GC sweeper.
 	drainCh chan struct{}
 
 	mu       sync.Mutex
@@ -204,8 +180,8 @@ type Server struct {
 // Open resumes (or creates) the daemon state in cfg.Dir and starts the
 // worker pool. The job journal replays first: terminal jobs come back
 // servable (state, output, error), and every job that was accepted but not
-// terminal — queued, running or backing off when the process died — is
-// re-queued in submission order with Resumed set, counted under
+// terminal — queued or running when the process died — is re-queued in
+// submission order with Resumed set, counted under
 // jobs/resumed. Their grids replay finished cells from the shared
 // checkpoint store, so a SIGKILL costs at most the cells that were in
 // flight.
@@ -274,12 +250,11 @@ func (s *Server) replay(ev jobEvent) {
 	switch ev.Kind {
 	case "submit":
 		j := &job{
-			id:       ev.ID,
-			spec:     *ev.Spec,
-			seqNo:    ev.Seq,
-			state:    StateQueued,
-			cancelCh: make(chan struct{}),
-			subs:     make(map[int]chan Event),
+			id:    ev.ID,
+			spec:  *ev.Spec,
+			seqNo: ev.Seq,
+			state: StateQueued,
+			subs:  make(map[int]chan Event),
 		}
 		if _, dup := s.jobs[ev.ID]; dup {
 			return
@@ -305,7 +280,6 @@ func (s *Server) replay(ev jobEvent) {
 			j.state = StateCancelled
 			j.lastErr = ev.Error
 		}
-		j.attempts = ev.Attempts
 		j.doneAt = ev.DoneMs
 	case "seq":
 		// GC compaction's allocator pin: dropping the oldest submit records
@@ -333,7 +307,7 @@ func (s *Server) tracePath(id string) string {
 
 // TraceFile resolves a job's recorded trace: ErrNotFound for unknown jobs,
 // *InvalidError when the job was not submitted with Spec.Trace, and
-// os.ErrNotExist (wrapped) when tracing is on but no attempt has written the
+// os.ErrNotExist (wrapped) when tracing is on but no run has written the
 // file yet.
 func (s *Server) TraceFile(id string) (string, error) {
 	s.mu.Lock()
@@ -363,10 +337,6 @@ type WorkerStatus struct {
 	// are zero.
 	Idle bool   `json:"idle"`
 	Job  string `json:"job,omitempty"`
-	// State is the job's current lifecycle state (RUNNING, or BACKOFF while
-	// the worker waits out a retry delay).
-	State   State `json:"state,omitempty"`
-	Attempt int   `json:"attempt,omitempty"`
 	// Progress is the job's last grid progress: which experiment the worker
 	// is inside and its done/total/failed cell counts.
 	Progress *ProgressView `json:"progress,omitempty"`
@@ -427,8 +397,6 @@ func (s *Server) Status() StatusView {
 		ws := WorkerStatus{Worker: w, Idle: j == nil}
 		if j != nil {
 			ws.Job = j.id
-			ws.State = j.state
-			ws.Attempt = j.attempts
 			if j.prog != nil {
 				p := *j.prog
 				ws.Progress = &p
@@ -465,7 +433,7 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 		return JobView{}, err
 	}
 	if spec.Trace {
-		// Fail trace jobs at admission, not mid-attempt: a submission that
+		// Fail trace jobs at admission, not mid-run: a submission that
 		// can never record its trace should be refused while the client is
 		// still on the line.
 		if err := s.traceWritable(); err != nil {
@@ -490,12 +458,11 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 	}
 	s.seq++
 	j := &job{
-		id:       fmt.Sprintf("j-%06d", s.seq),
-		spec:     spec,
-		seqNo:    s.seq,
-		state:    StateQueued,
-		cancelCh: make(chan struct{}),
-		subs:     make(map[int]chan Event),
+		id:    fmt.Sprintf("j-%06d", s.seq),
+		spec:  spec,
+		seqNo: s.seq,
+		state: StateQueued,
+		subs:  make(map[int]chan Event),
 	}
 	if err := s.ledger.append(jobEvent{Kind: "submit", ID: j.id, Seq: s.seq, Spec: &spec}); err != nil {
 		s.mu.Unlock()
@@ -518,7 +485,7 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 // traceWritable probes the traces directory with a create+remove round
 // trip, wrapping any failure in ErrTraceUnavailable (HTTP 503). A probe
 // file (not a permission-bit check) is deliberate: it is the same operation
-// the attempt will perform and stays honest under privileged users, ACLs
+// the run will perform and stays honest under privileged users, ACLs
 // and read-only mounts.
 func (s *Server) traceWritable() error {
 	f, err := os.CreateTemp(filepath.Join(s.cfg.Dir, "traces"), ".probe-*")
@@ -567,7 +534,7 @@ func (s *Server) Result(id string) (output string, state State, err error) {
 
 // Cancel cancels one job: a queued job goes terminal immediately, a running
 // one has its grid cancelled (completed cells stay checkpointed) and goes
-// terminal when the attempt unwinds, a backing-off one skips its sleep.
+// terminal when the run unwinds.
 func (s *Server) Cancel(id string) (JobView, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -581,10 +548,6 @@ func (s *Server) Cancel(id string) (JobView, error) {
 		return view, ErrTerminal
 	}
 	j.cancelReq = true
-	if !j.cancelClosed {
-		j.cancelClosed = true
-		close(j.cancelCh)
-	}
 	if j.runCancel != nil {
 		j.runCancel()
 	}
@@ -600,7 +563,7 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	}
 	s.mu.Unlock()
 	if wasQueued {
-		s.finish(j, StateCancelled, 0, "", "cancelled before start")
+		s.finish(j, StateCancelled, "", "cancelled before start")
 	}
 	return s.View(id)
 }
@@ -617,7 +580,7 @@ func (s *Server) Subscribe(id string) (<-chan Event, func(), error) {
 		return nil, nil, ErrNotFound
 	}
 	ch := make(chan Event, 64)
-	ch <- Event{Type: "state", Job: j.id, State: j.state, Attempt: j.attempts, Error: j.lastErr}
+	ch <- Event{Type: "state", Job: j.id, State: j.state, Error: j.lastErr}
 	if j.state.Terminal() {
 		close(ch)
 		return ch, func() {}, nil
@@ -697,71 +660,41 @@ func (s *Server) popLocked() *job {
 	return j
 }
 
-// attemptOutcome classifies a failed attempt.
-type attemptOutcome int
-
-const (
-	outcomeError attemptOutcome = iota
-	outcomeDrained
-	outcomeCancelled
-)
-
-// supervise drives one job through its attempt/backoff loop to a terminal
-// state (or parks it when drain interrupts). Backoff delays grow
-// exponentially from BackoffBase to BackoffMax with jitter that is a pure
-// function of (spec.Seed, attempt), so a job's retry schedule is
-// reproducible from its submission.
+// supervise runs the job once under its deadline and maps the outcome to
+// DONE, CANCELLED (client cancel), a park (drain) or FAILED (any other
+// error, a deadline overrun included). A failed job is not retried: its
+// cells are pure functions of their coordinates, so a rerun would fail
+// again, and resubmitting the spec replays every cell the run committed to
+// the store.
 func (s *Server) supervise(j *job) {
-	spec := j.spec
-	attempts := 1 + spec.Retries
-	lastErr := "unknown error"
-	for a := 1; a <= attempts; a++ {
-		s.transition(j, StateRunning, a, "")
-		out, err := s.runOnce(j, a)
-		if err == nil {
-			s.finish(j, StateDone, a, out, "")
-			return
-		}
-		switch s.classify(j) {
-		case outcomeDrained:
-			s.park(j, a)
-			return
-		case outcomeCancelled:
-			s.finish(j, StateCancelled, a, "", err.Error())
-			return
-		}
-		lastErr = err.Error()
-		if a == attempts {
-			break
-		}
-		s.reg.Counter("jobs/retried").Inc()
-		s.transition(j, StateBackoff, a, lastErr)
-		t := time.NewTimer(backoffDelay(s.cfg.BackoffBase, s.cfg.BackoffMax, spec.Seed, a))
-		select {
-		case <-t.C:
-		case <-s.drainCh:
-			t.Stop()
-			s.park(j, a)
-			return
-		case <-j.cancelCh:
-			t.Stop()
-			s.finish(j, StateCancelled, a, "", "cancelled during backoff")
-			return
-		}
+	out, err := s.run(j)
+	s.mu.Lock()
+	cancelReq, draining := j.cancelReq, s.draining
+	s.mu.Unlock()
+	switch {
+	case err == nil:
+		s.finish(j, StateDone, out, "")
+	case cancelReq:
+		s.finish(j, StateCancelled, "", err.Error())
+	case draining || s.runCtx.Err() != nil:
+		// Any error during drain parks the job: the restart re-runs it with
+		// the checkpoint store primed.
+		s.park(j)
+	default:
+		s.finish(j, StateFailed, "", err.Error())
 	}
-	s.finish(j, StateFailed, attempts, "", lastErr)
 }
 
-// runOnce executes one attempt under the job's deadline, parented on the
-// server run context so a post-grace drain cancels it too.
-func (s *Server) runOnce(j *job, attempt int) (string, error) {
-	ctx, cancel := context.WithCancel(s.runCtx)
+// run marks the job RUNNING and executes it under its deadline, parented on
+// the server run context so a post-grace drain cancels it too.
+func (s *Server) run(j *job) (string, error) {
+	ctx, cancel := context.WithTimeout(s.runCtx, j.spec.deadline(&s.cfg))
 	defer cancel()
-	dctx, dcancel := context.WithTimeout(ctx, j.spec.deadline(&s.cfg))
-	defer dcancel()
 	s.mu.Lock()
+	j.state = StateRunning
 	j.runCancel = cancel
 	cancelReq := j.cancelReq
+	s.publishLocked(j, Event{Type: "state", State: StateRunning})
 	s.mu.Unlock()
 	if cancelReq {
 		return "", context.Canceled
@@ -769,44 +702,13 @@ func (s *Server) runOnce(j *job, attempt int) (string, error) {
 	rc := RunContext{
 		Checkpoint: s.store,
 		Progress: func(p experiment.Progress) {
-			s.progress(j, attempt, p)
+			s.progress(j, p)
 		},
 	}
 	if j.spec.Trace {
 		rc.TracePath = s.tracePath(j.id)
 	}
-	return s.cfg.Runner(dctx, j.spec, rc)
-}
-
-// classify decides a failed attempt's outcome from the job's cancel request
-// and the server's drain state: client cancel and drain are not failures,
-// everything else (deadline included) consumes the retry budget.
-func (s *Server) classify(j *job) attemptOutcome {
-	s.mu.Lock()
-	cancelReq := j.cancelReq
-	draining := s.draining
-	s.mu.Unlock()
-	switch {
-	case cancelReq:
-		return outcomeCancelled
-	case draining || s.runCtx.Err() != nil:
-		// Any error during drain parks the job: retrying now would only
-		// delay shutdown, and the restart re-runs it with the checkpoint
-		// store primed.
-		return outcomeDrained
-	default:
-		return outcomeError
-	}
-}
-
-// transition publishes a non-terminal state change.
-func (s *Server) transition(j *job, st State, attempt int, errStr string) {
-	s.mu.Lock()
-	j.state = st
-	j.attempts = attempt
-	j.lastErr = errStr
-	s.publishLocked(j, Event{Type: "state", State: st, Attempt: attempt, Error: errStr})
-	s.mu.Unlock()
+	return s.cfg.Runner(ctx, j.spec, rc)
 }
 
 // finish journals and publishes a terminal state, releasing the job's
@@ -815,26 +717,25 @@ func (s *Server) transition(j *job, st State, attempt int, errStr string) {
 // job table and rewrites the ledger, so a terminal event either lands
 // before the snapshot (and is part of the rewrite) or appends to the
 // rewritten journal — never into the file the rewrite is about to replace.
-func (s *Server) finish(j *job, st State, attempts int, out, errStr string) {
+func (s *Server) finish(j *job, st State, out, errStr string) {
 	kind := map[State]string{
 		StateDone: "done", StateFailed: "failed", StateCancelled: "cancelled",
 	}[st]
 	doneAt := time.Now().UnixMilli()
 	s.mu.Lock()
-	if err := s.ledger.append(jobEvent{Kind: kind, ID: j.id, Output: out, Error: errStr, Attempts: attempts, DoneMs: doneAt}); err != nil {
+	if err := s.ledger.append(jobEvent{Kind: kind, ID: j.id, Output: out, Error: errStr, DoneMs: doneAt}); err != nil {
 		// The in-memory state is still authoritative for this process; the
 		// next start will re-run the job, which the checkpoint store makes
 		// cheap.
 		s.reg.Counter("jobs/journal-errors").Inc()
 	}
 	j.state = st
-	j.attempts = attempts
 	j.output = out
 	j.lastErr = errStr
 	j.doneAt = doneAt
 	j.runCancel = nil
 	s.weight -= j.spec.weight()
-	s.publishLocked(j, Event{Type: "state", State: st, Attempt: attempts, Error: errStr})
+	s.publishLocked(j, Event{Type: "state", State: st, Error: errStr})
 	s.closeSubsLocked(j)
 	s.mu.Unlock()
 	if st == StateCancelled && j.spec.Trace {
@@ -856,43 +757,24 @@ func (s *Server) finish(j *job, st State, attempts int, out, errStr string) {
 // park returns an interrupted job to QUEUED without a terminal journal
 // record: the next start finds the submit record unterminated and re-queues
 // it — the crash-safe "checkpoint the job" half of drain.
-func (s *Server) park(j *job, attempt int) {
+func (s *Server) park(j *job) {
 	s.mu.Lock()
 	j.state = StateQueued
 	j.runCancel = nil
-	s.publishLocked(j, Event{Type: "state", State: StateQueued, Attempt: attempt})
+	s.publishLocked(j, Event{Type: "state", State: StateQueued})
 	s.mu.Unlock()
 	s.reg.Counter("jobs/drained").Inc()
 }
 
 // progress records and publishes one grid progress update.
-func (s *Server) progress(j *job, attempt int, p experiment.Progress) {
+func (s *Server) progress(j *job, p experiment.Progress) {
 	s.mu.Lock()
 	j.prog = &ProgressView{Experiment: p.Experiment, Done: p.Done, Total: p.Total, Failed: p.Failed}
 	s.publishLocked(j, Event{
-		Type: "progress", Attempt: attempt,
+		Type:       "progress",
 		Experiment: p.Experiment, Done: p.Done, Total: p.Total, Failed: p.Failed,
 	})
 	s.mu.Unlock()
-}
-
-// backoffDelay is the supervisor's retry delay: exponential growth from
-// base, capped at max, scaled by a jitter factor in [0.5, 1.5) that is a
-// pure function of (seed, attempt) — deterministic per submission, spread
-// across submissions.
-func backoffDelay(base, max time.Duration, seed uint64, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	f := rng.New(seed).Fork(uint64(attempt)).Float64()
-	return time.Duration(float64(d) * (0.5 + f))
 }
 
 // Drain performs graceful shutdown: stop accepting and popping, give

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"udwn/internal/experiment"
 	"udwn/internal/metrics"
 )
 
@@ -17,13 +18,11 @@ import (
 func testConfig(t *testing.T, r Runner) Config {
 	t.Helper()
 	return Config{
-		Dir:         t.TempDir(),
-		Workers:     2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		DrainGrace:  100 * time.Millisecond,
-		Metrics:     metrics.NewRegistry(),
-		Runner:      r,
+		Dir:        t.TempDir(),
+		Workers:    2,
+		DrainGrace: 100 * time.Millisecond,
+		Metrics:    metrics.NewRegistry(),
+		Runner:     r,
 	}
 }
 
@@ -69,12 +68,12 @@ func okRunner(out string) Runner {
 	}
 }
 
-// gateRunner blocks every attempt until release yields (or the attempt's
-// context fires), reporting each started job's seed on started.
-func gateRunner(started chan<- uint64, release <-chan struct{}) Runner {
+// gateRunner blocks every job until release yields (or the job's context
+// fires), reporting each started job's Seeds on started.
+func gateRunner(started chan<- int, release <-chan struct{}) Runner {
 	return func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
 		if started != nil {
-			started <- spec.Seed
+			started <- spec.Seeds
 		}
 		select {
 		case <-release:
@@ -98,8 +97,8 @@ func TestSubmitRunDone(t *testing.T) {
 		t.Fatalf("submit view = %+v", v)
 	}
 	final := waitTerminal(t, s, v.ID)
-	if final.State != StateDone || final.Attempts != 1 {
-		t.Fatalf("final = %+v, want DONE in 1 attempt", final)
+	if final.State != StateDone {
+		t.Fatalf("final = %+v, want DONE", final)
 	}
 	out, state, err := s.Result(v.ID)
 	if err != nil || state != StateDone || out != "hello\n" {
@@ -143,7 +142,7 @@ func TestListInSubmissionOrder(t *testing.T) {
 // whatever their weights.
 func TestFIFODequeue(t *testing.T) {
 	const n = 6
-	started := make(chan uint64, n)
+	started := make(chan int, n)
 	release := make(chan struct{}, n)
 	cfg := testConfig(t, gateRunner(started, release))
 	cfg.Workers = 1
@@ -151,40 +150,42 @@ func TestFIFODequeue(t *testing.T) {
 	defer func() { s.Drain(); s.Close() }()
 
 	var ids []string
-	for seed := uint64(1); seed <= n; seed++ {
+	for seeds := n; seeds >= 1; seeds-- {
 		// Later submissions are lighter, so a weight-ordered dequeue would
 		// reverse the queue.
-		v, err := s.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Seeds: n + 1 - int(seed), Seed: seed})
+		v, err := s.Submit(Spec{Experiments: []string{"table1"}, Quick: true, Seeds: seeds})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, v.ID)
-		if seed == 1 {
+		if seeds == n {
 			<-started // the first job holds the worker; the rest queue
 		}
 	}
 
 	// Release the running job one at a time and record which starts next.
-	var got []uint64
+	var got []int
 	for range ids[1:] {
 		release <- struct{}{}
 		select {
-		case seed := <-started:
-			got = append(got, seed)
+		case seeds := <-started:
+			got = append(got, seeds)
 		case <-time.After(10 * time.Second):
 			t.Fatalf("worker wedged after starting %v", got)
 		}
 	}
 	release <- struct{}{} // let the last job finish
-	if fmt.Sprint(got) != "[2 3 4 5 6]" {
-		t.Fatalf("start order %v, want [2 3 4 5 6]", got)
+	if fmt.Sprint(got) != "[5 4 3 2 1]" {
+		t.Fatalf("start order by Seeds %v, want [5 4 3 2 1]", got)
 	}
 	for _, id := range ids {
 		waitTerminal(t, s, id)
 	}
 }
 
-func TestRetryBudgetExhaustedFails(t *testing.T) {
+// TestFailedJobRunsOnce: a runner that errors is called once, and the job
+// ends FAILED with that error.
+func TestFailedJobRunsOnce(t *testing.T) {
 	var calls atomic.Int64
 	r := func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
 		calls.Add(1)
@@ -192,43 +193,111 @@ func TestRetryBudgetExhaustedFails(t *testing.T) {
 	}
 	s := mustOpen(t, testConfig(t, r))
 	defer s.Close()
-	sp := spec1()
-	sp.Retries = 2
-	v, err := s.Submit(sp)
+	v, err := s.Submit(spec1())
 	if err != nil {
 		t.Fatal(err)
 	}
 	final := waitTerminal(t, s, v.ID)
-	if final.State != StateFailed {
-		t.Fatalf("state = %s, want FAILED", final.State)
+	if final.State != StateFailed || final.Error != "boom" {
+		t.Fatalf("final = %+v, want FAILED with the runner's error", final)
 	}
-	if final.Attempts != 3 || calls.Load() != 3 {
-		t.Fatalf("attempts = %d (runner calls %d), want 3", final.Attempts, calls.Load())
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(final.Error, "boom") {
-		t.Fatalf("terminal record lost the last error: %+v", final)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("runner called %d times, want 1", n)
 	}
-	if got := s.Metrics().CounterValue("jobs/retried"); got != 2 {
-		t.Fatalf("jobs/retried = %d, want 2", got)
+	if got := s.Metrics().CounterValue("jobs/failed"); got != 1 {
+		t.Fatalf("jobs/failed = %d, want 1", got)
 	}
 }
 
-func TestRetryRecoversOnSecondAttempt(t *testing.T) {
-	var calls atomic.Int64
-	r := func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
-		if calls.Add(1) == 1 {
-			return "", errors.New("transient")
+// endAfterFirstCell wraps the production runner so that its first call's
+// run context ends once the grid has committed a cell, as a deadline firing
+// mid-grid would; later calls run unwrapped. The grid reports a cell only
+// after storing it, so the cell is in the store when the context ends.
+func endAfterFirstCell(calls *atomic.Int64) Runner {
+	inner := ExperimentRunner(1)
+	return func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
+		if calls.Add(1) > 1 {
+			return inner(ctx, spec, rc)
 		}
-		return "recovered", nil
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		forward := rc.Progress
+		rc.Progress = func(p experiment.Progress) {
+			forward(p)
+			if p.Done > p.Failed {
+				cancel()
+			}
+		}
+		return inner(ctx, spec, rc)
 	}
-	s := mustOpen(t, testConfig(t, r))
+}
+
+// TestFailedJobResubmitResumes: a real-grid job whose run context ends
+// after its first committed cell goes FAILED and is not rerun.
+// Resubmitting the same spec hits the store for the committed cell,
+// computes only the rest, and renders output byte-identical to an
+// uninterrupted job.
+func TestFailedJobResubmitResumes(t *testing.T) {
+	var calls atomic.Int64
+	cfg := testConfig(t, endAfterFirstCell(&calls))
+	cfg.Workers = 1
+	s := mustOpen(t, cfg)
 	defer s.Close()
-	sp := spec1()
-	sp.Retries = 3
-	v, _ := s.Submit(sp)
-	final := waitTerminal(t, s, v.ID)
-	if final.State != StateDone || final.Attempts != 2 {
-		t.Fatalf("final = %+v, want DONE in 2 attempts", final)
+	sp := Spec{Experiments: []string{"table3"}, Quick: true, Seeds: 2}
+	v, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitTerminal(t, s, v.ID)
+	if failed.State != StateFailed || failed.Progress == nil {
+		t.Fatalf("interrupted job = %+v, want FAILED with progress", failed)
+	}
+	total := failed.Progress.Total
+	if want := fmt.Sprintf("cancelled after 1/%d cells", total); total < 2 || !strings.Contains(failed.Error, want) {
+		t.Fatalf("error %q over %d cells, want one naming %q", failed.Error, total, want)
+	}
+	st1 := s.Store().Stats()
+	if calls.Load() != 1 || st1.Stores != 1 {
+		t.Fatalf("after the failed job: %d runner calls and %d stored cells, want 1 and 1", calls.Load(), st1.Stores)
+	}
+
+	v2, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, s, v2.ID); final.State != StateDone {
+		t.Fatalf("resubmitted job = %+v, want DONE", final)
+	}
+	st2 := s.Store().Stats()
+	if hits, stores := st2.Hits-st1.Hits, st2.Stores-st1.Stores; hits != 1 || stores != int64(total-1) {
+		t.Fatalf("resubmission: %d hits and %d stores, want 1 and %d", hits, stores, total-1)
+	}
+	resumed, _, err := s.Result(v2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	ref := mustOpen(t, Config{Dir: t.TempDir(), Workers: 1, Metrics: metrics.NewRegistry()})
+	defer func() { ref.Drain(); ref.Close() }()
+	rv, err := ref.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, ref, rv.ID); final.State != StateDone {
+		t.Fatalf("reference job = %+v, want DONE", final)
+	}
+	want, _, err := ref.Result(rv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != want {
+		t.Fatalf("resubmitted output diverged:\n--- resubmitted ---\n%s\n--- uninterrupted ---\n%s", resumed, want)
 	}
 }
 
@@ -240,7 +309,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Experiments: []string{"no-such-experiment"}},
 		{Experiments: []string{"table1"}, Seeds: -1},
 		{Experiments: []string{"table1"}, Seeds: 10_000},
-		{Experiments: []string{"table1"}, Retries: 10_000},
 		{Experiments: []string{"table1"}, DeadlineMs: -5},
 		{Experiments: []string{"table1"}, DeadlineMs: int64(24 * time.Hour / time.Millisecond)},
 	}
@@ -375,33 +443,6 @@ func TestDeadlineFailsAttempt(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministic pins the jitter contract: the delay is a pure
-// function of (seed, attempt), bounded by [d/2, 3d/2) of the exponential
-// envelope, and different seeds spread.
-func TestBackoffDeterministic(t *testing.T) {
-	base, max := 100*time.Millisecond, time.Second
-	for attempt := 1; attempt <= 6; attempt++ {
-		d1 := backoffDelay(base, max, 42, attempt)
-		d2 := backoffDelay(base, max, 42, attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: nondeterministic delay %s vs %s", attempt, d1, d2)
-		}
-		env := base << (attempt - 1)
-		if env > max {
-			env = max
-		}
-		if d1 < env/2 || d1 >= env+env/2 {
-			t.Fatalf("attempt %d: delay %s outside [%s, %s)", attempt, d1, env/2, env+env/2)
-		}
-	}
-	if backoffDelay(base, max, 1, 1) == backoffDelay(base, max, 2, 1) {
-		t.Fatal("different seeds produced identical jitter")
-	}
-	if backoffDelay(0, max, 1, 1) != 0 {
-		t.Fatal("zero base must mean zero delay")
-	}
-}
-
 // TestDrainParksRunningJobAndResumes pins the drain-then-restart loop: a job
 // still running when the grace expires parks (no terminal record), and a new
 // server over the same directory re-queues it as resumed and finishes it.
@@ -415,8 +456,7 @@ func TestDrainParksRunningJobAndResumes(t *testing.T) {
 	}
 	cfg := Config{
 		Dir: dir, Workers: 1, DrainGrace: 50 * time.Millisecond,
-		BackoffBase: time.Millisecond, Metrics: metrics.NewRegistry(),
-		Runner: blockForever,
+		Metrics: metrics.NewRegistry(), Runner: blockForever,
 	}
 	s := mustOpen(t, cfg)
 	v, err := s.Submit(spec1())
@@ -468,8 +508,7 @@ func TestTerminalRecordsSurviveRestart(t *testing.T) {
 		return "", errors.New("persistent failure")
 	}
 	cfg := Config{
-		Dir: dir, Workers: 1, BackoffBase: time.Millisecond,
-		Metrics: metrics.NewRegistry(), Runner: r,
+		Dir: dir, Workers: 1, Metrics: metrics.NewRegistry(), Runner: r,
 	}
 	s := mustOpen(t, cfg)
 	ok1, _ := s.Submit(spec1())
@@ -536,7 +575,7 @@ func TestSubscribeTerminalJobClosesImmediately(t *testing.T) {
 // pre-cancelled context: it must return the cancellation as an error, not
 // hang or panic through.
 func TestExperimentRunnerCancellation(t *testing.T) {
-	r := ExperimentRunner(1, 0)
+	r := ExperimentRunner(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := r(ctx, Spec{Experiments: []string{"table1"}, Quick: true}, RunContext{})
@@ -551,7 +590,7 @@ func TestExperimentRunnerProducesOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real experiment run")
 	}
-	r := ExperimentRunner(2, 0)
+	r := ExperimentRunner(2)
 	out, err := r(context.Background(), Spec{Experiments: []string{"table1"}, Quick: true, Seeds: 1},
 		RunContext{})
 	if err != nil {

@@ -8,8 +8,8 @@
 # package's non-test Go lines at or below its committed count.
 #
 # Every go test carries an explicit -timeout: a stuck grid cell or a hung
-# deadline test must fail the gate with a goroutine dump, not wedge CI at
-# the default 10-minute-per-package limit times the package count.
+# cancellation test must fail the gate with a goroutine dump, not wedge CI
+# at the default 10-minute-per-package limit times the package count.
 #
 # Usage: scripts/ci.sh [-update-coverage]
 #
@@ -132,10 +132,11 @@ go test -race -short -timeout 10m -run 'TestIncrementalFieldEquivalence|TestFiel
 # mode runs one cut point per experiment, still all 16 experiments × both
 # worker counts), the failed-cell metrics contract (a failed cell's counts
 # stay out of the run totals, with or without a store), the one-run-per-cell
-# contract (a panicking cell's closure runs once and counts one cell-panic),
-# and the hard-cancel contract of every runner (every simulator a runner
-# builds comes from Options.newSim, which installs the grid's cancel hook,
-# so a cancelled cell stops at its next tick).
+# contract (a panicking cell's closure runs once, on the worker that took
+# it, and is FAILED, as is one that panics sim.Cancelled while the run
+# context is live), and the hard-cancel contract of every runner (every
+# simulator a runner builds comes from Options.newSim, which installs the
+# grid's cancel hook, so a cancelled cell stops at its next tick).
 go test -race -short -timeout 10m -run 'TestResumeByteIdentical|TestCheckpointParallelWriters|TestFailedCellMetricsIndependentOfStore|TestGridCellRunsOnce|TestEveryRunnerHonoursHardCancel' ./internal/experiment
 # The trace layer's locked observer serializes concurrent grid workers into
 # one writer; race the whole package (includes the query/scan differential
@@ -156,7 +157,7 @@ go test -race -timeout 10m ./internal/jobs
 # explicitly even when the whole-package runs above shard.
 go test -race -timeout 10m -run 'TestCompact|TestRewriteCrashStages|TestConcurrentPutsDuringCompact|TestSingleFlight' ./internal/checkpoint
 go test -race -timeout 10m -run 'TestSingleFlightDedupAcrossConcurrentRuns' ./internal/experiment
-go test -race -timeout 10m -run 'TestGC|TestFIFODequeue|TestJobJournalReplaysRetiredClientField|TestRetryAfterClamp|TestTraceSubmitUnwritable|TestCancelRemovesTrace' ./internal/jobs
+go test -race -timeout 10m -run 'TestGC|TestFIFODequeue|TestJobJournalReplaysRetiredClientField|TestTraceSubmitUnwritable|TestCancelRemovesTrace' ./internal/jobs
 # The GC crash matrix SIGKILLs a real daemon at every compaction stage and
 # the retention soak bounds the state dir across a kill; both re-exec the
 # test binary, so run them without -race (the victim is raced above).
