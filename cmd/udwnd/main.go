@@ -19,12 +19,11 @@
 //	curl -s localhost:8080/statusz
 //	curl -s 'localhost:8080/jobs/j-000001/trace?query=node=3&tick=100-200&format=jsonl'
 //
-// Durable state is bounded: -retain-age/-retain-count/-retain-bytes set the
-// retention policy a background sweeper (period -gc-interval, or POST /gc on
-// demand) enforces by collecting terminal jobs, unlinking their traces and
-// atomically compacting both journals:
+// Durable state is bounded: -retain-count keeps the newest terminal jobs,
+// and a background sweeper (every minute, or POST /gc on demand) collects
+// the rest, unlinking their traces and atomically compacting both journals:
 //
-//	udwnd -dir state/ -retain-age 24h -retain-count 1000
+//	udwnd -dir state/ -retain-count 1000
 //	curl -s -XPOST localhost:8080/gc
 //
 // On SIGTERM the daemon stops accepting (readyz flips to 503), lets running
@@ -59,15 +58,10 @@ func run() int {
 		dir         = flag.String("dir", "udwnd-state", "state directory (job journal + checkpoint store)")
 		workers     = flag.Int("workers", 2, "concurrent jobs")
 		gridWorkers = flag.Int("grid-workers", 1, "concurrent cells per job grid")
-		queueDepth  = flag.Int("queue-depth", 64, "max queued jobs before shedding")
 		maxWeight   = flag.Int("max-weight", 512, "max in-flight cell weight before shedding")
 		deadline    = flag.Duration("deadline", 2*time.Minute, "default deadline of a job's run")
 		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "time running jobs get to finish during drain")
-
-		retainAge   = flag.Duration("retain-age", 0, "collect terminal jobs older than this (0 = keep forever)")
-		retainCount = flag.Int("retain-count", 0, "keep at most this many terminal jobs (0 = unlimited)")
-		retainBytes = flag.Int64("retain-bytes", 0, "state-dir byte budget enforced by collecting oldest terminal jobs (0 = unlimited)")
-		gcInterval  = flag.Duration("gc-interval", 0, "background GC period (0 = on demand; defaults to 1m when retention is set)")
+		retainCount = flag.Int("retain-count", 0, "keep at most this many terminal jobs, swept every minute (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -75,14 +69,10 @@ func run() int {
 		Dir:             *dir,
 		Workers:         *workers,
 		GridWorkers:     *gridWorkers,
-		QueueDepth:      *queueDepth,
 		MaxWeight:       *maxWeight,
 		DefaultDeadline: *deadline,
 		DrainGrace:      *drainGrace,
-		RetainAge:       *retainAge,
 		RetainCount:     *retainCount,
-		RetainBytes:     *retainBytes,
-		GCInterval:      *gcInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "udwnd:", err)

@@ -38,7 +38,7 @@ func macSim(t *testing.T, k int, apps map[int]*recorderApp) *sim.Sim {
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		AckScale: 8,
 		Options: sim.Options{
 			Seed:       3,
@@ -110,7 +110,7 @@ func TestAppCanSendFromCallbacks(t *testing.T) {
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		AckScale: 8,
 		Options: sim.Options{
 			Seed:       7,

@@ -154,7 +154,7 @@ func TestBaselinesIntegration(t *testing.T) {
 		s, err := sim.New(sim.Config{
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(8, 1, 1, 3, 0.1),
-			P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+			P:     8, Zeta: 3, Eps: 0.1,
 			Options: sim.Options{
 				Seed:       9,
 				Primitives: sim.FreeAck,
@@ -197,7 +197,7 @@ func TestDecayBcastIntegration(t *testing.T) {
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: sim.Options{Seed: 9},
 	}, func(id int) sim.Protocol { return NewDecayBcast(k, 42, id == 0) })
 	if err != nil {

@@ -192,28 +192,14 @@ func open(dir string, resume bool) (*Store, error) {
 	return s, nil
 }
 
-// decodeFrame parses one record frame from the front of data. ok=false
-// means data does not start with a complete valid frame (torn tail,
-// corruption, or simply empty) or the framed payload is not a Record.
-func decodeFrame(data []byte) (rec *Record, n int64, ok bool) {
-	payload, n, ok := decodePayloadFrame(data)
-	if !ok {
-		return nil, 0, false
-	}
-	var r Record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&r); err != nil {
-		return nil, 0, false
-	}
-	return &r, n, true
-}
-
-// encodeFrame renders one record as a self-contained journal frame.
-func encodeFrame(rec *Record) ([]byte, error) {
+// encodeRecord renders one record as the self-contained gob payload of its
+// journal frame; open's accept callback is the matching decoder.
+func encodeRecord(rec *Record) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
 		return nil, fmt.Errorf("checkpoint: encode record: %w", err)
 	}
-	return encodePayloadFrame(payload.Bytes())
+	return payload.Bytes(), nil
 }
 
 // Lookup returns the record stored under k, counting the outcome in the
@@ -239,10 +225,10 @@ func (s *Store) Lookup(k Key) (*Record, bool) {
 // journal frame and its index entry (which would silently drop the frame
 // from the rewritten journal).
 func (s *Store) Put(rec Record) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
+	payload, err := encodeRecord(&rec)
+	if err != nil {
 		s.errors.Add(1)
-		return fmt.Errorf("checkpoint: encode record: %w", err)
+		return err
 	}
 	s.mu.Lock()
 	if s.j == nil {
@@ -250,7 +236,7 @@ func (s *Store) Put(rec Record) error {
 		s.errors.Add(1)
 		return errors.New("checkpoint: store is closed")
 	}
-	if err := s.j.Append(payload.Bytes()); err != nil {
+	if err := s.j.Append(payload); err != nil {
 		s.mu.Unlock()
 		s.errors.Add(1)
 		return fmt.Errorf("checkpoint: append record: %w", err)
@@ -310,11 +296,11 @@ func (s *Store) Compact(keep func(*Record) bool) (CompactStats, error) {
 			st.Dropped++
 			continue
 		}
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-			return st, fmt.Errorf("checkpoint: encode record: %w", err)
+		payload, err := encodeRecord(rec)
+		if err != nil {
+			return st, err
 		}
-		payloads = append(payloads, payload.Bytes())
+		payloads = append(payloads, payload)
 		st.Kept++
 	}
 	if err := s.j.Rewrite(payloads); err != nil {
@@ -406,18 +392,6 @@ func (s *Store) Sync() error {
 		return nil
 	}
 	return j.Sync()
-}
-
-// JournalSize reports the store journal's current on-disk length in bytes
-// — the store's contribution to a state-directory byte budget.
-func (s *Store) JournalSize() (int64, error) {
-	s.mu.Lock()
-	j := s.j
-	s.mu.Unlock()
-	if j == nil {
-		return 0, errors.New("checkpoint: store is closed")
-	}
-	return j.Size()
 }
 
 // NoteError counts a store-related failure that happened outside the

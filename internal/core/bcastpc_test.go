@@ -111,7 +111,7 @@ func TestBcastPCIntegrationLine(t *testing.T) {
 	s, err := sim.New(sim.Config{
 		Space: metricOfLine(pts),
 		Model: lineModel(),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		AckScale: 8,
 		Options: sim.Options{
 			SenseEps:   0.05,

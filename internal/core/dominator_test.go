@@ -26,7 +26,7 @@ func twoSlotSim(t *testing.T, pts []geom.Point, factory sim.ProtocolFactory) *si
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		AckScale: 8,
 		Options: sim.Options{
 			SenseEps:   0.05,

@@ -73,7 +73,7 @@ func lineNetwork(t *testing.T, k int, prims sim.Primitives, factory sim.Protocol
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		AckScale: 8,
 		Options: sim.Options{
 			Seed:       5,

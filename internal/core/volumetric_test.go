@@ -25,7 +25,7 @@ func TestLocalBcastVolumetric(t *testing.T) {
 	s, err := sim.New(sim.Config{
 		Space: space,
 		Model: model.NewSINR(p, 1.5, 1, 4, 0.1),
-		P:     p, Zeta: 4, Noise: 1, Eps: 0.1,
+		P:     p, Zeta: 4, Eps: 0.1,
 		BusyScale: 0.25,
 		AckScale:  8,
 		Options: sim.Options{

@@ -21,7 +21,7 @@ func newSim(t *testing.T, n int, dynamic bool) *sim.Sim {
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: sim.Options{
 			Seed:    2,
 			Dynamic: dynamic,

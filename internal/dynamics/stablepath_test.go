@@ -14,7 +14,7 @@ func stableSim(t *testing.T, pts []geom.Point, dynamic bool) *sim.Sim {
 	s, err := sim.New(sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: sim.Options{
 			Seed:    4,
 			Dynamic: dynamic,

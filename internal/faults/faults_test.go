@@ -51,7 +51,7 @@ func pointSim(t *testing.T, eng *Engine, pts []geom.Point, scripts map[int]map[i
 	s, err := sim.New(sim.Config{
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: sim.Options{
 			Seed:       1,
 			Primitives: sim.CD | sim.ACK | sim.NTD,
@@ -176,7 +176,7 @@ func TestFaultedRunUsesIndexedReception(t *testing.T) {
 		s, err := sim.New(sim.Config{
 			Space: space,
 			Model: model.NewSINR(8, 1, 1, 3, 0.1),
-			P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+			P:     8, Zeta: 3, Eps: 0.1,
 			Options: sim.Options{
 				Seed:       4,
 				Primitives: sim.CD | sim.ACK,

@@ -29,7 +29,6 @@ func TestFloodShedsNotCrashes(t *testing.T) {
 	}
 	cfg := testConfig(t, r)
 	cfg.Workers = 2
-	cfg.QueueDepth = 8
 	cfg.MaxWeight = 16
 	s, ts := newTestAPI(t, cfg)
 
@@ -102,6 +101,14 @@ func TestFloodShedsNotCrashes(t *testing.T) {
 	}
 	if got := reg.CounterValue("jobs/shed"); got != shed.Load() {
 		t.Fatalf("jobs/shed = %d, clients saw %d", got, shed.Load())
+	}
+	// The weight budget bounds the queue: every job weighs at least 1, and
+	// the weight counts queued and running jobs alike.
+	queueHigh := reg.Gauge("jobs/queue-high-water").Value()
+	weightHigh := reg.Gauge("jobs/weight-high-water").Value()
+	if queueHigh > weightHigh || weightHigh > int64(cfg.MaxWeight) {
+		t.Fatalf("queue high water %d, weight high water %d, MaxWeight %d: want queue <= weight <= MaxWeight",
+			queueHigh, weightHigh, cfg.MaxWeight)
 	}
 
 	// Every accepted job reaches a terminal state.

@@ -11,9 +11,9 @@ import (
 // Garbage collection is what keeps the daemon's durable state bounded: the
 // job ledger and the checkpoint journal are append-only (crash safety
 // demands it), so without a sweeper both — plus the per-job trace files —
-// grow forever. GC applies the Config.Retain{Age,Count,Bytes} policy to
-// terminal jobs, unlinks their traces, compacts the ledger via an atomic
-// whole-file rewrite, and drops checkpoint records no live or resumable job
+// grow forever. GC applies the Config.RetainCount policy to terminal jobs,
+// unlinks their traces, compacts the ledger via an atomic whole-file
+// rewrite, and drops checkpoint records no live or resumable job
 // references.
 //
 // Crash-safety contract. The sweep holds the server mutex end to end and
@@ -67,8 +67,8 @@ type GCStats struct {
 var gcTestHook func(stage string)
 
 // GC runs one retention sweep (see the package comment above for the
-// ordering contract). With no retention axis configured it still compacts
-// both journals — squeezing duplicate and superseded frames — but collects
+// ordering contract). With RetainCount zero it still compacts both
+// journals — squeezing duplicate and superseded frames — but collects
 // nothing. Safe to call concurrently with submissions and running jobs.
 func (s *Server) GC() (GCStats, error) {
 	s.mu.Lock()
@@ -81,7 +81,7 @@ func (s *Server) GC() (GCStats, error) {
 		st.LedgerBytesBefore = size
 	}
 
-	expired := s.expiredLocked(time.Now().UnixMilli())
+	expired := s.expiredLocked()
 
 	// Stage 1: traces of expired jobs.
 	for j := range expired {
@@ -143,7 +143,7 @@ func (s *Server) GC() (GCStats, error) {
 	// exactly what a post-crash resume needs for zero recompute; without
 	// one, keep everything (the compaction still squeezes duplicates).
 	var keep func(*checkpoint.Record) bool
-	if s.cfg.RetainAge > 0 || s.cfg.RetainCount > 0 || s.cfg.RetainBytes > 0 {
+	if s.cfg.RetainCount > 0 {
 		live := make(map[string]bool)
 		for _, id := range s.order {
 			if j := s.jobs[id]; !j.state.Terminal() {
@@ -178,19 +178,20 @@ func (s *Server) GC() (GCStats, error) {
 }
 
 // expiredLocked selects the terminal jobs the retention policy gives up:
-// older than RetainAge, beyond the newest RetainCount, or — oldest first —
-// enough to bring the state directory under RetainBytes. Non-terminal jobs
-// are never candidates. Caller holds the server mutex.
-func (s *Server) expiredLocked(nowMs int64) map[*job]bool {
+// all but the newest RetainCount by completion time, ties broken by
+// submission order. Non-terminal jobs are never candidates. Caller holds
+// the server mutex.
+func (s *Server) expiredLocked() map[*job]bool {
 	expired := make(map[*job]bool)
-	if s.cfg.RetainAge <= 0 && s.cfg.RetainCount <= 0 && s.cfg.RetainBytes <= 0 {
-		return expired
-	}
 	var terminal []*job
 	for _, id := range s.order {
 		if j := s.jobs[id]; j.state.Terminal() {
 			terminal = append(terminal, j)
 		}
+	}
+	n := s.cfg.RetainCount
+	if n <= 0 || len(terminal) <= n {
+		return expired
 	}
 	sort.Slice(terminal, func(a, b int) bool {
 		if terminal[a].doneAt != terminal[b].doneAt {
@@ -198,75 +199,22 @@ func (s *Server) expiredLocked(nowMs int64) map[*job]bool {
 		}
 		return terminal[a].seqNo < terminal[b].seqNo
 	})
-	if age := s.cfg.RetainAge; age > 0 {
-		cutoff := nowMs - age.Milliseconds()
-		for _, j := range terminal {
-			if j.doneAt < cutoff {
-				expired[j] = true
-			}
-		}
-	}
-	if n := s.cfg.RetainCount; n > 0 && len(terminal) > n {
-		for _, j := range terminal[:len(terminal)-n] {
-			expired[j] = true
-		}
-	}
-	if budget := s.cfg.RetainBytes; budget > 0 {
-		total := s.stateBytesLocked()
-		for _, j := range terminal {
-			if expired[j] {
-				total -= s.jobFootprintLocked(j)
-			}
-		}
-		for _, j := range terminal {
-			if total <= budget {
-				break
-			}
-			if expired[j] {
-				continue
-			}
-			expired[j] = true
-			total -= s.jobFootprintLocked(j)
-		}
+	for _, j := range terminal[:len(terminal)-n] {
+		expired[j] = true
 	}
 	return expired
 }
 
-// stateBytesLocked totals the state directory's durable footprint: both
-// journals plus every known job's trace file.
-func (s *Server) stateBytesLocked() int64 {
-	var total int64
-	if size, err := s.ledger.size(); err == nil {
-		total += size
-	}
-	if size, err := s.store.JournalSize(); err == nil {
-		total += size
-	}
-	for _, id := range s.order {
-		if fi, err := os.Stat(s.tracePath(id)); err == nil {
-			total += fi.Size()
-		}
-	}
-	return total
-}
+// gcPeriod is the background sweeper's period; a variable only so a test
+// can shorten it.
+var gcPeriod = time.Minute
 
-// jobFootprintLocked estimates the bytes collecting one terminal job frees:
-// its ledger records (output dominates; 256 covers framing and the spec)
-// plus its trace file.
-func (s *Server) jobFootprintLocked(j *job) int64 {
-	size := int64(len(j.output) + len(j.lastErr) + 256)
-	if fi, err := os.Stat(s.tracePath(j.id)); err == nil {
-		size += fi.Size()
-	}
-	return size
-}
-
-// gcSweeper is the background retention loop: one GC per Config.GCInterval
-// until drain. Sweep errors are reflected in the jobs/journal-errors
-// counter and the next sweep retries.
+// gcSweeper is the background retention loop Open starts when RetainCount
+// is set: one GC per gcPeriod until drain. Sweep errors are reflected in
+// the jobs/journal-errors counter and the next sweep retries.
 func (s *Server) gcSweeper() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.GCInterval)
+	t := time.NewTicker(gcPeriod)
 	defer t.Stop()
 	for {
 		select {

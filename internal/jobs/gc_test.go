@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -100,59 +99,6 @@ func TestGCRetainCountCollectsOldest(t *testing.T) {
 	}
 }
 
-// TestGCRetainAge: only terminal jobs older than RetainAge are collected.
-func TestGCRetainAge(t *testing.T) {
-	cfg := testConfig(t, okRunner(""))
-	cfg.RetainAge = time.Hour
-	s := mustOpen(t, cfg)
-	defer func() { s.Drain(); s.Close() }()
-	ids := runN(t, s, 3)
-
-	// Backdate the first two past the retention horizon.
-	s.mu.Lock()
-	s.jobs[ids[0]].doneAt -= 2 * time.Hour.Milliseconds()
-	s.jobs[ids[1]].doneAt -= 2 * time.Hour.Milliseconds()
-	s.mu.Unlock()
-
-	st, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.JobsCollected != 2 {
-		t.Fatalf("gc collected %d, want 2 (the backdated ones)", st.JobsCollected)
-	}
-	if _, err := s.View(ids[2]); err != nil {
-		t.Fatalf("young job collected: %v", err)
-	}
-}
-
-// TestGCRetainBytes: the oldest terminal jobs go until the state directory
-// fits the byte budget.
-func TestGCRetainBytes(t *testing.T) {
-	big := strings.Repeat("x", 4096)
-	cfg := testConfig(t, okRunner(big))
-	cfg.RetainBytes = 10 * 1024
-	s := mustOpen(t, cfg)
-	defer func() { s.Drain(); s.Close() }()
-	ids := runN(t, s, 8) // ~32 KiB of output in the ledger
-
-	st, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.JobsCollected == 0 {
-		t.Fatal("nothing collected despite the budget being blown")
-	}
-	total := st.LedgerBytesAfter + st.CellBytesAfter
-	if total > cfg.RetainBytes {
-		t.Fatalf("state still %d bytes after GC, budget %d", total, cfg.RetainBytes)
-	}
-	// The newest job must survive byte-budget pressure last.
-	if _, err := s.View(ids[len(ids)-1]); err != nil && st.JobsKept > 0 {
-		t.Fatalf("newest job collected before older ones: %v", err)
-	}
-}
-
 // TestGCNeverCollectsNonTerminal: live jobs are untouchable regardless of
 // policy pressure.
 func TestGCNeverCollectsNonTerminal(t *testing.T) {
@@ -161,7 +107,6 @@ func TestGCNeverCollectsNonTerminal(t *testing.T) {
 	cfg := testConfig(t, gateRunner(nil, release))
 	cfg.Workers = 1
 	cfg.RetainCount = 1
-	cfg.RetainAge = time.Nanosecond // maximal pressure
 	s := mustOpen(t, cfg)
 	defer func() { s.Drain(); s.Close() }()
 
@@ -404,9 +349,11 @@ func TestGCEndpointAndStatusz(t *testing.T) {
 // TestGCSweeperRuns: the background sweeper enforces retention without any
 // explicit GC call.
 func TestGCSweeperRuns(t *testing.T) {
+	// Restored only after the deferred drain below has stopped the sweeper.
+	defer func(p time.Duration) { gcPeriod = p }(gcPeriod)
+	gcPeriod = 20 * time.Millisecond
 	cfg := testConfig(t, okRunner(""))
 	cfg.RetainCount = 1
-	cfg.GCInterval = 20 * time.Millisecond
 	s := mustOpen(t, cfg)
 	defer func() { s.Drain(); s.Close() }()
 	runN(t, s, 3)

@@ -192,7 +192,7 @@ func TestAPIShedReturns429WithRetryAfter(t *testing.T) {
 	}
 	cfg := testConfig(t, r)
 	cfg.Workers = 1
-	cfg.QueueDepth = 1
+	cfg.MaxWeight = 2
 	_, ts := newTestAPI(t, cfg)
 
 	var shed *http.Response

@@ -21,19 +21,19 @@
 // replay finished cells from the shared content-addressed checkpoint store —
 // byte-identical output, zero recompute.
 //
-// The accept path is load-shedding rather than unbounded: once queue depth
-// or the in-flight cell-weight budget is exceeded, submissions are refused
-// with ErrBusy (HTTP 429 + Retry-After: 1) instead of growing memory, and
-// the workers run accepted jobs in submission order. SIGTERM triggers
-// graceful drain: accepting stops (readyz flips), running jobs get a grace
-// period to finish before their grids are cancelled (completed cells stay
-// checkpointed), queued jobs park for the next start, journals flush, and
-// the daemon exits 0.
+// The accept path is load-shedding rather than unbounded: a submission that
+// would push the in-flight cell weight of queued plus running jobs past its
+// budget is refused with ErrBusy (HTTP 429 + Retry-After: 1) instead of
+// growing memory, and the workers run accepted jobs in submission order.
+// SIGTERM triggers graceful drain: accepting stops (readyz flips), running
+// jobs get a grace period to finish before their grids are cancelled
+// (completed cells stay checkpointed), queued jobs park for the next start,
+// journals flush, and the daemon exits 0.
 //
 // Durable state is bounded, not append-forever: the retention policy
-// (Config.Retain{Age,Count,Bytes}) drives a GC sweeper (see gc.go) that
-// collects terminal jobs past retention, unlinks their traces, and
-// atomically compacts both journals without ever widening the crash window.
+// (Config.RetainCount) drives a GC sweeper (see gc.go) that collects all
+// but the newest terminal jobs, unlinks their traces, and atomically
+// compacts both journals without ever widening the crash window.
 package jobs
 
 import (
@@ -202,9 +202,9 @@ func (e *InvalidError) Error() string { return "jobs: invalid spec: " + e.Reason
 // Sentinel errors of the accept path and the job registry; the HTTP layer
 // maps them to status codes.
 var (
-	// ErrBusy sheds a submission that would exceed the queue depth or the
-	// in-flight cell-weight budget (HTTP 429 + Retry-After: 1).
-	ErrBusy = errors.New("jobs: queue full, retry later")
+	// ErrBusy sheds a submission that would exceed the in-flight
+	// cell-weight budget (HTTP 429 + Retry-After: 1).
+	ErrBusy = errors.New("jobs: in-flight weight budget full, retry later")
 	// ErrDraining refuses submissions during graceful shutdown (HTTP 503).
 	ErrDraining = errors.New("jobs: server is draining")
 	// ErrNotFound reports an unknown job id (HTTP 404).

@@ -17,7 +17,7 @@ import (
 //     response is sent, so an acknowledged job can never be lost;
 //   - "done" / "failed" / "cancelled" commit the terminal outcome together
 //     with the job's output or last error (and the terminal wall-clock
-//     instant, which the retention sweeper ages against);
+//     instant, which the retention sweeper ranks jobs by);
 //   - "seq" pins the id allocator's high-water mark, written by GC
 //     compaction so dropping the oldest submit records can never recycle a
 //     job id.
@@ -46,8 +46,8 @@ type jobEvent struct {
 	// Error is the job's error (failed and cancelled events only).
 	Error string `json:"error,omitempty"`
 	// DoneMs is the terminal transition's wall clock (Unix milliseconds,
-	// terminal events only) — what Config.RetainAge ages against after a
-	// restart.
+	// terminal events only) — what orders Config.RetainCount's collection
+	// after a restart.
 	DoneMs int64 `json:"done_ms,omitempty"`
 }
 

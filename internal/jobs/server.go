@@ -27,12 +27,11 @@ type Config struct {
 	// GridWorkers sizes the worker pool inside each job's grid (default 1,
 	// one cell at a time; job-level parallelism already fills the pool).
 	GridWorkers int
-	// QueueDepth bounds the number of jobs waiting for a worker; beyond
-	// it submissions shed with ErrBusy (default 64).
-	QueueDepth int
 	// MaxWeight bounds the total declared cell weight (experiments ×
-	// seeds) of queued plus running jobs — the in-flight budget behind the
-	// second shedding condition (default 512). A spec whose weight alone
+	// seeds) of queued plus running jobs — the in-flight budget beyond
+	// which submissions shed with ErrBusy (default 512). Every job weighs
+	// at least 1, so it bounds the queue length too; only jobs Open
+	// resumes re-queue whatever their weight. A spec whose weight alone
 	// exceeds it is invalid, not shed.
 	MaxWeight int
 	// DefaultDeadline bounds a job's run when the spec sets none (default
@@ -42,21 +41,13 @@ type Config struct {
 	// DrainGrace is how long Drain lets running jobs finish before their
 	// grids are cancelled and the jobs park for the next start (default 5s).
 	DrainGrace time.Duration
-	// RetainAge, RetainCount and RetainBytes are the retention policy GC
-	// enforces over terminal jobs (see gc.go). Zero disables the
-	// corresponding axis; all three zero keeps every terminal job forever
-	// (GC then only compacts duplicate journal frames). RetainAge drops
-	// terminal jobs older than the duration, RetainCount keeps at most that
-	// many terminal jobs (newest first), and RetainBytes drops oldest
-	// terminal jobs until the state directory (ledger + checkpoint journal +
-	// traces) fits the budget.
-	RetainAge   time.Duration
+	// RetainCount is the retention policy GC enforces (see gc.go): it
+	// keeps the newest RetainCount terminal jobs by completion time and
+	// collects the rest. A positive value also starts the background
+	// sweeper, one GC a minute. Zero keeps every terminal job forever; GC
+	// then runs only on demand (POST /gc or Server.GC) and only compacts
+	// duplicate journal frames.
 	RetainCount int
-	RetainBytes int64
-	// GCInterval is the background sweeper's period. Zero runs GC only on
-	// demand (POST /gc or Server.GC) unless a retention axis is configured,
-	// in which case it defaults to 1m.
-	GCInterval time.Duration
 	// Runner executes jobs; nil selects ExperimentRunner with the grid
 	// settings above. Tests inject fakes here.
 	Runner Runner
@@ -72,9 +63,6 @@ func (c *Config) fill() {
 	if c.GridWorkers <= 0 {
 		c.GridWorkers = 1
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.MaxWeight <= 0 {
 		c.MaxWeight = 512
 	}
@@ -83,9 +71,6 @@ func (c *Config) fill() {
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
-	}
-	if c.GCInterval <= 0 && (c.RetainAge > 0 || c.RetainCount > 0 || c.RetainBytes > 0) {
-		c.GCInterval = time.Minute
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -117,7 +102,7 @@ type job struct {
 	resumed bool
 	prog    *ProgressView
 	// doneAt is the terminal transition's Unix-millisecond wall clock (0
-	// while non-terminal) — what RetainAge ages against.
+	// while non-terminal) — what RetainCount ranks terminal jobs by.
 	doneAt int64
 
 	cancelReq bool
@@ -238,7 +223,7 @@ func Open(cfg Config) (*Server, error) {
 	for w := 0; w < cfg.Workers; w++ {
 		go s.worker(w)
 	}
-	if cfg.GCInterval > 0 {
+	if cfg.RetainCount > 0 {
 		s.wg.Add(1)
 		go s.gcSweeper()
 	}
@@ -345,24 +330,20 @@ type WorkerStatus struct {
 // GCStatus is the retention/GC panel of /statusz: the configured policy and
 // the last sweep's outcome.
 type GCStatus struct {
-	RetainAgeMs int64 `json:"retain_age_ms,omitempty"`
-	RetainCount int   `json:"retain_count,omitempty"`
-	RetainBytes int64 `json:"retain_bytes,omitempty"`
-	IntervalMs  int64 `json:"interval_ms,omitempty"`
+	RetainCount int `json:"retain_count,omitempty"`
 	// LastUnixMs is 0 until the first sweep.
 	LastUnixMs int64    `json:"last_unix_ms,omitempty"`
 	Last       *GCStats `json:"last,omitempty"`
 }
 
-// StatusView is the /statusz body: per-worker occupancy, queue pressure
-// against the admission limits, job counts by state, the GC/retention
-// panel, and the shedding/intake counters — the one-page answer to "what is
-// the daemon doing right now".
+// StatusView is the /statusz body: per-worker occupancy, queue length and
+// in-flight weight against the admission budget, job counts by state, the
+// GC/retention panel, and the shedding/intake counters — the one-page
+// answer to "what is the daemon doing right now".
 type StatusView struct {
 	Draining   bool             `json:"draining"`
 	Workers    []WorkerStatus   `json:"workers"`
 	QueueDepth int              `json:"queue_depth"`
-	QueueCap   int              `json:"queue_cap"`
 	Weight     int              `json:"weight"`
 	MaxWeight  int              `json:"max_weight"`
 	Jobs       map[State]int    `json:"jobs"`
@@ -377,16 +358,10 @@ func (s *Server) Status() StatusView {
 		Draining:   s.draining,
 		Workers:    make([]WorkerStatus, len(s.working)),
 		QueueDepth: len(s.queue),
-		QueueCap:   s.cfg.QueueDepth,
 		Weight:     s.weight,
 		MaxWeight:  s.cfg.MaxWeight,
 		Jobs:       make(map[State]int),
-		GC: GCStatus{
-			RetainAgeMs: s.cfg.RetainAge.Milliseconds(),
-			RetainCount: s.cfg.RetainCount,
-			RetainBytes: s.cfg.RetainBytes,
-			IntervalMs:  s.cfg.GCInterval.Milliseconds(),
-		},
+		GC:         GCStatus{RetainCount: s.cfg.RetainCount},
 	}
 	if s.gcRan {
 		last := s.lastGC
@@ -424,9 +399,9 @@ func (s *Server) Draining() bool {
 
 // Submit validates and accepts one job: journalled before the call returns,
 // so an acknowledged job survives any crash. Returns ErrDraining during
-// shutdown and ErrBusy when the queue depth or in-flight cell-weight budget
-// would be exceeded — the load-shedding contract that keeps the daemon's
-// memory bounded under submission floods.
+// shutdown and ErrBusy when the in-flight cell weight plus the spec's own
+// would exceed MaxWeight — the load-shedding contract that keeps the
+// daemon's memory bounded under submission floods.
 func (s *Server) Submit(spec Spec) (JobView, error) {
 	if err := spec.validate(&s.cfg); err != nil {
 		s.reg.Counter("jobs/rejected").Inc()
@@ -451,7 +426,7 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 		s.mu.Unlock()
 		return JobView{}, ErrDraining
 	}
-	if len(s.queue) >= s.cfg.QueueDepth || s.weight+w > s.cfg.MaxWeight {
+	if s.weight+w > s.cfg.MaxWeight {
 		s.mu.Unlock()
 		s.reg.Counter("jobs/shed").Inc()
 		return JobView{}, ErrBusy

@@ -323,7 +323,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestLoadSheddingByQueueDepthAndWeight(t *testing.T) {
+// TestLoadSheddingByWeight: the in-flight weight of queued plus running
+// jobs is the one admission limit, and it bounds the queue as well.
+func TestLoadSheddingByWeight(t *testing.T) {
 	block := make(chan struct{})
 	r := func(ctx context.Context, spec Spec, rc RunContext) (string, error) {
 		select {
@@ -334,14 +336,13 @@ func TestLoadSheddingByQueueDepthAndWeight(t *testing.T) {
 	}
 	cfg := testConfig(t, r)
 	cfg.Workers = 1
-	cfg.QueueDepth = 2
-	cfg.MaxWeight = 100
+	cfg.MaxWeight = 3
 	s := mustOpen(t, cfg)
 	defer s.Close()
 	defer close(block)
 
-	// One running job first (wait until the worker pops it), then exactly
-	// QueueDepth queued ones fill the queue.
+	// One running job first (wait until the worker pops it), then two
+	// queued ones fill the weight budget.
 	if _, err := s.Submit(spec1()); err != nil {
 		t.Fatal(err)
 	}
@@ -355,18 +356,20 @@ func TestLoadSheddingByQueueDepthAndWeight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for i := 0; i < cfg.QueueDepth; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := s.Submit(spec1()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Submit(spec1()); !errors.Is(err, ErrBusy) {
-		t.Fatalf("depth overflow: err = %v, want ErrBusy", err)
+	if sv := s.Status(); sv.QueueDepth != 2 || sv.Weight != cfg.MaxWeight {
+		t.Fatalf("queue_depth = %d, weight = %d; want 2 queued at weight %d", sv.QueueDepth, sv.Weight, cfg.MaxWeight)
 	}
-	// Weight overflow sheds even when the queue has room.
+	if _, err := s.Submit(spec1()); !errors.Is(err, ErrBusy) {
+		t.Fatalf("weight overflow with one running and two queued: err = %v, want ErrBusy", err)
+	}
+	// A heavy spec sheds while the budget still has room for a light one.
 	cfg2 := testConfig(t, r)
 	cfg2.Workers = 1
-	cfg2.QueueDepth = 100
 	cfg2.MaxWeight = 5
 	s2 := mustOpen(t, cfg2)
 	defer s2.Close()

@@ -48,7 +48,7 @@ func TestGenericNeighbourCacheBuild(t *testing.T) {
 	s, err := New(Config{
 		Space: m,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{Seed: 1},
 	}, func(int) Protocol { return &scriptProto{} })
 	if err != nil {
@@ -66,7 +66,7 @@ func TestGenericNeighbourCacheBuild(t *testing.T) {
 	e, err := New(Config{
 		Space: metric.NewEuclidean(makePoints(8)),
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{Seed: 1},
 	}, func(int) Protocol { return &scriptProto{} })
 	if err != nil {
@@ -84,7 +84,7 @@ func TestSlotViewRadiusCache(t *testing.T) {
 	s, err := New(Config{
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{Seed: 1},
 	}, func(int) Protocol { return &scriptProto{} })
 	if err != nil {

@@ -26,7 +26,7 @@ func TestStepZeroAllocs(t *testing.T) {
 			s, err := New(Config{
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				P:     1500, Zeta: 3, Eps: 0.1,
 				Options: Options{
 					Seed:       1,
 					Primitives: CD | ACK,
@@ -44,7 +44,7 @@ func TestStepZeroAllocs(t *testing.T) {
 			s, err := New(Config{
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				P:     1500, Zeta: 3, Eps: 0.1,
 				Options: Options{
 					Seed:       1,
 					Primitives: CD | ACK,
@@ -61,7 +61,7 @@ func TestStepZeroAllocs(t *testing.T) {
 			s, err := New(Config{
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewUDG(10),
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				P:     1500, Zeta: 3, Eps: 0.1,
 				Options: Options{Seed: 2},
 			}, func(int) Protocol { return fixedProb(1.0 / 64) })
 			if err != nil {

@@ -17,7 +17,7 @@ func benchSim(b *testing.B, n int, p float64, prims Primitives) *Sim {
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       1,
 			Primitives: prims,
@@ -82,7 +82,7 @@ func BenchmarkStepUDG(b *testing.B) {
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewUDG(10),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       1,
 			Primitives: CD | ACK,
@@ -108,7 +108,7 @@ func sparseSim4096(b testing.TB) *Sim {
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewUDG(10),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{Seed: 1},
 	}, func(int) Protocol { return fixedProb(1.0 / 64) })
 	if err != nil {
@@ -161,7 +161,7 @@ func BenchmarkNewSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := New(Config{
 			Space: space, Model: mdl,
-			P: 1500, Zeta: 3, Noise: 1, Eps: 0.1,
+			P: 1500, Zeta: 3, Eps: 0.1,
 			Options: Options{Seed: uint64(i)},
 		}, func(int) Protocol { return fixedProb(0.1) })
 		if err != nil {
@@ -200,7 +200,7 @@ func denseSim8192(b *testing.B) *Sim {
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       3,
 			Primitives: CD | ACK,
@@ -235,7 +235,7 @@ func stripSim3200(tb testing.TB) *Sim {
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: mdl,
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		BusyScale: 0.25, AckScale: 8,
 		Options: Options{
 			SenseEps:   0.05,
@@ -283,7 +283,7 @@ func BenchmarkFieldSumAll(b *testing.B) {
 			s, err := New(Config{
 				Space: metric.NewEuclidean(pts),
 				Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				P:     1500, Zeta: 3, Eps: 0.1,
 				Options: Options{Seed: 1, Primitives: CD | ACK, Dynamic: dynamic},
 			}, func(int) Protocol { return fixedProb(0.1) })
 			if err != nil {

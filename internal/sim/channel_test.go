@@ -42,7 +42,7 @@ func chanSim(t *testing.T, channels int, scripts map[int][]struct {
 	s, err := New(Config{
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       1,
 			Channels:   channels,
@@ -144,7 +144,7 @@ func TestChannelsConfigValidation(t *testing.T) {
 	}
 	base := Config{
 		Space: e, Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P: 8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P: 8, Zeta: 3, Eps: 0.1,
 	}
 	bad := base
 	bad.Channels = 17
@@ -172,7 +172,7 @@ func TestMassDeliveryAcrossChannels(t *testing.T) {
 	s, err := New(Config{
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{Seed: 1, Channels: 2, TrackCoverage: true},
 	}, func(id int) Protocol {
 		scripts := map[int][]step{

@@ -63,7 +63,7 @@ func TestCoverageUnderRayleigh(t *testing.T) {
 	cfg := Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewRayleighSINR(8, 1, 1, 3, 0.1, 5),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:          1,
 			TrackCoverage: true,

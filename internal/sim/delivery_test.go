@@ -58,7 +58,7 @@ func checkDelivery(t *testing.T, senseEps float64, space string, mixed bool, p f
 	cfg := Config{
 		Space: sp,
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			SenseEps:   senseEps,
 			Seed:       41,

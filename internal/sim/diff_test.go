@@ -154,7 +154,7 @@ func runDiffWatch(t *testing.T, sc diffScenario, disableGrid bool, watch func(*S
 	cfg := Config{
 		Space: metric.NewEuclidean(pts),
 		Model: sc.model,
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:          sc.seed,
 			Primitives:    sc.prims,

@@ -255,7 +255,7 @@ func TestFieldCertifiedIdleBoundary(t *testing.T) {
 				s, err := New(Config{
 					Space: metric.NewEuclidean(pts),
 					Model: mdl,
-					P:     p, Zeta: zeta, Noise: 1, Eps: eps,
+					P:     p, Zeta: zeta, Eps: eps,
 					Options: Options{
 						Seed:       7,
 						Primitives: CD,
@@ -311,7 +311,7 @@ func TestFloorReachBoundary(t *testing.T) {
 			s, err := New(Config{
 				Space: metric.NewEuclidean(pts),
 				Model: mdl,
-				P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+				P:     1500, Zeta: 3, Eps: 0.1,
 				Options: Options{Seed: 7},
 			}, func(id int) Protocol {
 				if id == 0 {
@@ -361,7 +361,7 @@ func newFieldTestSimProto(t *testing.T, n int, seed uint64, prims Primitives,
 	s, err := New(Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       seed,
 			Primitives: prims,

@@ -81,7 +81,7 @@ func TestAsyncChurnInterleaving(t *testing.T) {
 	cfg := Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       5,
 			Async:      true,

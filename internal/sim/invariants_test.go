@@ -49,7 +49,7 @@ func TestSimInvariants(t *testing.T) {
 		s, err := New(Config{
 			Space: metric.NewEuclidean(pts),
 			Model: mdl,
-			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+			P:     1500, Zeta: 3, Eps: 0.1,
 			Options: Options{
 				Seed:       seed,
 				Async:      r.Bernoulli(0.3),
@@ -111,7 +111,7 @@ func TestMassDeliveryConsistency(t *testing.T) {
 		s, err := New(Config{
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+			P:     1500, Zeta: 3, Eps: 0.1,
 			Options: Options{Seed: seed},
 		}, func(int) Protocol { return &recorder{p: 0.15} })
 		if err != nil {
@@ -147,7 +147,7 @@ func TestCoverageSupersetOfMass(t *testing.T) {
 		s, err := New(Config{
 			Space: metric.NewEuclidean(pts),
 			Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
-			P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+			P:     1500, Zeta: 3, Eps: 0.1,
 			Options: Options{
 				Seed:          seed,
 				TrackCoverage: true,

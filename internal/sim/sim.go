@@ -40,9 +40,6 @@ type Config struct {
 	P float64
 	// Zeta is the path-loss exponent (the space's metricity).
 	Zeta float64
-	// Noise is the ambient noise level (only the SINR decode rule uses it;
-	// sensing thresholds are noise free).
-	Noise float64
 	// Eps is the precision parameter ε defining the communication radius
 	// R_B and the default primitive thresholds.
 	Eps float64

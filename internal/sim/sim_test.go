@@ -39,7 +39,7 @@ func lineConfig() Config {
 	return Config{
 		Space: e,
 		Model: model.NewSINR(8, 1, 1, 3, 0.1),
-		P:     8, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     8, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed:       1,
 			Primitives: CD | ACK | NTD,
@@ -450,7 +450,7 @@ func TestUDGSimulation(t *testing.T) {
 	e := metric.NewEuclidean([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}})
 	cfg := Config{
 		Space: e, Model: model.NewUDG(1.5),
-		P: 1, Zeta: 3, Noise: 0.01, Eps: 0.1,
+		P: 1, Zeta: 3, Eps: 0.1,
 		Options: Options{Seed: 1, Primitives: CD | ACK},
 	}
 	s := newSim(t, cfg, map[int]map[int]bool{0: {0: true, 1: true}, 2: {1: true}})

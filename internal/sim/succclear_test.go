@@ -50,7 +50,7 @@ func succClearHolds(mdl model.Model, seed uint64) bool {
 	cfg := Config{
 		Space: space,
 		Model: mdl,
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: Options{
 			Seed: seed,
 			Observer: func(ev SlotEvent) {

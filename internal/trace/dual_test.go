@@ -127,7 +127,7 @@ func runDualScenario(t testing.TB, sc dualScenario, observe func(sim.SlotEvent))
 	cfg := sim.Config{
 		Space: metric.NewEuclidean(pts),
 		Model: sc.model(),
-		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
+		P:     1500, Zeta: 3, Eps: 0.1,
 		Options: sim.Options{
 			Seed:       sc.seed,
 			Primitives: sc.prims,

@@ -168,8 +168,8 @@ go test -timeout 10m -run 'TestGCKillAtEveryStage|TestRetentionBoundsStateDir' .
 # drain.
 UDWND_SMOKE=1 go test -timeout 5m -run '^TestDaemonBinarySmoke$' ./internal/jobs
 
-# Native fuzz targets, 10 seconds each: the journal frame decoder against
-# arbitrary bytes, and the grid index against its brute-force oracle (the
+# Native fuzz targets, 10 seconds each: checkpoint recovery against
+# arbitrary journal bytes, and the grid index against its brute-force oracle (the
 # same members, and Iter.Dist2 bit-identical to each member's squared
 # distance). The committed corpora under testdata/fuzz replay as plain tests
 # in the suites above; here they seed short live fuzzing so CI keeps probing

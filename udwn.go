@@ -176,7 +176,6 @@ func (nw *Network) NewSim(factory sim.ProtocolFactory, o SimOptions) (*sim.Sim, 
 		Model:     nw.Model,
 		P:         nw.PHY.Power(),
 		Zeta:      nw.PHY.Alpha,
-		Noise:     nw.PHY.Noise,
 		Eps:       nw.PHY.Eps,
 		BusyScale: nw.PHY.BusyScale,
 		AckScale:  nw.PHY.AckScale,
